@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import datagen, evaluate, federation
+from . import datagen, evaluate, federation, metadata
 from .config import (ARMS, ExperimentConfig, PRESETS, apply_arm, from_dict,
                      load_config, preset_config, save_config, to_dict)
 from .errors import ConfigError
@@ -159,6 +159,20 @@ def _load_base_config(args) -> tuple[ExperimentConfig, tuple[str, ...],
     return config, arms, node_counts, name
 
 
+def _quota_warning(config: ExperimentConfig, label: str) -> str | None:
+    """Warning text when a run sends metadata but its synthetic quota
+    floors to zero, so no peer's negatives are ever mixed in."""
+    if not (config.metadata_enabled and config.eta > 0 and config.nodes > 1
+            and config.rounds > config.warmup_rounds):
+        return None
+    per_peer, _ = metadata.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
+    if per_peer:
+        return None
+    return (f"warning: {label}: eta={config.eta} with queue_capacity={config.queue_capacity} "
+            f"and K={config.nodes} gives floor(eta*capacity/(K-1)) = 0 synthetic negatives "
+            f"per peer; metadata is sent but no synthetic negatives are mixed in")
+
+
 def cmd_run(args) -> int:
     config, arms, node_counts, name = _load_base_config(args)
     seeds = tuple(args.seed) if args.seed else (config.seed,)
@@ -167,6 +181,7 @@ def cmd_run(args) -> int:
 
     planned = [(arm, k, s) for arm in arms for k in counts for s in seeds]
     print(f"{len(planned)} run(s) -> {out_dir}")
+    warned: set[str] = set()
     for arm, k, seed in planned:
         run_cfg = dataclasses.replace(copy.deepcopy(config), seed=seed)
         if k is not None:
@@ -174,6 +189,10 @@ def cmd_run(args) -> int:
         run_cfg = apply_arm(run_cfg, arm)
         run_cfg.validate()
         label = _model_label(arm, k)
+        warning = _quota_warning(run_cfg, label)
+        if warning and warning not in warned:
+            warned.add(warning)
+            print(warning, file=sys.stderr)
         run_dir = out_dir / label / f"seed-{seed}"
         print(f"  {label} seed={seed} ... ", end="", flush=True)
         result = federation.run_training(run_cfg)

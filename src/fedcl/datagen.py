@@ -10,6 +10,7 @@ background texture frequency emulate scanner differences between sites.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -152,13 +153,22 @@ def _render_shape(cls: int, rng: np.random.Generator, size: int) -> np.ndarray:
     return canvas
 
 
+@functools.lru_cache(maxsize=64)
+def _texture_ramp(size: int, texture_freq: float) -> np.ndarray:
+    """Read-only ``2*pi*f*(r + c)/size`` over the canvas; each image adds its
+    own phase."""
+    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    ramp = 2.0 * np.pi * texture_freq * (rr + cc) / size
+    ramp.flags.writeable = False
+    return ramp
+
+
 def _compose(base: np.ndarray, rng: np.random.Generator, offset: float,
              noise_sigma: float, texture_freq: float) -> np.ndarray:
     size = base.shape[0]
     amp = rng.uniform(0.55, 0.85)
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    texture = _TEXTURE_AMP * np.sin(2.0 * np.pi * texture_freq * (rr + cc) / size + phase)
+    texture = _TEXTURE_AMP * np.sin(_texture_ramp(size, texture_freq) + phase)
     img = amp * base + offset + texture + rng.normal(0.0, noise_sigma, base.shape)
     return np.clip(img, 0.0, 1.0)
 

@@ -48,19 +48,21 @@ def lower_triangle(matrix) -> np.ndarray:
     return m[i, j]
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
+def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """1-based ranks, tied entries sharing the mean of their positions, and
+    whether ``x`` has no ties at all."""
     n = x.size
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
     xs = x[order]
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and xs[j] == xs[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0  # mean of 1-based positions
-        i = j
-    return ranks
+    ranks = np.empty(n, dtype=np.float64)
+    change = xs[1:] != xs[:-1]
+    if change.all():
+        ranks[order] = np.arange(1.0, n + 1.0)
+        return ranks, True
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    ends = np.append(starts[1:], n)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    return ranks, False
 
 
 def spearman(u, v) -> float:
@@ -78,9 +80,9 @@ def spearman(u, v) -> float:
     n = a.size
     if n < 2:
         raise ValueError("need at least two entries")
-    ra = _average_ranks(a)
-    rb = _average_ranks(b)
-    if np.unique(a).size == n and np.unique(b).size == n:
+    ra, untied_a = _average_ranks(a)
+    rb, untied_b = _average_ranks(b)
+    if untied_a and untied_b:
         d2 = float(np.sum((ra - rb) ** 2))
         return 1.0 - (6.0 * d2) / (n * (n * n - 1))
     ra = ra - ra.mean()

@@ -167,3 +167,21 @@ def test_export_data_writes_loadable_shards(tmp_path):
     test = load_dataset(dest / "eval-test.bin")
     assert len(train) == 8 and len(test) == 8
     assert all(s.label in (4, 5) for s in train + test)
+
+
+def test_run_warns_once_when_synthetic_quota_is_zero(tmp_path, capsys):
+    # smoke: eta 0.05 * capacity 16 / (K-1 = 2) = 0.4 floors to 0 per peer
+    assert main(["run", "--preset", "smoke", "--arms", "fedmoco", "--seed", "3", "--seed", "4",
+                 "--out", str(tmp_path / "runs"), *FAST]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning")]
+    assert len(lines) == 1
+    assert "eta=0.05" in lines[0] and "queue_capacity=16" in lines[0] and "K=3" in lines[0]
+    assert "no synthetic negatives are mixed in" in lines[0]
+
+
+def test_run_does_not_warn_with_a_nonzero_quota_or_no_metadata(tmp_path, capsys):
+    assert main(["run", "--preset", "smoke", "--arms", "fedmoco", "fedavg", "--seed", "3",
+                 "--out", str(tmp_path / "runs"), *FAST, "--set", "eta=0.25"]) == 0
+    assert main(["run", "--preset", "smoke", "--arms", "fedmoco", "--seed", "3",
+                 "--out", str(tmp_path / "zero"), *FAST, "--set", "eta=0"]) == 0
+    assert "warning" not in capsys.readouterr().err

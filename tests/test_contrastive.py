@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcl.contrastive import (LocalHyperparams, NegativeQueue,
                                NodeTrainState, augment, local_update,
@@ -23,6 +25,25 @@ def test_queue_fifo_eviction():
     q.push(np.array([[3.0, 0.0], [4.0, 0.0]]))
     assert len(q) == 3
     assert np.array_equal(q.as_matrix(2)[:, 0], np.array([2.0, 3.0, 4.0]))
+
+
+def test_queue_matrix_is_a_read_only_snapshot():
+    q = NegativeQueue(4)
+    q.push(np.arange(6.0).reshape(3, 2))
+    first = q.as_matrix(2)
+    q.push(np.arange(6.0, 12.0).reshape(3, 2))
+    assert np.array_equal(q.as_matrix(2), np.arange(4.0, 12.0).reshape(4, 2))
+    assert np.array_equal(first, np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+
+
+def test_queue_capacity_zero_stays_empty():
+    q = NegativeQueue(0, [np.ones(3)])
+    q.push(np.ones((2, 3)))
+    assert len(q) == 0
+    assert q.as_matrix(3).shape == (0, 3)
+    assert len(q.copy()) == 0
 
 
 def test_queue_empty_matrix_shape():
@@ -87,6 +108,67 @@ def test_augment_varies_with_stream():
     rng = rng_for(9, "aug")
     views = [augment(img, rng) for _ in range(4)]
     assert any(not np.array_equal(views[0], v) for v in views[1:])
+
+
+def test_augment_output_shapes():
+    rng = rng_for(4, "aug")
+    stack = rng_for(3, "img").random((5, 6, 7))
+    assert augment(stack, rng, views=2).shape == (5, 2, 6, 7)
+    assert augment(stack, rng).shape == (5, 1, 6, 7)
+    assert augment(stack[0], rng).shape == (6, 7)
+    assert augment(stack[0], rng, views=3).shape == (3, 6, 7)
+    assert augment(stack[:0], rng, views=2).shape == (0, 2, 6, 7)
+    with pytest.raises(ValueError):
+        augment(stack, rng, views=0)
+
+
+def reference_view(image, rng):
+    """One view the per-image way: flip, rotate the whole image about its
+    centre (nearest neighbour, zero outside), crop, resize, gamma."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape
+    do_flip = rng.random() < 0.5
+    angle = rng.uniform(-15.0, 15.0)
+    scale = rng.uniform(0.7, 1.0)
+    crop_h = min(h, max(1, int(round(scale * h))))
+    crop_w = min(w, max(1, int(round(scale * w))))
+    top = int(rng.integers(0, h - crop_h + 1))
+    left = int(rng.integers(0, w - crop_w + 1))
+    gamma = rng.uniform(0.7, 1.4)
+
+    img = img[:, ::-1] if do_flip else img
+    theta = np.deg2rad(angle)
+    c, s = np.cos(theta), np.sin(theta)
+    cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    src_r = np.rint(cr + c * (rows - cr) + s * (cols - cc)).astype(int)
+    src_c = np.rint(cc - s * (rows - cr) + c * (cols - cc)).astype(int)
+    valid = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
+    rotated = np.zeros_like(img)
+    rotated[valid] = img[src_r[valid], src_c[valid]]
+    patch = rotated[top : top + crop_h, left : left + crop_w]
+    r = np.minimum(((np.arange(h) + 0.5) * crop_h / h).astype(int), crop_h - 1)
+    q = np.minimum(((np.arange(w) + 0.5) * crop_w / w).astype(int), crop_w - 1)
+    return np.clip(np.power(np.clip(patch[np.ix_(r, q)], 0.0, 1.0), gamma), 0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), h=st.integers(1, 12), w=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+def test_augment_stack_matches_per_image_calls(n, h, w, seed, zero):
+    """A stack's views equal query-then-key per-image calls drawn from the
+    same stream, both through ``augment`` and through the per-image
+    reference, and every stream ends in the same state."""
+    stack = np.zeros((n, h, w)) if zero else rng_for(seed, "img").uniform(-0.2, 1.2, (n, h, w))
+    batched_rng = np.random.default_rng(seed)
+    batched = augment(stack, batched_rng, views=2)
+    loop_rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    for i in range(n):
+        for view in (0, 1):  # query, then key
+            assert np.array_equal(batched[i, view], augment(stack[i], loop_rng))
+            assert np.array_equal(batched[i, view], reference_view(stack[i], ref_rng))
+    assert batched_rng.random() == loop_rng.random() == ref_rng.random()
 
 
 # -- local update -------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedcl.errors import ShapeError
 from fedcl.nn import EncoderParams, init_params, mlp_shapes
-from fedcl.rsa import (AggregationWeights, aggregate, compute_rdm,
+from fedcl.rsa import (AggregationWeights, _average_ranks, aggregate, compute_rdm,
                        fedavg_weights, lower_triangle, rsa_score,
                        self_adaptive_weights, spearman)
 from fedcl.seeding import rng_for
@@ -115,6 +115,15 @@ def test_spearman_bounded(u, data):
                            min_size=len(u), max_size=len(u)))
     r = spearman(np.array(u, float), np.array(v, float))
     assert -1.0 <= r <= 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=12))
+def test_average_ranks_match_counting(values):
+    x = np.array(values, float)
+    ranks, untied = _average_ranks(x)
+    assert np.array_equal(ranks, counting_ranks(x))
+    assert untied == (len(set(values)) == len(values))
 
 
 # -- scores and weights -------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .nn import EncoderParams, forward_batch, loss_and_grad
+from .nn import EncoderParams, forward_batch, loss_and_grad, sgd_step
 from .seeding import rng_for
 
 
@@ -48,14 +48,119 @@ class NegativeQueue:
         return NegativeQueue(self.capacity, self._rows)
 
 
-def momentum_update(theta_d: EncoderParams, theta_q: EncoderParams, m: float) -> EncoderParams:
-    """Key-encoder update ``m * theta_d + (1 - m) * theta_q``, element-wise."""
+def _check_momentum(theta_d: EncoderParams, theta_q: EncoderParams, m: float) -> None:
     if not 0.0 <= m < 1.0:
         raise ValueError(f"momentum coefficient must lie in [0, 1), got {m}")
     if theta_d.shapes != theta_q.shapes:
         raise ShapeError("momentum update needs matching layer manifests")
-    values = m * theta_d.values + (1.0 - m) * theta_q.values
+
+
+def _momentum_step(theta_d: np.ndarray, theta_q: np.ndarray, m: float,
+                   scratch: np.ndarray) -> None:
+    """``theta_d = m * theta_d + (1 - m) * theta_q`` in place, bit for bit;
+    ``scratch`` is a spare array of the same shape."""
+    np.multiply(theta_q, 1.0 - m, out=scratch)
+    theta_d *= m
+    theta_d += scratch
+
+
+def momentum_update(theta_d: EncoderParams, theta_q: EncoderParams, m: float) -> EncoderParams:
+    """Key-encoder update ``m * theta_d + (1 - m) * theta_q``, element-wise."""
+    _check_momentum(theta_d, theta_q, m)
+    values = theta_d.values.copy()
+    _momentum_step(values, theta_q.values, m, np.empty_like(values))
     return EncoderParams(values, theta_q.shapes, theta_q.feature_dim)
+
+
+_LOW32 = 0xFFFFFFFF
+
+
+def _walk_views(count, raws, k_hs, k_ws, state):
+    """Walk ``count`` views over a block of raw outputs, given with the row
+    and column offset ranges a view starting at each position would draw
+    from. Returns each view's start and gamma position, its ``(top, left)``
+    offsets, the number of outputs used, and the generator's spare half
+    afterwards (``None`` if spent) and last stored spare. Raises
+    ``IndexError`` if the block is too short.
+    """
+    spare = state["uinteger"] if state["has_uint32"] else None
+    last = state["uinteger"]  # numpy keeps a spent spare in the state
+    starts, gammas, offsets = [], [], []
+    p = 0
+    for _ in range(count):
+        starts.append(p)
+        p += 3
+        for k in (k_hs[p - 1], k_ws[p - 1]):
+            if k == 1:
+                offsets.append(0)
+                continue
+            threshold = (1 << 32) % k
+            while True:
+                if spare is None:
+                    x = raws[p] & _LOW32
+                    spare = last = raws[p] >> 32
+                    p += 1
+                else:
+                    x, spare = spare, None
+                m = x * k
+                if m & _LOW32 >= threshold:
+                    break
+            offsets.append(m >> 32)
+        gammas.append(p)
+        p += 1
+    if p > len(raws):
+        raise IndexError("gamma draw past the end of the block")
+    return starts, gammas, offsets, p, spare, last
+
+
+def _view_draws(rng: np.random.Generator, count: int, h: int, w: int):
+    """The six draws of ``count`` views, bit-equal to calling, view by view,
+    ``random() < 0.5``, ``uniform(-15, 15)``, ``uniform(0.7, 1)``,
+    ``integers(0, h - crop_h + 1)``, ``integers(0, w - crop_w + 1)`` and
+    ``uniform(0.7, 1.4)``, and leaving ``rng`` in the state those calls would.
+
+    They are decoded from one block of raw PCG64 output with numpy's rules:
+    a double is ``(raw >> 11) * 2**-53`` and ``uniform(a, b)`` is
+    ``a + (b - a) * u``; ``integers(0, k)`` takes a 32-bit half (the low one
+    of a fresh output, whose high one the generator keeps as a spare for its
+    next 32-bit draw) and maps it by Lemire's multiply-shift, redrawing one
+    whose low product word is below ``2**32 % k`` (arXiv 1805.10941). A range
+    of one draws nothing, so each view's offset depends on the crops before
+    it, and one walk over the views finds them.
+    """
+    bits = getattr(rng, "bit_generator", None)
+    if type(bits) is not np.random.PCG64:
+        raise TypeError(f"augment decodes PCG64 output, got {type(bits).__name__}")
+    saved = bits.state
+    raw = bits.random_raw(5 * count)
+    while True:
+        u = (raw >> 11) * 2.0**-53
+        scale = 0.7 + (1.0 - 0.7) * u
+        crop_h = np.clip(np.rint(scale * h), 1, h).astype(np.int64)
+        crop_w = np.clip(np.rint(scale * w), 1, w).astype(np.int64)
+        try:
+            starts, gammas, offsets, p, spare, last = _walk_views(
+                count, raw.tolist(), (h + 1 - crop_h).tolist(), (w + 1 - crop_w).tolist(),
+                saved)
+            break
+        except IndexError:  # Lemire redraws ran past the block
+            raw = np.concatenate([raw, bits.random_raw(count)])
+
+    bits.state = saved
+    bits.advance(p)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = int(spare is not None), last
+    bits.state = state
+
+    starts = np.array(starts)
+    offsets = np.array(offsets, dtype=np.int64).reshape(count, 2)
+    return (u[starts] < 0.5,
+            -15.0 + (15.0 - -15.0) * u[starts + 1],
+            crop_h[starts + 2],
+            crop_w[starts + 2],
+            offsets[:, 0],
+            offsets[:, 1],
+            0.7 + (1.4 - 0.7) * u[np.array(gammas)])
 
 
 def augment(images, rng: np.random.Generator, views: int = 1) -> np.ndarray:
@@ -66,11 +171,14 @@ def augment(images, rng: np.random.Generator, views: int = 1) -> np.ndarray:
     An ``(n, H, W)`` stack gives ``(n, views, H, W)``. A single ``(H, W)``
     image gives ``(H, W)`` for one view and ``(views, H, W)`` otherwise.
 
-    Each view takes six scalar draws from ``rng`` (flip, angle, scale, top,
-    left, gamma), image by image and view by view. The draws are not fixed
-    in number: ``rng.integers(0, 1)`` consumes nothing when the crop spans
-    the full side. So views of a stack are bit-equal to calling this once
-    per image and view, in that order, with the same generator.
+    Each view takes six draws from ``rng`` (flip, angle, scale, top, left,
+    gamma), image by image and view by view, decoded from its raw PCG64
+    stream exactly as the scalar ``Generator`` calls would make them (see
+    ``_view_draws``); a generator over another bit generator raises
+    ``TypeError``. The draws are not fixed in number: ``integers(0, 1)``
+    consumes nothing when the crop spans the full side. So views of a stack
+    are bit-equal to calling this once per image and view, in that order,
+    with the same generator.
     """
     stack = np.asarray(images, dtype=np.float64)
     single = stack.ndim == 2
@@ -82,18 +190,7 @@ def augment(images, rng: np.random.Generator, views: int = 1) -> np.ndarray:
     n, h, w = stack.shape
     if n == 0:
         return np.zeros((0, views, h, w))
-    draws = []
-    for _ in range(n * views):
-        do_flip = rng.random() < 0.5
-        angle = rng.uniform(-15.0, 15.0)
-        scale = rng.uniform(0.7, 1.0)
-        crop_h = min(h, max(1, int(round(scale * h))))
-        crop_w = min(w, max(1, int(round(scale * w))))
-        top = int(rng.integers(0, h - crop_h + 1))
-        left = int(rng.integers(0, w - crop_w + 1))
-        gamma = rng.uniform(0.7, 1.4)
-        draws.append((do_flip, angle, crop_h, crop_w, top, left, gamma))
-    do_flip, angle, crop_h, crop_w, top, left, gamma = (np.array(col) for col in zip(*draws))
+    do_flip, angle, crop_h, crop_w, top, left, gamma = _view_draws(rng, n * views, h, w)
 
     # Crop-resize: output pixel (i, j) of a view reads its rotated image at
     # (rows[i], cols[j]), nearest-neighbour within the crop window.
@@ -173,10 +270,12 @@ def local_update(state: NodeTrainState, dataset_shard, synthetic_negatives, hp: 
     else:
         synth = np.asarray(synthetic_negatives, dtype=np.float64).reshape(-1, d)
 
+    _check_momentum(state.theta_d, state.theta_q, hp.momentum_coeff)
     theta_q = state.theta_q.copy()
     theta_d = state.theta_d.copy()
     queue = state.queue.copy()
     buf = np.zeros_like(theta_q.values) if state.momentum_buffer is None else state.momentum_buffer.copy()
+    scratch = np.empty_like(theta_q.values)
     rng = rng_for(state.rng_seed, "local-update", hp.round_index)
 
     n = images.shape[0]
@@ -190,10 +289,8 @@ def local_update(state: NodeTrainState, dataset_shard, synthetic_negatives, hp: 
             loss, grad = loss_and_grad(
                 theta_q, pairs[:, 0], keys, queue.as_matrix(d), synth, hp.temperature
             )
-            grad = grad + hp.weight_decay * theta_q.values
-            buf = hp.sgd_momentum * buf + grad
-            theta_q.values = theta_q.values - hp.lr * buf
-            theta_d = momentum_update(theta_d, theta_q, hp.momentum_coeff)
+            sgd_step(theta_q.values, grad, buf, hp.lr, hp.sgd_momentum, hp.weight_decay, scratch)
+            _momentum_step(theta_d.values, theta_q.values, hp.momentum_coeff, scratch)
             queue.push(keys)
             losses.append(loss)
 

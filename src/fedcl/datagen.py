@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .seeding import rng_for
 
 PRETRAIN_CLASSES = (0, 1, 2, 3)
@@ -236,7 +236,10 @@ def load_dataset(path) -> list[ImageSample]:
     body = np.frombuffer(raw[24:], dtype="<f8")
     if body.size != count * h * w:
         raise ValueError(f"{path}: body holds {body.size} values, header implies {count * h * w}")
-    labels = json.loads(Path(str(path) + ".labels").read_text())
+    sidecar = Path(str(path) + ".labels")
+    labels = json.loads(sidecar.read_text())
+    if len(labels) != count:
+        raise ShapeError(f"{sidecar}: holds {len(labels)} labels, {path} holds {count} images")
     images = body.reshape(count, h, w) if count else np.zeros((0, h, w))
     return [
         ImageSample(images[i].copy(), None if labels[i] < 0 else int(labels[i]))

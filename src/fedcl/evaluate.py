@@ -167,6 +167,8 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train, test,
     buf_p = np.zeros_like(params.values)
     buf_w = np.zeros_like(w)
     buf_b = np.zeros_like(b)
+    scratch_p = np.empty_like(params.values)
+    scratch_w = np.empty_like(w)
 
     best, best_epoch, final = -1.0, 0, 0.0
     n = len(chosen)
@@ -179,16 +181,15 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train, test,
             p = _softmax(z @ w.T + b)
             p[np.arange(idx.size), y[idx]] -= 1.0
             p /= idx.size
-            gw = p.T @ z + config.weight_decay * w
+            gw = p.T @ z
             gb = p.sum(axis=0)
-            dz = p @ w
-            gp = nn.backward_features(params, cache, dz) + config.weight_decay * params.values
-            buf_w = config.momentum * buf_w + gw
-            w = w - config.lr * buf_w
-            buf_b = config.momentum * buf_b + gb
-            b = b - config.lr * buf_b
-            buf_p = config.momentum * buf_p + gp
-            params.values = params.values - config.lr * buf_p
+            gp = nn.backward_features(params, cache, p @ w)
+            nn.sgd_step(w, gw, buf_w, config.lr, config.momentum, config.weight_decay, scratch_w)
+            buf_b *= config.momentum
+            buf_b += gb
+            b -= config.lr * buf_b
+            nn.sgd_step(params.values, gp, buf_p, config.lr, config.momentum,
+                        config.weight_decay, scratch_p)
         acc = _test_accuracy(params, w, b, x_test, y_test)
         final = acc
         if acc > best:

@@ -241,7 +241,10 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
             round_index=round_index,
         )
         node.state, batch_losses = contrastive.local_update(node.state, node.images, synth, hp)
-        losses[node.node_id] = float(np.mean(batch_losses))
+        losses[node.node_id] = loss = float(np.mean(batch_losses))
+        if not np.isfinite(loss):
+            raise FloatingPointError(
+                f"node {node.node_id}, round {round_index}: local loss is {loss}")
         synthetic_counts[node.node_id] = int(synth.shape[0])
         if meta_round and config.metadata_timing == "post_update":
             node.pending_metadata = _extract_metadata(node, node.state.theta_q, config, round_index)

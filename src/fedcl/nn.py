@@ -216,6 +216,20 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features) ->
     return np.concatenate(flat)
 
 
+def sgd_step(values, grad, buf, lr, momentum, weight_decay, scratch) -> None:
+    """One SGD step with momentum and weight decay, in place: bit-equal to
+    ``grad = grad + weight_decay * values``, ``buf = momentum * buf + grad``,
+    ``values = values - lr * buf``. Overwrites ``grad`` and ``scratch``, a
+    spare array of the same shape, and updates ``values`` and ``buf``.
+    """
+    np.multiply(values, weight_decay, out=scratch)
+    grad += scratch
+    buf *= momentum
+    buf += grad
+    np.multiply(buf, lr, out=scratch)
+    values -= scratch
+
+
 def _as_key_rows(keys, d: int) -> np.ndarray:
     if keys is None:
         return np.zeros((0, d))

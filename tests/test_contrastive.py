@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedcl.contrastive import (LocalHyperparams, NegativeQueue,
-                               NodeTrainState, augment, local_update,
-                               momentum_update)
+                               NodeTrainState, _momentum_step, augment,
+                               local_update, momentum_update)
 from fedcl.errors import ShapeError
 from fedcl.nn import (EncoderParams, LayerShape, forward_batch, init_params,
-                      mlp_shapes)
+                      mlp_shapes, sgd_step)
 from fedcl.seeding import rng_for
 
 
@@ -87,6 +90,32 @@ def test_momentum_update_validation():
         momentum_update(d, other, 0.5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(1, 12), data=st.data())
+def test_in_place_steps_match_out_of_place_formulas(size, data):
+    vector = arrays(np.float64, size, elements=st.floats(-1e3, 1e3))
+    unit = st.floats(0.0, 1.0)
+    values, grad, buf, theta_q = (data.draw(vector) for _ in range(4))
+    lr, momentum, weight_decay = (data.draw(unit) for _ in range(3))
+    m = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+
+    want_grad = grad + weight_decay * values
+    want_buf = momentum * buf + want_grad
+    want_values = values - lr * want_buf
+    got_values, got_buf = values.copy(), buf.copy()
+    sgd_step(got_values, grad.copy(), got_buf, lr, momentum, weight_decay, np.empty(size))
+    assert got_values.tobytes() == want_values.tobytes()
+    assert got_buf.tobytes() == want_buf.tobytes()
+
+    want_d = m * values + (1.0 - m) * theta_q
+    got_d = values.copy()
+    _momentum_step(got_d, theta_q, m, np.empty(size))
+    assert got_d.tobytes() == want_d.tobytes()
+    shapes = (LayerShape(1, size, has_bias=False),)
+    pure = momentum_update(EncoderParams(values, shapes, 1), EncoderParams(theta_q, shapes, 1), m)
+    assert pure.values.tobytes() == want_d.tobytes()
+
+
 # -- augmentation -------------------------------------------------------------
 
 def test_augment_deterministic_and_bounded():
@@ -154,21 +183,59 @@ def reference_view(image, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), h=st.integers(1, 12), w=st.integers(1, 12),
-       seed=st.integers(0, 2**32 - 1), zero=st.booleans())
-def test_augment_stack_matches_per_image_calls(n, h, w, seed, zero):
+       seed=st.integers(0, 2**32 - 1), zero=st.booleans(), spent=st.integers(0, 2))
+def test_augment_stack_matches_per_image_calls(n, h, w, seed, zero, spent):
     """A stack's views equal query-then-key per-image calls drawn from the
     same stream, both through ``augment`` and through the per-image
-    reference, and every stream ends in the same state."""
+    reference, and every stream ends in the same state. ``spent`` earlier
+    32-bit draws may leave the generator holding a spare half on entry."""
     stack = np.zeros((n, h, w)) if zero else rng_for(seed, "img").uniform(-0.2, 1.2, (n, h, w))
-    batched_rng = np.random.default_rng(seed)
+    batched_rng, loop_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
+    for rng in (batched_rng, loop_rng, ref_rng):
+        for _ in range(spent):
+            rng.integers(0, 7)
     batched = augment(stack, batched_rng, views=2)
-    loop_rng = np.random.default_rng(seed)
-    ref_rng = np.random.default_rng(seed)
     for i in range(n):
         for view in (0, 1):  # query, then key
             assert np.array_equal(batched[i, view], augment(stack[i], loop_rng))
             assert np.array_equal(batched[i, view], reference_view(stack[i], ref_rng))
-    assert batched_rng.random() == loop_rng.random() == ref_rng.random()
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _before_zero_low_half(j):
+    """A PCG64 generator whose 4th raw output is ``j << 32``: XSL-RR maps a
+    state with high word 0 and low word ``j << 32`` to exactly that."""
+    rng = np.random.default_rng(0)
+    inc = rng.bit_generator.state["state"]["inc"]
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": j << 32, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    rng.bit_generator.advance(2**128 - 4)
+    return rng
+
+
+@pytest.mark.parametrize("j", [2, 4])
+def test_augment_redraws_a_rejected_crop_offset(j):
+    """The top offset takes the zero low half of the 4th output, which
+    ``integers(0, k)`` rejects for k in {3, 5, 6} (2**32 % k > 0) and redraws
+    from the spare high half; the view then needs more than five outputs."""
+    image = rng_for(j, "img").random((16, 16))
+    probe = _before_zero_low_half(j)
+    assert probe.bit_generator.random_raw(4)[3] == j << 32
+    probe = _before_zero_low_half(j)
+    probe.random(2)  # flip and angle
+    crop = min(16, max(1, int(round(probe.uniform(0.7, 1.0) * 16))))
+    assert 16 - crop + 1 in (3, 5, 6)
+    rng, ref_rng = _before_zero_low_half(j), _before_zero_low_half(j)
+    assert np.array_equal(augment(image, rng), reference_view(image, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_augment_rejects_other_bit_generators():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError):
+        augment(np.zeros((4, 4)), rng)
 
 
 # -- local update -------------------------------------------------------------
@@ -275,6 +342,18 @@ def test_local_update_synthetic_negatives_enter_loss():
     _, plain = local_update(state, images, None, hp)
     _, with_synth = local_update(state, images, synth, hp)
     assert with_synth[0] > plain[0]  # extra negatives add softmax mass
+
+
+def test_local_update_checks_key_encoder_momentum():
+    hp = LocalHyperparams(batch_size=4, lr=0.1, sgd_momentum=0.0,
+                          weight_decay=0.0, momentum_coeff=1.0,
+                          temperature=0.2)
+    with pytest.raises(ValueError):
+        local_update(make_state(0, 0), small_shard(4), None, hp)
+    state = make_state(0, 0)
+    state.theta_d = init_params(mlp_shapes(16, [5], 4), 1)
+    with pytest.raises(ShapeError):
+        local_update(state, small_shard(4), None, replace(hp, momentum_coeff=0.5))
 
 
 def test_local_update_rejects_bad_shard():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from fedcl.datagen import (DISEASE_CLASSES, EVAL_CLASSES, HEALTHY_CLASS,
                            PRETRAIN_CLASSES, ImageSample, ScenarioSpec,
                            export_dataset, generate_node_dataset,
                            load_dataset, make_eval_split, sample_fingerprint)
-from fedcl.errors import ConfigError
+from fedcl.errors import ConfigError, ShapeError
 
 
 def spec(**kw):
@@ -92,6 +94,20 @@ def test_load_rejects_truncated_file(tmp_path):
     export_dataset(samples, path)
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ValueError):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_load_rejects_sidecar_of_wrong_length(tmp_path, change):
+    samples = generate_node_dataset(spec(), 0, seed=2, keep_labels=True)
+    path = tmp_path / "shard.bin"
+    export_dataset(samples, path)
+    sidecar = tmp_path / "shard.bin.labels"
+    labels = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(labels[:-1] if change < 0 else labels + [0]))
+    count = len(samples)
+    message = rf"shard\.bin\.labels.*{count + change} labels.*{count} images"
+    with pytest.raises(ShapeError, match=message):
         load_dataset(path)
 
 

@@ -158,6 +158,30 @@ def test_zero_rounds_returns_initial_params():
     assert result.messages == [] and result.metrics == []
 
 
+def test_run_round_rejects_non_finite_local_loss(monkeypatch):
+    from fedcl import contrastive
+    from fedcl.federation import ServerState
+    cfg = tiny_config()
+    theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
+    server = ServerState(theta0.copy())
+    nodes = build_nodes(cfg, theta0)
+    real = contrastive.local_update
+
+    def nan_loss_on_node_1_in_round_2(state, shard, synth, hp):
+        new_state, losses = real(state, shard, synth, hp)
+        if state is nodes[1].state and hp.round_index == 2:
+            losses = [np.nan] * len(losses)
+        return new_state, losses
+
+    monkeypatch.setattr(contrastive, "local_update", nan_loss_on_node_1_in_round_2)
+    channel = MessageChannel()
+    run_round(server, nodes, cfg, 1, channel)
+    with pytest.raises(FloatingPointError, match=f"node {nodes[1].node_id}, round 2"):
+        run_round(server, nodes, cfg, 2, channel)
+    assert not any(m.kind is MessageKind.PARAMS_UP and m.round_index == 2
+                   for m in channel.messages)
+
+
 def test_run_round_rejects_out_of_range_round():
     cfg = tiny_config()
     theta0 = init_params(cfg.encoder_shapes(), cfg.seed)

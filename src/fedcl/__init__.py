@@ -23,7 +23,7 @@ from .federation import (AuditReport, FederatedNode, Message, MessageChannel,
                          run_training, save_checkpoint)
 from .metadata import (NodeMetadata, boxcox, compute_metadata, inv_boxcox,
                        sample_gaussian, sample_synthetic, synthetic_quota)
-from .nn import (EncoderParams, LayerShape, forward, forward_batch,
+from .nn import (EncoderParams, LayerShape, forward_batch,
                  init_params, loss_and_grad, mlp_shapes, normalize_rows)
 from .rsa import (AggregationWeights, aggregate, compute_rdm, fedavg_weights,
                   rsa_score, self_adaptive_weights, spearman)
@@ -41,8 +41,8 @@ __all__ = [
     "ProbeResult", "ProtocolError", "RoundMetrics", "RunResult",
     "ScenarioSpec", "ServerState", "ShapeError", "aggregate", "apply_arm",
     "audit_privacy", "augment", "boxcox", "compute_metadata", "compute_rdm",
-    "export_dataset", "fedavg_weights", "fine_tune", "forward",
-    "forward_batch", "generate_node_dataset", "init_params", "inv_boxcox",
+    "export_dataset", "fedavg_weights", "fine_tune", "forward_batch",
+    "generate_node_dataset", "init_params", "inv_boxcox",
     "linear_probe", "load_checkpoint", "load_config", "load_dataset",
     "local_update", "loss_and_grad", "make_eval_split", "mlp_shapes",
     "momentum_update", "normalize_rows", "preset_config", "rng_for",

@@ -9,9 +9,15 @@
 `run` executes every requested (arm, node-count, seed) combination and lays
 the results out under an output root (``--out``, else $FEDCL_OUT, else
 ./runs). Each run directory gets the resolved config, the final encoder
-checkpoint, per-round metrics, the message log with its audit verdict, and
-evaluation scores; files are written atomically so an interrupted run never
-leaves a half-written artifact behind.
+checkpoint, per-round metrics and wall times, the message log with its audit
+verdict, evaluation scores, and a digest of the checkpoint and metrics.
+Every file goes through ``federation.write_atomic``, so an interrupted run
+never leaves a half-written artifact behind.
+
+`audit` checks each logged message against ``federation.CONTRACT`` (kind,
+direction, payload tag), the message counts against
+``federation.expected_counts`` of the run's config.yaml, and digest.txt
+against ``federation.run_digest``; any mismatch or missing file is a FAIL.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +44,6 @@ OUT_ENV = "FEDCL_OUT"
 
 def _out_root(value: str | None) -> Path:
     return Path(value or os.environ.get(OUT_ENV) or "./runs")
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _apply_overrides(raw: dict, assignments: list[str]) -> dict:
@@ -99,38 +95,19 @@ def _write_run_dir(run_dir: Path, config: ExperimentConfig, result,
                    eval_records: list[dict]) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, run_dir / "config.yaml")
-
-    checkpoint = run_dir / "checkpoint.bin"
-    federation.save_checkpoint(result.theta0, run_dir / "checkpoint.bin.tmp")
-    os.replace(run_dir / "checkpoint.bin.tmp", checkpoint)
-
-    metric_lines = federation.metrics_records(result.metrics)
-    metrics_text = "\n".join(json.dumps(r, sort_keys=True) for r in metric_lines)
-    metrics_text += "\n" if metric_lines else ""
-    _atomic_write_text(run_dir / "metrics.jsonl", metrics_text)
-
+    federation.save_checkpoint(result.theta0, run_dir / "checkpoint.bin")
+    federation.write_jsonl(federation.metrics_records(result.metrics), run_dir / "metrics.jsonl")
     timing = [{"round": i + 1, "seconds": s} for i, s in enumerate(result.wall_times)]
-    _atomic_write_text(run_dir / "timing.jsonl",
-                       "\n".join(json.dumps(r) for r in timing) + ("\n" if timing else ""))
-
-    federation.write_message_log(result.messages, run_dir / "messages.log.tmp")
-    os.replace(run_dir / "messages.log.tmp", run_dir / "messages.log")
-
+    federation.write_jsonl(timing, run_dir / "timing.jsonl")
+    federation.write_message_log(result.messages, run_dir / "messages.log")
     report = federation.audit_privacy(result.messages)
-    _atomic_write_text(run_dir / "audit.json", json.dumps({
+    federation.write_atomic(run_dir / "audit.json", json.dumps({
         "passed": report.passed,
         "counts": report.counts,
         "violations": report.violations,
     }, sort_keys=True, indent=2) + "\n")
-
-    _atomic_write_text(run_dir / "eval.jsonl",
-                       "\n".join(json.dumps(r, sort_keys=True) for r in eval_records)
-                       + ("\n" if eval_records else ""))
-
-    digest = hashlib.sha256()
-    digest.update(checkpoint.read_bytes())
-    digest.update((run_dir / "metrics.jsonl").read_bytes())
-    _atomic_write_text(run_dir / "digest.txt", digest.hexdigest() + "\n")
+    federation.write_jsonl(eval_records, run_dir / "eval.jsonl")
+    federation.write_atomic(run_dir / "digest.txt", federation.run_digest(run_dir) + "\n")
 
 
 def _load_base_config(args) -> tuple[ExperimentConfig, tuple[str, ...],
@@ -255,7 +232,7 @@ def cmd_report(args) -> int:
         print(f"no eval.jsonl records under {root}", file=sys.stderr)
         return 1
     summary = _summarize(rows)
-    _atomic_write_text(root / "report.json", json.dumps(summary, indent=2) + "\n")
+    federation.write_atomic(root / "report.json", json.dumps(summary, indent=2) + "\n")
     _print_table(summary)
     single = [r["model"] for r in summary if r["seeds"] == 1]
     if single:
@@ -264,20 +241,9 @@ def cmd_report(args) -> int:
     return 0
 
 
-_EXPECTED_TAG = {
-    "params_down": "params",
-    "params_up": "params",
-    "metadata_up": "metadata",
-    "metadata_down": "metadata_list",
-    "control": "control",
-}
-
-
 def cmd_audit(args) -> int:
-    """Re-examine written message logs: payload tags must match the message
-    kind, and counts must agree with each run's config (every node uploads
-    and downloads parameters each round; metadata flows only after warm-up).
-    Accepts either a single run directory or a tree of them."""
+    """Audit one run directory, or every run directory in a tree (see the
+    module docstring for what is checked)."""
     root = Path(args.run_dir)
     if (root / "messages.log").exists():
         run_dirs = [root]
@@ -295,28 +261,28 @@ def cmd_audit(args) -> int:
 
 
 def _audit_one(run_dir: Path) -> int:
-    records = federation.read_message_log(run_dir / "messages.log")
+    records = federation.read_jsonl(run_dir / "messages.log")
+    counts = Counter(rec["kind"] for rec in records)
     problems: list[str] = []
-    counts: dict[str, int] = {}
     for i, rec in enumerate(records):
-        counts[rec["kind"]] = counts.get(rec["kind"], 0) + 1
-        expected = _EXPECTED_TAG.get(rec["kind"])
-        if expected is None:
-            problems.append(f"message {i}: unknown kind {rec['kind']!r}")
-        elif rec["payload"] != expected:
-            problems.append(f"message {i}: {rec['kind']} carries {rec['payload']!r}")
+        problem = federation.contract_violation(rec["kind"], rec["sender"], rec["payload"])
+        if problem is not None:
+            problems.append(f"message {i}: {problem}")
 
     config_path = run_dir / "config.yaml"
     if config_path.exists():
-        cfg = load_config(config_path)
-        k, t, tw = cfg.nodes, cfg.rounds, cfg.warmup_rounds
-        meta_rounds = max(0, t - tw) if cfg.metadata_enabled else 0
-        expect = {"params_down": k * t, "params_up": k * t,
-                  "metadata_up": k * meta_rounds, "metadata_down": k * meta_rounds}
-        for kind, want in expect.items():
-            got = counts.get(kind, 0)
-            if got != want:
-                problems.append(f"count {kind}: expected {want}, found {got}")
+        for kind, want in federation.expected_counts(load_config(config_path)).items():
+            if counts[kind] != want:
+                problems.append(f"count {kind}: expected {want}, found {counts[kind]}")
+    else:
+        problems.append("config.yaml missing: message counts cannot be checked")
+
+    try:
+        recorded = (run_dir / "digest.txt").read_text().strip()
+        if recorded != federation.run_digest(run_dir):
+            problems.append("digest.txt does not match checkpoint.bin + metrics.jsonl")
+    except FileNotFoundError as exc:
+        problems.append(f"{Path(exc.filename).name} missing: digest cannot be checked")
 
     for kind in sorted(counts):
         print(f"{kind:>14}: {counts[kind]}")
@@ -366,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("run_dir", help="directory produced by `fedcl run`")
     report.set_defaults(func=cmd_report)
 
-    audit = sub.add_parser("audit", help="verify a run's message log")
-    audit.add_argument("run_dir", help="single run directory containing messages.log")
+    audit = sub.add_parser("audit", help="verify run directories: message log, counts, digest")
+    audit.add_argument("run_dir", help="a run directory, or a tree of them")
     audit.set_defaults(func=cmd_audit)
 
     export = sub.add_parser("export-data", help="write node shards and eval split to disk")

@@ -206,7 +206,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(yaml.safe_dump(to_dict(config), sort_keys=True))
+    from .federation import write_atomic  # federation imports this module
+    write_atomic(path, yaml.safe_dump(to_dict(config), sort_keys=True))
 
 
 # -- ablation arms ----------------------------------------------------------

@@ -11,12 +11,15 @@ from them (key encoder equal to the query encoder, key queue flushed,
 optimizer momentum cleared). After the warm-up phase, distribution metadata
 flows down before any local update and back up after it, so a node only
 ever consumes statistics its peers uploaded in the previous round.
+
+The wire contract (``CONTRACT``) and the run artifacts are defined here too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,7 +39,18 @@ class MessageKind(str, Enum):
     PARAMS_UP = "params_up"
     METADATA_DOWN = "metadata_down"
     METADATA_UP = "metadata_up"
-    CONTROL = "control"
+
+
+SERVER = "server"
+
+# The wire contract: each message kind's payload tag (see ``payload_tag``)
+# and whether the server sends it (``*_down``) or a node does (``*_up``).
+CONTRACT = {
+    "params_down": ("params", True),
+    "params_up": ("params", False),
+    "metadata_down": ("metadata_list", True),
+    "metadata_up": ("metadata", False),
+}
 
 
 @dataclass(frozen=True)
@@ -48,41 +62,59 @@ class Message:
     payload: object
 
 
-def _metadata_ok(payload) -> bool:
-    if not isinstance(payload, md.NodeMetadata):
-        return False
-    d = payload.mu.shape[0] if payload.mu.ndim == 1 else -1
-    return payload.mu.ndim == 1 and payload.sigma.shape == (d, d)
+def _kind_name(kind) -> str:
+    return kind.value if isinstance(kind, MessageKind) else str(kind)
+
+
+def _is_metadata(payload) -> bool:
+    return (isinstance(payload, md.NodeMetadata) and payload.mu.ndim == 1
+            and payload.sigma.shape == (payload.mu.size,) * 2)
+
+
+def payload_tag(payload) -> str:
+    """The wire type of a payload; metadata needs a d x d covariance."""
+    if isinstance(payload, nn.EncoderParams):
+        return "params"
+    if _is_metadata(payload):
+        return "metadata"
+    if isinstance(payload, list) and all(_is_metadata(x) for x in payload):
+        return "metadata_list"
+    return f"other:{type(payload).__name__}"
+
+
+def contract_violation(kind: str, sender: str, tag: str) -> str | None:
+    """Why a (kind, sender, payload tag) triple breaks the wire contract,
+    or None if it is clean."""
+    if kind not in CONTRACT:
+        return f"unknown message kind {kind!r}"
+    want_tag, downward = CONTRACT[kind]
+    if (sender == SERVER) != downward:
+        return f"{kind} sent by {sender!r}"
+    if tag != want_tag:
+        return f"{kind} carries {tag!r}, expected {want_tag!r}"
+    return None
 
 
 def payload_violation(message: Message) -> str | None:
     """Why this message breaks the exchange contract, or None if clean.
 
-    Only parameter vectors, distribution metadata (or lists of it), and
-    control token strings may travel. Images and per-sample feature arrays
-    are prohibited in any position.
+    Only parameter vectors and distribution metadata (or lists of it) may
+    travel, each in its own kind's direction. Images and per-sample feature
+    arrays are prohibited in any position.
     """
-    p = message.payload
-    if isinstance(p, datagen.ImageSample):
+    if isinstance(message.payload, datagen.ImageSample):
         return "image payload"
-    kind = message.kind
-    if kind in (MessageKind.PARAMS_DOWN, MessageKind.PARAMS_UP):
-        if isinstance(p, nn.EncoderParams):
-            return None
-        return f"expected encoder parameters, got {type(p).__name__}"
-    if kind == MessageKind.METADATA_UP:
-        if _metadata_ok(p):
-            return None
-        return f"expected distribution metadata, got {type(p).__name__}"
-    if kind == MessageKind.METADATA_DOWN:
-        if isinstance(p, list) and all(_metadata_ok(x) for x in p):
-            return None
-        return "expected a list of distribution metadata"
-    if kind == MessageKind.CONTROL:
-        if isinstance(p, str):
-            return None
-        return "control payload must be a token string"
-    return f"unknown message kind {kind!r}"
+    return contract_violation(_kind_name(message.kind), message.sender,
+                              payload_tag(message.payload))
+
+
+def expected_counts(config: ExperimentConfig) -> dict[str, int]:
+    """Messages of each kind a complete run sends: every node downloads and
+    uploads parameters each round; metadata flows only after warm-up."""
+    k, t = config.nodes, config.rounds
+    meta_rounds = max(0, t - config.warmup_rounds) if config.metadata_enabled else 0
+    return {"params_down": k * t, "params_up": k * t,
+            "metadata_down": k * meta_rounds, "metadata_up": k * meta_rounds}
 
 
 class MessageChannel:
@@ -95,7 +127,7 @@ class MessageChannel:
         problem = payload_violation(message)
         if problem is not None:
             raise ProtocolError(
-                f"message {len(self.messages)} ({message.kind.value}): {problem}"
+                f"message {len(self.messages)} ({_kind_name(message.kind)}): {problem}"
             )
         self.messages.append(message)
 
@@ -115,7 +147,7 @@ def audit_privacy(message_log) -> AuditReport:
     counts = {k.value: 0 for k in MessageKind}
     violations: list[tuple[int, str]] = []
     for i, msg in enumerate(message_log):
-        kind = msg.kind.value if isinstance(msg.kind, MessageKind) else str(msg.kind)
+        kind = _kind_name(msg.kind)
         counts[kind] = counts.get(kind, 0) + 1
         problem = payload_violation(msg)
         if problem is not None:
@@ -126,18 +158,14 @@ def audit_privacy(message_log) -> AuditReport:
 @dataclass
 class ServerState:
     theta0: nn.EncoderParams
-    round_index: int = 0
     metadata_store: dict[int, md.NodeMetadata] = field(default_factory=dict)
-    weight_history: list[np.ndarray] = field(default_factory=list)
-    metrics: list["RoundMetrics"] = field(default_factory=list)
 
 
 @dataclass
 class FederatedNode:
     node_id: int
     images: np.ndarray  # (n, H, W); never leaves the node
-    state: contrastive.NodeTrainState
-    pending_metadata: md.NodeMetadata | None = None
+    rng_seed: int
 
     @property
     def size(self) -> int:
@@ -158,14 +186,6 @@ def _node_name(node_id: int) -> str:
     return f"node-{node_id}"
 
 
-def _extract_metadata(node: FederatedNode, theta: nn.EncoderParams,
-                      config: ExperimentConfig, round_index: int) -> md.NodeMetadata:
-    feats = nn.forward_batch(theta, node.images)
-    return md.compute_metadata(
-        feats, config.boxcox_lambda, config.cov_jitter, node.node_id, round_index
-    )
-
-
 def _peer_negatives(peers, per_peer: int, config: ExperimentConfig,
                     round_index: int, node_id: int) -> np.ndarray:
     d = config.feature_dim
@@ -184,9 +204,9 @@ def _probe_images(node: FederatedNode, config: ExperimentConfig, round_index: in
 
 
 def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index: int,
-              channel: MessageChannel):
-    """Advance one synchronization round. Mutates ``server`` and the nodes
-    in place and returns ``(server, nodes, metrics)``.
+              channel: MessageChannel) -> RoundMetrics:
+    """Advance one synchronization round. Mutates ``server`` in place and
+    returns the round's metrics; nodes carry no state between rounds.
 
     ``nodes`` may arrive in any order; the message log and the aggregate
     are computed in node-id order regardless.
@@ -196,70 +216,66 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
     lr = config.lr_at(round_index)
     meta_round = config.metadata_enabled and round_index > config.warmup_rounds
     by_id = sorted(nodes, key=lambda nd: nd.node_id)
-    theta_prev = server.theta0
+    theta = server.theta0
 
     for node in by_id:
-        channel.send(Message(MessageKind.PARAMS_DOWN, "server", _node_name(node.node_id),
-                             round_index, theta_prev))
-        node.state = contrastive.NodeTrainState(
-            theta_q=theta_prev.copy(),
-            theta_d=theta_prev.copy(),
-            queue=contrastive.NegativeQueue(config.queue_capacity),
-            rng_seed=node.state.rng_seed,
-            momentum_buffer=None,
-        )
-        node.pending_metadata = None
+        channel.send(Message(MessageKind.PARAMS_DOWN, SERVER, _node_name(node.node_id),
+                             round_index, theta))
 
     downloads: dict[int, list[md.NodeMetadata]] = {}
+    per_peer = 0
     if meta_round:
+        per_peer, _ = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
         for node in by_id:
             peers = [server.metadata_store[j] for j in sorted(server.metadata_store)
                      if j != node.node_id]
             downloads[node.node_id] = peers
-            channel.send(Message(MessageKind.METADATA_DOWN, "server",
+            channel.send(Message(MessageKind.METADATA_DOWN, SERVER,
                                  _node_name(node.node_id), round_index, peers))
 
-    per_peer = 0
-    if meta_round:
-        per_peer, _ = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
-
+    hp = contrastive.LocalHyperparams(
+        batch_size=config.batch_size,
+        lr=lr,
+        sgd_momentum=config.sgd_momentum,
+        weight_decay=config.weight_decay,
+        momentum_coeff=config.momentum_coeff,
+        temperature=config.temperature,
+        epochs=config.epochs_per_round,
+        round_index=round_index,
+    )
+    trained: dict[int, nn.EncoderParams] = {}
+    uploads: dict[int, md.NodeMetadata] = {}
     losses: dict[int, float] = {}
     synthetic_counts: dict[int, int] = {}
     for node in nodes:  # caller-supplied processing order
-        if meta_round and config.metadata_timing == "post_sync":
-            node.pending_metadata = _extract_metadata(node, node.state.theta_q, config, round_index)
         synth = _peer_negatives(downloads.get(node.node_id, []), per_peer, config,
                                 round_index, node.node_id)
-        hp = contrastive.LocalHyperparams(
-            batch_size=config.batch_size,
-            lr=lr,
-            sgd_momentum=config.sgd_momentum,
-            weight_decay=config.weight_decay,
-            momentum_coeff=config.momentum_coeff,
-            temperature=config.temperature,
-            epochs=config.epochs_per_round,
-            round_index=round_index,
-        )
-        node.state, batch_losses = contrastive.local_update(node.state, node.images, synth, hp)
+        state = contrastive.NodeTrainState(
+            theta, theta, contrastive.NegativeQueue(config.queue_capacity), node.rng_seed)
+        state, batch_losses = contrastive.local_update(state, node.images, synth, hp)
         losses[node.node_id] = loss = float(np.mean(batch_losses))
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"node {node.node_id}, round {round_index}: local loss is {loss}")
+        trained[node.node_id] = state.theta_q
         synthetic_counts[node.node_id] = int(synth.shape[0])
-        if meta_round and config.metadata_timing == "post_update":
-            node.pending_metadata = _extract_metadata(node, node.state.theta_q, config, round_index)
+        if meta_round:
+            source = theta if config.metadata_timing == "post_sync" else state.theta_q
+            uploads[node.node_id] = md.compute_metadata(
+                nn.forward_batch(source, node.images), config.boxcox_lambda,
+                config.cov_jitter, node.node_id, round_index)
 
     if meta_round:
         for node in by_id:
             channel.send(Message(MessageKind.METADATA_UP, _node_name(node.node_id),
-                                 "server", round_index, node.pending_metadata))
-            server.metadata_store[node.node_id] = node.pending_metadata
+                                 SERVER, round_index, uploads[node.node_id]))
+        server.metadata_store.update(uploads)
     for node in by_id:
         channel.send(Message(MessageKind.PARAMS_UP, _node_name(node.node_id),
-                             "server", round_index, node.state.theta_q))
+                             SERVER, round_index, trained[node.node_id]))
 
     scores = {
-        node.node_id: rsa.rsa_score(theta_prev, node.state.theta_q,
+        node.node_id: rsa.rsa_score(theta, trained[node.node_id],
                                     _probe_images(node, config, round_index))
         for node in by_id
     }
@@ -268,77 +284,66 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
     else:
         weights = rsa.fedavg_weights([node.size for node in by_id])
 
-    server.theta0 = rsa.aggregate([node.state.theta_q for node in by_id], weights)
-    server.round_index = round_index
-    server.weight_history.append(weights.a.copy())
-    metrics = RoundMetrics(
+    server.theta0 = rsa.aggregate([trained[node.node_id] for node in by_id], weights)
+    return RoundMetrics(
         round_index, lr, losses, scores,
         {node.node_id: float(w) for node, w in zip(by_id, weights.a)},
         synthetic_counts,
     )
-    server.metrics.append(metrics)
-    return server, nodes, metrics
 
 
 @dataclass
 class RunResult:
+    """Round t's aggregate is the ``params_down`` payload of round t + 1;
+    the last round's is ``theta0``."""
     theta0: nn.EncoderParams
-    round_thetas: list
     metrics: list
     messages: list
     wall_times: list
     config: ExperimentConfig
 
 
-def build_nodes(config: ExperimentConfig, theta0: nn.EncoderParams) -> list[FederatedNode]:
+def build_nodes(config: ExperimentConfig, theta0=None) -> list[FederatedNode]:
+    """Each node's private shard and seed. Nodes hold no parameters; every
+    round starts them from the broadcast, so ``theta0`` is not used."""
     spec = config.scenario_spec()
     nodes = []
     for k in range(config.nodes):
         shard = datagen.generate_node_dataset(spec, k, config.seed)
         images = np.stack([s.pixels for s in shard])
-        state = contrastive.NodeTrainState(
-            theta0.copy(), theta0.copy(),
-            contrastive.NegativeQueue(config.queue_capacity),
-            rng_seed=config.node_seed(k),
-        )
-        nodes.append(FederatedNode(k, images, state))
+        nodes.append(FederatedNode(k, images, config.node_seed(k)))
     return nodes
 
 
 def run_training(config: ExperimentConfig) -> RunResult:
-    """Full federated pre-training. Returns the final server parameters,
-    per-round snapshots and metrics, and the complete message log.
+    """Full federated pre-training.
 
     With ``rounds == 0`` the result carries the freshly initialized
     parameters and an empty log."""
     config.validate()
-    theta0 = nn.init_params(config.encoder_shapes(), config.seed)
-    server = ServerState(theta0)
-    nodes = build_nodes(config, theta0)
+    server = ServerState(nn.init_params(config.encoder_shapes(), config.seed))
+    nodes = build_nodes(config)
     channel = MessageChannel()
-    round_thetas: list[nn.EncoderParams] = []
+    metrics: list[RoundMetrics] = []
     wall_times: list[float] = []
     for t in range(1, config.rounds + 1):
         started = time.perf_counter()
-        run_round(server, nodes, config, t, channel)
+        metrics.append(run_round(server, nodes, config, t, channel))
         wall_times.append(time.perf_counter() - started)
-        round_thetas.append(server.theta0.copy())
-    return RunResult(server.theta0, round_thetas, server.metrics, channel.messages,
-                     wall_times, config)
+    return RunResult(server.theta0, metrics, channel.messages, wall_times, config)
 
 
-# -- serialization ------------------------------------------------------------
+# -- artifacts ----------------------------------------------------------------
 
-def payload_tag(payload) -> str:
-    if isinstance(payload, nn.EncoderParams):
-        return "params"
-    if isinstance(payload, md.NodeMetadata):
-        return "metadata"
-    if isinstance(payload, list) and all(isinstance(x, md.NodeMetadata) for x in payload):
-        return "metadata_list"
-    if isinstance(payload, str):
-        return "control"
-    return f"other:{type(payload).__name__}"
+def write_atomic(path, *chunks) -> None:
+    """Write str or bytes-like chunks to a temporary sibling of ``path``,
+    then ``os.replace`` it, so ``path`` is never left half-written."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    os.replace(tmp, path)
 
 
 def payload_digest(payload) -> str:
@@ -352,8 +357,6 @@ def payload_digest(payload) -> str:
     elif isinstance(payload, list):
         for item in payload:
             h.update(payload_digest(item).encode("utf-8"))
-    elif isinstance(payload, str):
-        h.update(payload.encode("utf-8"))
     else:
         h.update(repr(type(payload)).encode("utf-8"))
     return h.hexdigest()[:16]
@@ -362,26 +365,14 @@ def payload_digest(payload) -> str:
 def write_message_log(messages, path) -> None:
     """One JSON line per message: kind, sender, receiver, round, payload tag
     and digest. Payload contents themselves are not serialized."""
-    lines = []
-    for msg in messages:
-        kind = msg.kind.value if isinstance(msg.kind, MessageKind) else str(msg.kind)
-        lines.append(json.dumps({
-            "kind": kind,
-            "sender": msg.sender,
-            "receiver": msg.receiver,
-            "round": msg.round_index,
-            "payload": payload_tag(msg.payload),
-            "digest": payload_digest(msg.payload),
-        }, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_message_log(path) -> list[dict]:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    write_jsonl([{
+        "kind": _kind_name(msg.kind),
+        "sender": msg.sender,
+        "receiver": msg.receiver,
+        "round": msg.round_index,
+        "payload": payload_tag(msg.payload),
+        "digest": payload_digest(msg.payload),
+    } for msg in messages], path)
 
 
 def save_checkpoint(params: nn.EncoderParams, path) -> None:
@@ -392,9 +383,8 @@ def save_checkpoint(params: nn.EncoderParams, path) -> None:
         "feature_dim": int(params.feature_dim),
         "count": int(params.values.size),
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(params.values.astype("<f8").tobytes())
+    write_atomic(path, json.dumps(header, sort_keys=True) + "\n",
+                 np.ascontiguousarray(params.values, dtype="<f8"))
 
 
 def load_checkpoint(path) -> nn.EncoderParams:
@@ -427,10 +417,16 @@ def metrics_records(metrics) -> list[dict]:
 
 
 def write_jsonl(records, path) -> None:
-    Path(path).write_text(
-        "\n".join(json.dumps(r, sort_keys=True) for r in records) + ("\n" if records else "")
-    )
+    write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
 def read_jsonl(path) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+
+
+def run_digest(run_dir) -> str:
+    """SHA-256 over a run directory's checkpoint.bin, then its metrics.jsonl."""
+    h = hashlib.sha256()
+    h.update((Path(run_dir) / "checkpoint.bin").read_bytes())
+    h.update((Path(run_dir) / "metrics.jsonl").read_bytes())
+    return h.hexdigest()

@@ -176,12 +176,6 @@ def forward_batch(params: EncoderParams, images) -> np.ndarray:
     return forward_cached(params, images).features
 
 
-def forward(params: EncoderParams, image) -> np.ndarray:
-    """Feature vector for a single image grid."""
-    x = np.asarray(image, dtype=np.float64)
-    return forward_cached(params, x.reshape(1, -1)).features[0]
-
-
 def backward_features(params: EncoderParams, cache: ForwardCache, d_features) -> np.ndarray:
     """Gradient of a scalar loss w.r.t. the flat parameter vector, given the
     loss gradient w.r.t. the normalized output features.

@@ -15,8 +15,8 @@ import numpy as np
 from fedcl.config import apply_arm, from_dict, preset_config
 from fedcl.datagen import make_eval_split
 from fedcl.evaluate import fine_tune, linear_probe
-from fedcl.federation import (audit_privacy, metrics_records, payload_digest,
-                              run_training, save_checkpoint)
+from fedcl.federation import (MessageKind, audit_privacy, metrics_records,
+                              payload_digest, run_training, save_checkpoint)
 from fedcl.metadata import NodeMetadata, boxcox, inv_boxcox, sample_gaussian
 from fedcl.nn import EncoderParams, init_params, loss_and_grad, mlp_shapes, normalize_rows
 from fedcl.rsa import fedavg_weights, self_adaptive_weights, spearman
@@ -179,8 +179,7 @@ def test_criterion_06_desk_run_passes_privacy_audit():
     rep = audit_privacy(result.messages)
     k, t, tw = cfg.nodes, cfg.rounds, cfg.warmup_rounds
     expected = {"params_down": k * t, "params_up": k * t,
-                "metadata_up": k * (t - tw), "metadata_down": k * (t - tw),
-                "control": 0}
+                "metadata_up": k * (t - tw), "metadata_down": k * (t - tw)}
     counts_ok = rep.counts == expected
     report(6, "protocol audit",
            rep.passed and counts_ok and elapsed < 600.0,
@@ -211,6 +210,14 @@ def test_criterion_07_reruns_are_bit_identical(tmp_path):
 
 # -- 8: module toggles reduce to the baseline ------------------------------------
 
+def round_params(result):
+    """Every round's aggregate: round t's is what round t + 1 sends down,
+    and the last round's is the final theta0."""
+    down = {m.round_index: m.payload for m in result.messages
+            if m.kind is MessageKind.PARAMS_DOWN}
+    return [down[t] for t in sorted(down)][1:] + [result.theta0]
+
+
 def test_criterion_08_disabled_modules_match_baseline_bitwise():
     base = {
         "nodes": 3, "rounds": 10, "warmup_rounds": 2, "queue_capacity": 64,
@@ -220,8 +227,8 @@ def test_criterion_08_disabled_modules_match_baseline_bitwise():
     with_meta = run_training(from_dict({**base, "metadata_enabled": True, "eta": 0.0}))
     baseline = run_training(from_dict({**base, "metadata_enabled": False}))
     rounds_equal = [
-        np.array_equal(x.values, y.values)
-        for x, y in zip(with_meta.round_thetas, baseline.round_thetas)
+        x.values.tobytes() == y.values.tobytes()
+        for x, y in zip(round_params(with_meta), round_params(baseline))
     ]
     ok = len(rounds_equal) == 10 and all(rounds_equal)
     report(8, "ablation identity", ok,

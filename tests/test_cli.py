@@ -1,12 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedcl import federation
 from fedcl.cli import main
 from fedcl.config import from_dict, save_config
 from fedcl.datagen import load_dataset
-from fedcl.federation import read_jsonl
+from fedcl.federation import read_jsonl, run_digest, write_jsonl
 
 FAST = [
     "--set", "rounds=2", "--set", "warmup_rounds=1",
@@ -120,6 +122,58 @@ def test_audit_fails_on_dropped_message(tmp_path):
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines[:-1]) + "\n")
     assert main(["audit", str(run_dir)]) == 1
+
+
+def test_audit_fails_on_message_sent_the_wrong_way(tmp_path, capsys):
+    assert run_smoke(tmp_path / "runs") == 0
+    run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
+    records = read_jsonl(run_dir / "messages.log")
+    i = next(i for i, r in enumerate(records) if r["kind"] == "params_up")
+    records[i]["sender"] = "server"
+    write_jsonl(records, run_dir / "messages.log")
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 1
+    assert f"FAIL message {i}: params_up sent by 'server'" in capsys.readouterr().out
+
+
+def test_audit_recomputes_the_digest(tmp_path, capsys):
+    assert run_smoke(tmp_path / "runs") == 0
+    run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
+    assert (run_dir / "digest.txt").read_text() == run_digest(run_dir) + "\n"
+    metrics = run_dir / "metrics.jsonl"
+    metrics.write_text(metrics.read_text().replace('"round": 2', '"round": 3', 1))
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 1
+    assert "FAIL digest.txt does not match" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["config.yaml", "digest.txt", "checkpoint.bin"])
+def test_audit_fails_on_a_missing_file(tmp_path, capsys, name):
+    assert run_smoke(tmp_path / "runs") == 0
+    run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
+    (run_dir / name).unlink()
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 1
+    assert f"FAIL {name} missing" in capsys.readouterr().out
+
+
+def test_run_writes_every_file_atomically(tmp_path, monkeypatch):
+    written = []
+    real = federation.write_atomic
+
+    def recording(path, *chunks):
+        written.append(path)
+        real(path, *chunks)
+
+    monkeypatch.setattr(federation, "write_atomic", recording)
+    assert run_smoke(tmp_path / "runs") == 0
+    run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
+    files = set(run_dir.iterdir())
+    assert files == {run_dir / name for name in (
+        "config.yaml", "checkpoint.bin", "metrics.jsonl", "timing.jsonl",
+        "messages.log", "audit.json", "eval.jsonl", "digest.txt")}
+    assert files <= {Path(p) for p in written}
+    assert not list((tmp_path / "runs").rglob("*.tmp"))
 
 
 def test_audit_missing_log(tmp_path):

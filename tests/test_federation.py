@@ -7,15 +7,16 @@ from fedcl.config import from_dict
 from fedcl.contrastive import NegativeQueue
 from fedcl.datagen import ImageSample
 from fedcl.errors import ProtocolError, ShapeError
-from fedcl.federation import (Message, MessageChannel, MessageKind,
-                              audit_privacy, build_nodes, load_checkpoint,
+from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
+                              audit_privacy, build_nodes, contract_violation,
+                              expected_counts, load_checkpoint,
                               metrics_records, payload_digest,
                               payload_violation, read_jsonl,
-                              read_message_log, run_round, run_training,
-                              save_checkpoint, write_jsonl,
+                              run_round, run_training,
+                              save_checkpoint, write_atomic, write_jsonl,
                               write_message_log)
-from fedcl.metadata import NodeMetadata
-from fedcl.nn import init_params, mlp_shapes
+from fedcl.metadata import NodeMetadata, compute_metadata
+from fedcl.nn import forward_batch, init_params, mlp_shapes
 
 
 def tiny_config(**kw):
@@ -54,6 +55,13 @@ def test_message_counts_follow_round_structure():
     assert report.counts["params_up"] == k * t
     assert report.counts["metadata_up"] == k * (t - tw)
     assert report.counts["metadata_down"] == k * (t - tw)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"metadata_enabled": False},
+                                       {"warmup_rounds": 3}])
+def test_expected_counts_match_the_messages_sent(overrides):
+    cfg = tiny_config(**overrides)
+    assert audit_privacy(run_training(cfg).messages).counts == expected_counts(cfg)
 
 
 def test_metadata_disabled_sends_no_metadata():
@@ -111,17 +119,49 @@ def test_downloads_carry_previous_round_uploads():
             assert all(m.round_index == msg.round_index - 1 for m in msg.payload)
 
 
-def test_queue_flushed_every_round():
+def test_queue_flushed_every_round(monkeypatch):
+    """Every local update starts from the broadcast: an empty queue, no
+    momentum buffer, and a key encoder equal to the query encoder."""
+    from fedcl import contrastive
     cfg = tiny_config(rounds=2, queue_capacity=64)
     theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
     from fedcl.federation import ServerState
     server = ServerState(theta0.copy())
     nodes = build_nodes(cfg, theta0)
     channel = MessageChannel()
+    real = contrastive.local_update
+    seen = []
+
+    def recording(state, shard, synth, hp):
+        seen.append((hp.round_index, len(state.queue), state.momentum_buffer,
+                     np.array_equal(state.theta_d.values, state.theta_q.values)))
+        return real(state, shard, synth, hp)
+
+    monkeypatch.setattr(contrastive, "local_update", recording)
     for t in (1, 2):
         run_round(server, nodes, cfg, t, channel)
-        # 12 images per node: each round pushes exactly 12 fresh keys
-        assert all(len(node.state.queue) == 12 for node in nodes)
+    assert [r for r, *_ in seen] == [1, 1, 1, 2, 2, 2]
+    assert all(size == 0 and buf is None and same for _, size, buf, same in seen)
+
+
+@pytest.mark.parametrize("timing,source", [("post_sync", MessageKind.PARAMS_DOWN),
+                                           ("post_update", MessageKind.PARAMS_UP)])
+def test_metadata_summarizes_the_timed_encoder(timing, source):
+    """post_sync uploads summarize the broadcast encoder, post_update ones
+    the node's locally trained encoder."""
+    cfg = tiny_config(rounds=2, metadata_timing=timing)
+    result = run_training(cfg)
+    nodes = build_nodes(cfg)
+    params = {(m.round_index, node_id_of(m)): m.payload
+              for m in result.messages if m.kind is source}
+    uploads = [m for m in result.messages if m.kind is MessageKind.METADATA_UP]
+    assert len(uploads) == cfg.nodes
+    for m in uploads:
+        k = node_id_of(m)
+        want = compute_metadata(forward_batch(params[(m.round_index, k)], nodes[k].images),
+                                cfg.boxcox_lambda, cfg.cov_jitter, k, m.round_index)
+        assert np.array_equal(m.payload.mu, want.mu)
+        assert np.array_equal(m.payload.sigma, want.sigma)
 
 
 def test_synthetic_counts_follow_quota():
@@ -169,7 +209,7 @@ def test_run_round_rejects_non_finite_local_loss(monkeypatch):
 
     def nan_loss_on_node_1_in_round_2(state, shard, synth, hp):
         new_state, losses = real(state, shard, synth, hp)
-        if state is nodes[1].state and hp.round_index == 2:
+        if state.rng_seed == nodes[1].rng_seed and hp.round_index == 2:
             losses = [np.nan] * len(losses)
         return new_state, losses
 
@@ -233,11 +273,78 @@ def test_payload_violation_reasons():
     bad_list = Message(MessageKind.METADATA_DOWN, "server", "node-0", 1,
                        [NodeMetadata(np.zeros(3), np.eye(3)), "junk"])
     assert payload_violation(bad_list) is not None
-    control = Message(MessageKind.CONTROL, "server", "node-0", 1, "sync")
-    assert payload_violation(control) is None
+
+
+def test_contract_names_every_kind_once():
+    assert set(CONTRACT) == {k.value for k in MessageKind}
+    for kind, (tag, downward) in CONTRACT.items():
+        assert downward == kind.endswith("_down")
+        sender = "server" if downward else "node-0"
+        assert contract_violation(kind, sender, tag) is None
+        assert contract_violation(kind, "node-0" if downward else "server", tag) is not None
+        assert contract_violation(kind, sender, "other:ImageSample") is not None
+
+
+@pytest.mark.parametrize("kind,sender,receiver", [
+    (MessageKind.PARAMS_UP, "server", "node-0"),
+    (MessageKind.PARAMS_DOWN, "node-0", "server"),
+    (MessageKind.METADATA_UP, "server", "node-0"),
+    (MessageKind.METADATA_DOWN, "node-1", "server"),
+])
+def test_channel_rejects_wrong_direction(kind, sender, receiver):
+    params = init_params(mlp_shapes(16, [6], 4), 0)
+    meta = NodeMetadata(np.zeros(4), np.eye(4))
+    payload = {MessageKind.PARAMS_UP: params, MessageKind.PARAMS_DOWN: params,
+               MessageKind.METADATA_UP: meta, MessageKind.METADATA_DOWN: [meta]}[kind]
+    channel = MessageChannel()
+    with pytest.raises(ProtocolError, match=f"{kind.value} sent by '{sender}'"):
+        channel.send(Message(kind, sender, receiver, 1, payload))
+    assert channel.messages == []
+
+
+def test_audit_reports_forged_direction_at_its_index():
+    result = run_training(tiny_config(rounds=1, warmup_rounds=0))
+    forged = list(result.messages)
+    i = next(i for i, m in enumerate(forged) if m.kind is MessageKind.PARAMS_UP)
+    m = forged[i]
+    forged[i] = Message(m.kind, "server", m.sender, m.round_index, m.payload)
+    report = audit_privacy(forged)
+    assert not report.passed
+    assert report.violations == [(i, "params_up sent by 'server'")]
+
+
+def test_audit_reports_unknown_kind_at_its_index():
+    result = run_training(tiny_config(rounds=1, warmup_rounds=0))
+    forged = list(result.messages)
+    forged.insert(1, Message("control", "server", "node-0", 1, "sync"))
+    report = audit_privacy(forged)
+    assert not report.passed
+    assert report.violations == [(1, "unknown message kind 'control'")]
+    assert report.counts["control"] == 1
+
+
+def test_payload_violation_checks_metadata_shape():
+    square = NodeMetadata(np.zeros(3), np.eye(3))
+    skewed = NodeMetadata(np.zeros(3), np.eye(4))
+    flat = NodeMetadata(np.zeros((3, 1)), np.eye(3))
+    for bad in (skewed, flat):
+        assert payload_violation(Message(MessageKind.METADATA_UP, "node-0", "server", 1,
+                                         bad)) is not None
+        assert payload_violation(Message(MessageKind.METADATA_DOWN, "server", "node-0", 1,
+                                         [square, bad])) is not None
+    assert payload_violation(Message(MessageKind.METADATA_DOWN, "server", "node-0", 1,
+                                     [])) is None
 
 
 # -- serialization ------------------------------------------------------------
+
+def test_write_atomic_replaces_whole_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_text("old contents, longer than the new ones")
+    write_atomic(path, "head\n", b"\x00\x01", np.arange(2, dtype="<f8"))
+    assert path.read_bytes() == b"head\n\x00\x01" + np.arange(2, dtype="<f8").tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
 
 def test_checkpoint_roundtrip(tmp_path):
     params = init_params(mlp_shapes(16, [6], 4), 3)
@@ -262,7 +369,7 @@ def test_message_log_roundtrip(tmp_path):
     result = run_training(tiny_config(rounds=2))
     path = tmp_path / "messages.log"
     write_message_log(result.messages, path)
-    records = read_message_log(path)
+    records = read_jsonl(path)
     assert len(records) == len(result.messages)
     assert records[0]["kind"] == "params_down"
     assert all(set(r) == {"kind", "sender", "receiver", "round",

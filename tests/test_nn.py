@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedcl.errors import ConfigError, ShapeError
-from fedcl.nn import (EncoderParams, LayerShape, backward_features, forward,
+from fedcl.nn import (EncoderParams, LayerShape, backward_features,
                       forward_batch, forward_cached, init_params, layer_views,
                       loss_and_grad, mlp_shapes, normalize_rows,
                       validate_shapes)
@@ -66,7 +66,7 @@ def test_forward_hand_arithmetic():
     values = [1.0, 0.0, 0.0, -1.0, 0.5, 0.25,  # W1 rows, b1
               1.0, 1.0, -1.0, 1.0, 0.0, 0.0]   # W2 rows, b2
     p = tiny_params(values)
-    z = forward(p, np.array([1.0, 2.0]))
+    z = forward_batch(p, np.array([[1.0, 2.0]]))[0]
     assert np.array_equal(z, np.array([1.0, 0.0]))
 
 
@@ -74,7 +74,7 @@ def test_forward_zero_activation_gives_zero_feature():
     values = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0,     # identity first layer
               -1.0, 0.0, 0.0, -1.0, 0.0, 0.0]   # negate second layer
     p = tiny_params(values)
-    z = forward(p, np.array([1.0, 2.0]))
+    z = forward_batch(p, np.array([[1.0, 2.0]]))[0]
     assert np.array_equal(z, np.zeros(2))
 
 

@@ -19,13 +19,11 @@ class NegativeQueue:
     builds a new array, so a matrix handed out earlier never changes.
     """
 
-    def __init__(self, capacity: int, entries=None):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("queue capacity must be non-negative")
         self.capacity = int(capacity)
         self._rows = np.zeros((0, 0))
-        if entries is not None:
-            self.push(entries)
 
     def __len__(self) -> int:
         return self._rows.shape[0]
@@ -44,15 +42,10 @@ class NegativeQueue:
             return np.zeros((0, d))
         return self._rows
 
-    def copy(self) -> "NegativeQueue":
-        return NegativeQueue(self.capacity, self._rows)
 
-
-def _check_momentum(theta_d: EncoderParams, theta_q: EncoderParams, m: float) -> None:
+def _check_momentum(m: float) -> None:
     if not 0.0 <= m < 1.0:
         raise ValueError(f"momentum coefficient must lie in [0, 1), got {m}")
-    if theta_d.shapes != theta_q.shapes:
-        raise ShapeError("momentum update needs matching layer manifests")
 
 
 def _momentum_step(theta_d: np.ndarray, theta_q: np.ndarray, m: float,
@@ -66,7 +59,9 @@ def _momentum_step(theta_d: np.ndarray, theta_q: np.ndarray, m: float,
 
 def momentum_update(theta_d: EncoderParams, theta_q: EncoderParams, m: float) -> EncoderParams:
     """Key-encoder update ``m * theta_d + (1 - m) * theta_q``, element-wise."""
-    _check_momentum(theta_d, theta_q, m)
+    _check_momentum(m)
+    if theta_d.shapes != theta_q.shapes:
+        raise ShapeError("momentum update needs matching layer manifests")
     values = theta_d.values.copy()
     _momentum_step(values, theta_q.values, m, np.empty_like(values))
     return EncoderParams(values, theta_q.shapes, theta_q.feature_dim)
@@ -235,48 +230,37 @@ class LocalHyperparams:
     weight_decay: float
     momentum_coeff: float  # key-encoder momentum m
     temperature: float
+    queue_capacity: int  # key queue length
     epochs: int = 1
     round_index: int = 1
 
 
-@dataclass
-class NodeTrainState:
-    theta_q: EncoderParams
-    theta_d: EncoderParams
-    queue: NegativeQueue
-    rng_seed: int
-    momentum_buffer: np.ndarray | None = None
-
-
-def local_update(state: NodeTrainState, dataset_shard, synthetic_negatives, hp: LocalHyperparams):
-    """One local pass over the shard (``hp.epochs`` epochs of minibatches).
+def local_update(theta: EncoderParams, images, synthetic, hp: LocalHyperparams,
+                 rng_seed: int):
+    """One local pass over a shard (``hp.epochs`` epochs of minibatches,
+    shuffled and augmented from ``rng_seed``), starting from the broadcast
+    ``theta`` with an equal key encoder, an empty key queue and no momentum.
 
     Per batch: two views per image; queries run through theta_q, keys through
     theta_d (constants); the loss contrasts each query against its key, the
-    current queue contents, and the given synthetic negatives; then an SGD
+    current queue contents, and the ``synthetic`` negatives; then an SGD
     step with momentum and weight decay updates theta_q, theta_d takes its
     momentum update from the new theta_q, and the fresh keys enter the queue.
 
-    Returns ``(new_state, per_batch_losses)``. The input state is not
-    mutated. An empty ``synthetic_negatives`` reduces the loss to the plain
-    dictionary form.
+    Returns ``(trained_theta, per_batch_losses)`` and leaves ``theta`` alone;
+    a ``None`` or empty ``synthetic`` gives the plain dictionary loss.
     """
-    images = np.asarray(dataset_shard, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3 or images.shape[0] == 0:
         raise ValueError("dataset shard must be a non-empty (n, H, W) stack")
-    d = state.theta_q.feature_dim
-    if synthetic_negatives is None:
-        synth = np.zeros((0, d))
-    else:
-        synth = np.asarray(synthetic_negatives, dtype=np.float64).reshape(-1, d)
-
-    _check_momentum(state.theta_d, state.theta_q, hp.momentum_coeff)
-    theta_q = state.theta_q.copy()
-    theta_d = state.theta_d.copy()
-    queue = state.queue.copy()
-    buf = np.zeros_like(theta_q.values) if state.momentum_buffer is None else state.momentum_buffer.copy()
+    _check_momentum(hp.momentum_coeff)
+    d = theta.feature_dim
+    theta_q = theta.copy()
+    theta_d = theta.copy()
+    queue = NegativeQueue(hp.queue_capacity)
+    buf = np.zeros_like(theta_q.values)
     scratch = np.empty_like(theta_q.values)
-    rng = rng_for(state.rng_seed, "local-update", hp.round_index)
+    rng = rng_for(rng_seed, "local-update", hp.round_index)
 
     n = images.shape[0]
     losses: list[float] = []
@@ -287,11 +271,11 @@ def local_update(state: NodeTrainState, dataset_shard, synthetic_negatives, hp: 
             pairs = augment(images[idx], rng, views=2)
             keys = forward_batch(theta_d, pairs[:, 1])
             loss, grad = loss_and_grad(
-                theta_q, pairs[:, 0], keys, queue.as_matrix(d), synth, hp.temperature
+                theta_q, pairs[:, 0], keys, queue.as_matrix(d), synthetic, hp.temperature
             )
             sgd_step(theta_q.values, grad, buf, hp.lr, hp.sgd_momentum, hp.weight_decay, scratch)
             _momentum_step(theta_d.values, theta_q.values, hp.momentum_coeff, scratch)
             queue.push(keys)
             losses.append(loss)
 
-    return NodeTrainState(theta_q, theta_d, queue, state.rng_seed, buf), losses
+    return theta_q, losses

@@ -6,11 +6,11 @@ that log is the auditable protocol surface. Node updates share no state
 within a round, and aggregation accumulates in node-id order, so results do
 not depend on the order node updates are executed in.
 
-Per round: parameters go down and every node rebuilds its training state
-from them (key encoder equal to the query encoder, key queue flushed,
-optimizer momentum cleared). After the warm-up phase, distribution metadata
-flows down before any local update and back up after it, so a node only
-ever consumes statistics its peers uploaded in the previous round.
+Per round: parameters go down and every node trains from them afresh (key
+encoder equal to the query encoder, empty key queue, zero optimizer
+momentum). After the warm-up phase, distribution metadata flows down before
+any local update and back up after it, so a node only ever consumes
+statistics its peers uploaded in the previous round.
 
 The wire contract (``CONTRACT``) and the run artifacts are defined here too.
 """
@@ -95,17 +95,29 @@ def contract_violation(kind: str, sender: str, tag: str) -> str | None:
     return None
 
 
+def _finite(payload) -> bool:
+    """Whether a contract-clean payload holds no NaN or infinity."""
+    if isinstance(payload, list):
+        return all(map(_finite, payload))
+    if isinstance(payload, nn.EncoderParams):
+        return bool(np.isfinite(payload.values).all())
+    return bool(np.isfinite(payload.mu).all() and np.isfinite(payload.sigma).all())
+
+
 def payload_violation(message: Message) -> str | None:
     """Why this message breaks the exchange contract, or None if clean.
 
-    Only parameter vectors and distribution metadata (or lists of it) may
-    travel, each in its own kind's direction. Images and per-sample feature
-    arrays are prohibited in any position.
+    Only finite parameter vectors and distribution metadata (or lists of it)
+    may travel, each in its own kind's direction. Images and per-sample
+    feature arrays are prohibited in any position.
     """
     if isinstance(message.payload, datagen.ImageSample):
         return "image payload"
-    return contract_violation(_kind_name(message.kind), message.sender,
-                              payload_tag(message.payload))
+    kind = _kind_name(message.kind)
+    problem = contract_violation(kind, message.sender, payload_tag(message.payload))
+    if problem is None and not _finite(message.payload):
+        return f"{kind} carries non-finite values"
+    return problem
 
 
 def expected_counts(config: ExperimentConfig) -> dict[str, int]:
@@ -240,6 +252,7 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
         weight_decay=config.weight_decay,
         momentum_coeff=config.momentum_coeff,
         temperature=config.temperature,
+        queue_capacity=config.queue_capacity,
         epochs=config.epochs_per_round,
         round_index=round_index,
     )
@@ -250,17 +263,15 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
     for node in nodes:  # caller-supplied processing order
         synth = _peer_negatives(downloads.get(node.node_id, []), per_peer, config,
                                 round_index, node.node_id)
-        state = contrastive.NodeTrainState(
-            theta, theta, contrastive.NegativeQueue(config.queue_capacity), node.rng_seed)
-        state, batch_losses = contrastive.local_update(state, node.images, synth, hp)
+        trained[node.node_id], batch_losses = contrastive.local_update(
+            theta, node.images, synth, hp, node.rng_seed)
         losses[node.node_id] = loss = float(np.mean(batch_losses))
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"node {node.node_id}, round {round_index}: local loss is {loss}")
-        trained[node.node_id] = state.theta_q
         synthetic_counts[node.node_id] = int(synth.shape[0])
         if meta_round:
-            source = theta if config.metadata_timing == "post_sync" else state.theta_q
+            source = theta if config.metadata_timing == "post_sync" else trained[node.node_id]
             uploads[node.node_id] = md.compute_metadata(
                 nn.forward_batch(source, node.images), config.boxcox_lambda,
                 config.cov_jitter, node.node_id, round_index)
@@ -287,7 +298,7 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
     server.theta0 = rsa.aggregate([trained[node.node_id] for node in by_id], weights)
     return RoundMetrics(
         round_index, lr, losses, scores,
-        {node.node_id: float(w) for node, w in zip(by_id, weights.a)},
+        {node.node_id: float(w) for node, w in zip(by_id, weights)},
         synthetic_counts,
     )
 
@@ -303,9 +314,8 @@ class RunResult:
     config: ExperimentConfig
 
 
-def build_nodes(config: ExperimentConfig, theta0=None) -> list[FederatedNode]:
-    """Each node's private shard and seed. Nodes hold no parameters; every
-    round starts them from the broadcast, so ``theta0`` is not used."""
+def build_nodes(config: ExperimentConfig) -> list[FederatedNode]:
+    """Each node's private shard and seed; nodes hold no parameters."""
     spec = config.scenario_spec()
     nodes = []
     for k in range(config.nodes):

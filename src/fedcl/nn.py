@@ -33,11 +33,7 @@ class LayerShape:
 
 @dataclass
 class EncoderParams:
-    """Flat float64 parameter vector plus the layer manifest describing it.
-
-    Instances with equal manifests combine element-wise (``+`` and scalar
-    ``*``), which is what server-side weighted averaging relies on.
-    """
+    """Flat float64 parameter vector plus the layer manifest describing it."""
 
     values: np.ndarray
     shapes: tuple[LayerShape, ...]
@@ -55,20 +51,6 @@ class EncoderParams:
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(self.values.copy(), self.shapes, self.feature_dim)
-
-    def __add__(self, other):
-        if not isinstance(other, EncoderParams):
-            return NotImplemented
-        if self.shapes != other.shapes:
-            raise ShapeError("cannot add parameters with different manifests")
-        return EncoderParams(self.values + other.values, self.shapes, self.feature_dim)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return EncoderParams(self.values * float(scalar), self.shapes, self.feature_dim)
-
-    __rmul__ = __mul__
 
 
 def validate_shapes(shapes) -> tuple[LayerShape, ...]:
@@ -225,12 +207,9 @@ def sgd_step(values, grad, buf, lr, momentum, weight_decay, scratch) -> None:
 
 
 def _as_key_rows(keys, d: int) -> np.ndarray:
-    if keys is None:
+    if keys is None or np.size(keys) == 0:
         return np.zeros((0, d))
-    arr = np.asarray(keys, dtype=np.float64)
-    if arr.size == 0:
-        return np.zeros((0, d))
-    return arr.reshape(-1, d)
+    return np.asarray(keys, dtype=np.float64).reshape(-1, d)
 
 
 def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negatives, temperature):

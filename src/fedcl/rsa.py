@@ -7,8 +7,6 @@ whose ranking moved more receive more aggregation weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -109,18 +107,7 @@ def rsa_score(theta_prev: EncoderParams, theta_k: EncoderParams, probe) -> float
     return min(1.0, max(-1.0, r))
 
 
-@dataclass
-class AggregationWeights:
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return self.a.size
-
-
-def self_adaptive_weights(scores) -> AggregationWeights:
+def self_adaptive_weights(scores) -> np.ndarray:
     """Normalized dissimilarity-change weights ``(1 - r_k) / sum(1 - r_j)``.
 
     Falls back to uniform weights when every score is exactly 1 (no node
@@ -134,24 +121,24 @@ def self_adaptive_weights(scores) -> AggregationWeights:
     gaps = 1.0 - r
     total = float(gaps.sum())
     if total == 0.0:
-        return AggregationWeights(np.full(r.size, 1.0 / r.size))
-    return AggregationWeights(gaps / total)
+        return np.full(r.size, 1.0 / r.size)
+    return gaps / total
 
 
-def fedavg_weights(counts) -> AggregationWeights:
+def fedavg_weights(counts) -> np.ndarray:
     """Sample-count-proportional weights ``n_k / sum(n_j)``."""
     n = np.asarray(counts)
     if n.ndim != 1 or n.size == 0:
         raise ValueError("counts must be a non-empty 1-d vector")
     if not np.issubdtype(n.dtype, np.integer) or np.any(n <= 0):
         raise ValueError("sample counts must be positive integers")
-    return AggregationWeights(n.astype(np.float64) / int(n.sum()))
+    return n.astype(np.float64) / int(n.sum())
 
 
 def aggregate(thetas, weights) -> EncoderParams:
     """Element-wise weighted sum of parameter vectors, accumulated in list
     order so the result does not depend on execution scheduling."""
-    a = weights.a if isinstance(weights, AggregationWeights) else np.asarray(weights, dtype=np.float64)
+    a = np.asarray(weights, dtype=np.float64)
     thetas = list(thetas)
     if not thetas or a.size != len(thetas):
         raise ValueError(f"{len(thetas)} parameter vectors but {a.size} weights")

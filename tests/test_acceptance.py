@@ -145,10 +145,10 @@ def test_criterion_04_gaussian_sampler_moments():
 # -- 5: aggregation weight identities -------------------------------------------
 
 def test_criterion_05_weight_identities():
-    t1 = self_adaptive_weights([0.0, 0.0, 0.0]).a
-    t2 = self_adaptive_weights([1.0, 0.0, -1.0]).a
-    t3 = self_adaptive_weights([1.0, 1.0]).a
-    t4 = fedavg_weights([1, 1, 2]).a
+    t1 = self_adaptive_weights([0.0, 0.0, 0.0])
+    t2 = self_adaptive_weights([1.0, 0.0, -1.0])
+    t3 = self_adaptive_weights([1.0, 1.0])
+    t4 = fedavg_weights([1, 1, 2])
     tables_ok = (np.array_equal(t1, np.full(3, 1.0 / 3.0))
                  and np.array_equal(t2, np.array([0.0, 1.0 / 3.0, 2.0 / 3.0]))
                  and np.array_equal(t3, np.array([0.5, 0.5]))
@@ -159,9 +159,9 @@ def test_criterion_05_weight_identities():
     for _ in range(10_000):
         k = int(rng.integers(1, 9))
         if rng.random() < 0.5:
-            w = self_adaptive_weights(rng.uniform(-1.0, 1.0, k)).a
+            w = self_adaptive_weights(rng.uniform(-1.0, 1.0, k))
         else:
-            w = fedavg_weights(rng.integers(1, 100, k)).a
+            w = fedavg_weights(rng.integers(1, 100, k))
         worst = max(worst, abs(float(w.sum()) - 1.0))
     report(5, "weight identities", tables_ok and worst <= 1e-12,
            f"tabled cases exact; max |sum - 1| = {worst:.2e} over 10^4 random inputs")

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedcl.contrastive import (LocalHyperparams, NegativeQueue,
-                               NodeTrainState, _momentum_step, augment,
-                               local_update, momentum_update)
+                               _momentum_step, augment, local_update,
+                               momentum_update)
 from fedcl.errors import ShapeError
 from fedcl.nn import (EncoderParams, LayerShape, forward_batch, init_params,
-                      mlp_shapes, sgd_step)
+                      loss_and_grad, mlp_shapes, sgd_step)
 from fedcl.seeding import rng_for
 
 
@@ -42,23 +40,15 @@ def test_queue_matrix_is_a_read_only_snapshot():
 
 
 def test_queue_capacity_zero_stays_empty():
-    q = NegativeQueue(0, [np.ones(3)])
+    q = NegativeQueue(0)
+    q.push(np.ones(3))
     q.push(np.ones((2, 3)))
     assert len(q) == 0
     assert q.as_matrix(3).shape == (0, 3)
-    assert len(q.copy()) == 0
 
 
 def test_queue_empty_matrix_shape():
     assert NegativeQueue(8).as_matrix(5).shape == (0, 5)
-
-
-def test_queue_copy_is_independent():
-    q = NegativeQueue(4)
-    q.push(np.ones((2, 3)))
-    c = q.copy()
-    c.push(np.zeros((1, 3)))
-    assert len(q) == 2 and len(c) == 3
 
 
 def test_queue_rejects_negative_capacity():
@@ -240,14 +230,13 @@ def test_augment_rejects_other_bit_generators():
 
 # -- local update -------------------------------------------------------------
 
-def make_state(seed_q, seed_d, capacity=64, rng_seed=5):
-    shapes = mlp_shapes(16, [6], 4)
-    return NodeTrainState(
-        theta_q=init_params(shapes, seed_q),
-        theta_d=init_params(shapes, seed_d),
-        queue=NegativeQueue(capacity),
-        rng_seed=rng_seed,
-    )
+SHAPES = mlp_shapes(16, [6], 4)
+
+
+def hyper(**kw):
+    base = dict(batch_size=4, lr=0.1, sgd_momentum=0.9, weight_decay=1e-4,
+                momentum_coeff=0.9, temperature=0.2, queue_capacity=64)
+    return LocalHyperparams(**{**base, **kw})
 
 
 def small_shard(n=8, seed=2):
@@ -255,59 +244,50 @@ def small_shard(n=8, seed=2):
 
 
 def test_local_update_keys_track_momentum_encoder():
-    """Replay a two-batch pass by hand: queries then keys are drawn per
-    image in shuffle order, keys run through the key encoder as it stood
-    before that batch's momentum update."""
-    state = make_state(0, 1)
-    images = small_shard(8)
-    hp = LocalHyperparams(batch_size=4, lr=0.0, sgd_momentum=0.0,
-                          weight_decay=0.0, momentum_coeff=0.5,
-                          temperature=0.2, round_index=3)
-    new_state, losses = local_update(state, images, None, hp)
-    assert len(losses) == 2
-    # zero lr: the query encoder must be bitwise unchanged
-    assert np.array_equal(new_state.theta_q.values, state.theta_q.values)
+    """Replay a two-batch pass by hand from the broadcast: keys run through
+    the key encoder as it stood before that batch's momentum update, and
+    enter the queue only after the batch's loss.
 
-    rng = rng_for(state.rng_seed, "local-update", 3)
+    m = 0.7, not a power of two: with the key encoder starting equal to the
+    query encoder, a momentum step moved before the key pass differs from
+    the true order only by the rounding of m * x + (1 - m) * x, which is
+    exact for m = 0.5."""
+    theta = init_params(SHAPES, 0)
+    images = small_shard(8)
+    hp = hyper(momentum_coeff=0.7, round_index=3)
+    trained, losses = local_update(theta, images, None, hp, 5)
+
+    rng = rng_for(5, "local-update", 3)
     order = rng.permutation(8)
-    k_views = []
-    for i in order:
-        augment(images[i], rng)              # query view (discarded here)
-        k_views.append(augment(images[i], rng))
-    theta_d0 = state.theta_d
-    theta_d1 = momentum_update(theta_d0, state.theta_q, 0.5)
-    expected = np.vstack([
-        forward_batch(theta_d0, np.stack(k_views[:4])),
-        forward_batch(theta_d1, np.stack(k_views[4:])),
-    ])
-    assert np.array_equal(new_state.queue.as_matrix(4), expected)
-    theta_d2 = momentum_update(theta_d1, state.theta_q, 0.5)
-    assert np.array_equal(new_state.theta_d.values, theta_d2.values)
+    theta_q, theta_d = theta.values.copy(), theta.values.copy()
+    buf, scratch = np.zeros_like(theta_q), np.empty_like(theta_q)
+    queue = np.zeros((0, 4))
+    want = []
+    for idx in (order[:4], order[4:]):
+        pairs = augment(images[idx], rng, views=2)
+        keys = forward_batch(EncoderParams(theta_d, SHAPES, 4), pairs[:, 1])
+        loss, grad = loss_and_grad(EncoderParams(theta_q, SHAPES, 4), pairs[:, 0],
+                                   keys, queue, None, hp.temperature)
+        sgd_step(theta_q, grad, buf, hp.lr, hp.sgd_momentum, hp.weight_decay, scratch)
+        _momentum_step(theta_d, theta_q, hp.momentum_coeff, scratch)
+        queue = np.vstack([queue, keys])
+        want.append(loss)
+    assert np.array(losses).tobytes() == np.array(want).tobytes()
+    assert trained.values.tobytes() == theta_q.tobytes()
 
 
 def test_local_update_leaves_input_state_alone():
-    state = make_state(0, 0)
-    state.queue.push(np.ones((2, 4)))
-    before = state.theta_q.values.copy()
-    hp = LocalHyperparams(batch_size=4, lr=0.1, sgd_momentum=0.9,
-                          weight_decay=1e-4, momentum_coeff=0.9,
-                          temperature=0.2)
-    new_state, _ = local_update(state, small_shard(6), None, hp)
-    assert np.array_equal(state.theta_q.values, before)
-    assert len(state.queue) == 2
-    assert new_state.theta_q is not state.theta_q
-    assert not np.array_equal(new_state.theta_q.values, before)
-
-
-def test_local_update_momentum_buffer_carries_over():
-    state = make_state(0, 0)
-    hp = LocalHyperparams(batch_size=8, lr=0.05, sgd_momentum=0.9,
-                          weight_decay=0.0, momentum_coeff=0.99,
-                          temperature=0.2)
-    mid, _ = local_update(state, small_shard(8), None, hp)
-    assert mid.momentum_buffer is not None
-    again, _ = local_update(mid, small_shard(8), None, hp)
-    assert not np.array_equal(mid.momentum_buffer, again.momentum_buffer)
+    """theta is not mutated, and a second identical call returns the same
+    bytes: no queue entry or momentum carries over between calls."""
+    theta = init_params(SHAPES, 0)
+    before = theta.values.copy()
+    first, first_losses = local_update(theta, small_shard(6), None, hyper(), 5)
+    again, again_losses = local_update(theta, small_shard(6), None, hyper(), 5)
+    assert np.array_equal(theta.values, before)
+    assert first is not theta
+    assert not np.array_equal(first.values, before)
+    assert first.values.tobytes() == again.values.tobytes()
+    assert np.array(first_losses).tobytes() == np.array(again_losses).tobytes()
 
 
 def test_local_update_loss_decreases_over_epochs():
@@ -319,49 +299,36 @@ def test_local_update_loss_decreases_over_epochs():
     spec = ScenarioSpec(kind="equal", num_nodes=1, base_size=64)
     images = np.stack([s.pixels for s in generate_node_dataset(spec, 0, 0)])
     shapes = mlp_shapes(256, [64], 32)
-    hp = LocalHyperparams(batch_size=32, lr=0.05, sgd_momentum=0.9,
-                          weight_decay=1e-4, momentum_coeff=0.9,
-                          temperature=0.2, epochs=10)
+    hp = hyper(batch_size=32, lr=0.05, epochs=10)
     drops = []
     for seed in (0, 1, 2):
-        state = NodeTrainState(init_params(shapes, seed), init_params(shapes, seed),
-                               NegativeQueue(64), rng_seed=5)
-        _, losses = local_update(state, images, None, hp)
+        _, losses = local_update(init_params(shapes, seed), images, None, hp, 5)
         full = losses[2:]  # queue holds all 64 keys from the third batch on
         drops.append(np.mean(full[:2]) - np.mean(full[-2:]))
     assert np.median(drops) > 0.0
 
 
 def test_local_update_synthetic_negatives_enter_loss():
-    state = make_state(0, 1)
+    theta = init_params(SHAPES, 0)
     images = small_shard(4)
-    hp = LocalHyperparams(batch_size=4, lr=0.0, sgd_momentum=0.0,
-                          weight_decay=0.0, momentum_coeff=0.0,
-                          temperature=0.2)
+    hp = hyper(lr=0.0, sgd_momentum=0.0, weight_decay=0.0, momentum_coeff=0.0)
     synth = rng_for(8, "synth").random((6, 4))
-    _, plain = local_update(state, images, None, hp)
-    _, with_synth = local_update(state, images, synth, hp)
+    _, plain = local_update(theta, images, None, hp, 5)
+    _, empty = local_update(theta, images, np.zeros((0, 4)), hp, 5)
+    _, with_synth = local_update(theta, images, synth, hp, 5)
+    assert plain == empty
     assert with_synth[0] > plain[0]  # extra negatives add softmax mass
 
 
 def test_local_update_checks_key_encoder_momentum():
-    hp = LocalHyperparams(batch_size=4, lr=0.1, sgd_momentum=0.0,
-                          weight_decay=0.0, momentum_coeff=1.0,
-                          temperature=0.2)
     with pytest.raises(ValueError):
-        local_update(make_state(0, 0), small_shard(4), None, hp)
-    state = make_state(0, 0)
-    state.theta_d = init_params(mlp_shapes(16, [5], 4), 1)
-    with pytest.raises(ShapeError):
-        local_update(state, small_shard(4), None, replace(hp, momentum_coeff=0.5))
+        local_update(init_params(SHAPES, 0), small_shard(4), None, hyper(momentum_coeff=1.0), 5)
 
 
 def test_local_update_rejects_bad_shard():
-    state = make_state(0, 0)
-    hp = LocalHyperparams(batch_size=2, lr=0.1, sgd_momentum=0.0,
-                          weight_decay=0.0, momentum_coeff=0.5,
-                          temperature=0.2)
+    theta = init_params(SHAPES, 0)
+    hp = hyper(batch_size=2, momentum_coeff=0.5)
     with pytest.raises(ValueError):
-        local_update(state, np.zeros((0, 4, 4)), None, hp)
+        local_update(theta, np.zeros((0, 4, 4)), None, hp, 5)
     with pytest.raises(ValueError):
-        local_update(state, np.zeros((4, 16)), None, hp)
+        local_update(theta, np.zeros((4, 16)), None, hp, 5)

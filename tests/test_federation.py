@@ -2,9 +2,10 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcl.config import from_dict
-from fedcl.contrastive import NegativeQueue
 from fedcl.datagen import ImageSample
 from fedcl.errors import ProtocolError, ShapeError
 from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
@@ -85,7 +86,7 @@ def test_result_does_not_depend_on_node_processing_order():
     def simulate(reorder):
         from fedcl.federation import ServerState
         server = ServerState(theta0.copy())
-        nodes = build_nodes(cfg, theta0)
+        nodes = build_nodes(cfg)
         channel = MessageChannel()
         for t in range(1, cfg.rounds + 1):
             run_round(server, reorder(nodes), cfg, t, channel)
@@ -120,28 +121,30 @@ def test_downloads_carry_previous_round_uploads():
 
 
 def test_queue_flushed_every_round(monkeypatch):
-    """Every local update starts from the broadcast: an empty queue, no
-    momentum buffer, and a key encoder equal to the query encoder."""
+    """Every local update starts from that round's broadcast and the node's
+    own seed; ``local_update`` itself starts the key encoder equal to it,
+    the queue empty and the momentum zero (see test_contrastive)."""
     from fedcl import contrastive
-    cfg = tiny_config(rounds=2, queue_capacity=64)
-    theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
     from fedcl.federation import ServerState
-    server = ServerState(theta0.copy())
-    nodes = build_nodes(cfg, theta0)
+    cfg = tiny_config(rounds=2, queue_capacity=64)
+    server = ServerState(init_params(cfg.encoder_shapes(), cfg.seed))
+    nodes = build_nodes(cfg)
     channel = MessageChannel()
     real = contrastive.local_update
     seen = []
 
-    def recording(state, shard, synth, hp):
-        seen.append((hp.round_index, len(state.queue), state.momentum_buffer,
-                     np.array_equal(state.theta_d.values, state.theta_q.values)))
-        return real(state, shard, synth, hp)
+    def recording(theta, images, synth, hp, rng_seed):
+        seen.append((hp.round_index, hp.queue_capacity, theta.values.tobytes(), rng_seed))
+        return real(theta, images, synth, hp, rng_seed)
 
     monkeypatch.setattr(contrastive, "local_update", recording)
     for t in (1, 2):
         run_round(server, nodes, cfg, t, channel)
-    assert [r for r, *_ in seen] == [1, 1, 1, 2, 2, 2]
-    assert all(size == 0 and buf is None and same for _, size, buf, same in seen)
+    broadcast = {(m.round_index, node_id_of(m)): m.payload.values.tobytes()
+                 for m in channel.messages if m.kind is MessageKind.PARAMS_DOWN}
+    want = [(t, 64, broadcast[(t, node.node_id)], node.rng_seed)
+            for t in (1, 2) for node in nodes]
+    assert seen == want
 
 
 @pytest.mark.parametrize("timing,source", [("post_sync", MessageKind.PARAMS_DOWN),
@@ -204,14 +207,14 @@ def test_run_round_rejects_non_finite_local_loss(monkeypatch):
     cfg = tiny_config()
     theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
     server = ServerState(theta0.copy())
-    nodes = build_nodes(cfg, theta0)
+    nodes = build_nodes(cfg)
     real = contrastive.local_update
 
-    def nan_loss_on_node_1_in_round_2(state, shard, synth, hp):
-        new_state, losses = real(state, shard, synth, hp)
-        if state.rng_seed == nodes[1].rng_seed and hp.round_index == 2:
+    def nan_loss_on_node_1_in_round_2(theta, images, synth, hp, rng_seed):
+        trained, losses = real(theta, images, synth, hp, rng_seed)
+        if rng_seed == nodes[1].rng_seed and hp.round_index == 2:
             losses = [np.nan] * len(losses)
-        return new_state, losses
+        return trained, losses
 
     monkeypatch.setattr(contrastive, "local_update", nan_loss_on_node_1_in_round_2)
     channel = MessageChannel()
@@ -227,7 +230,7 @@ def test_run_round_rejects_out_of_range_round():
     theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
     from fedcl.federation import ServerState
     server = ServerState(theta0)
-    nodes = build_nodes(cfg, theta0)
+    nodes = build_nodes(cfg)
     for bad in (0, cfg.rounds + 1):
         with pytest.raises(ValueError):
             run_round(server, nodes, cfg, bad, MessageChannel())
@@ -334,6 +337,40 @@ def test_payload_violation_checks_metadata_shape():
                                          [square, bad])) is not None
     assert payload_violation(Message(MessageKind.METADATA_DOWN, "server", "node-0", 1,
                                      [])) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(list(MessageKind)),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+def test_non_finite_payloads_are_rejected(kind, bad, data):
+    """One NaN or infinity anywhere in a parameter vector, or in any mean or
+    covariance of a metadata payload or list, breaks the contract: the
+    channel refuses the message and the audit reports it at its index."""
+    downward = kind.value.endswith("_down")
+    sender, receiver = ("server", "node-0") if downward else ("node-0", "server")
+    if kind.value.startswith("params"):
+        payload = init_params(mlp_shapes(16, [6], 4), 0)
+        arrays = [payload.values]
+    else:
+        metas = [NodeMetadata(np.zeros(4), np.eye(4), k, 1) for k in range(3)]
+        payload = metas if downward else metas[0]
+        arrays = [a for m in (metas if downward else metas[:1]) for a in (m.mu, m.sigma)]
+    message = Message(kind, sender, receiver, 1, payload)
+    assert payload_violation(message) is None
+
+    target = arrays[data.draw(st.integers(0, len(arrays) - 1), label="array")]
+    target.flat[data.draw(st.integers(0, target.size - 1), label="position")] = bad
+    reason = f"{kind.value} carries non-finite values"
+    assert payload_violation(message) == reason
+    channel = MessageChannel()
+    with pytest.raises(ProtocolError, match=reason):
+        channel.send(message)
+    assert channel.messages == []
+
+    clean = run_training(tiny_config(rounds=1, warmup_rounds=0)).messages
+    at = data.draw(st.integers(0, len(clean)), label="index")
+    report = audit_privacy(clean[:at] + [message] + clean[at:])
+    assert report.violations == [(at, reason)]
 
 
 # -- serialization ------------------------------------------------------------

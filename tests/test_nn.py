@@ -25,16 +25,6 @@ def test_params_manifest_mismatch():
         EncoderParams(np.zeros(11), (LayerShape(2, 2), LayerShape(2, 2)), 2)
 
 
-def test_params_arithmetic():
-    a = tiny_params(np.arange(12))
-    b = tiny_params(np.ones(12))
-    assert np.array_equal((a + b).values, np.arange(12) + 1.0)
-    assert np.array_equal((2.0 * a).values, 2.0 * np.arange(12))
-    other = EncoderParams(np.zeros(7), (LayerShape(2, 2, has_bias=False), LayerShape(1, 2)), 1)
-    with pytest.raises(ShapeError):
-        a + other
-
-
 def test_mlp_shapes_chain():
     shapes = mlp_shapes(256, [64], 32)
     assert shapes == (LayerShape(64, 256), LayerShape(32, 64))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedcl.errors import ShapeError
 from fedcl.nn import EncoderParams, init_params, mlp_shapes
-from fedcl.rsa import (AggregationWeights, _average_ranks, aggregate, compute_rdm,
+from fedcl.rsa import (_average_ranks, aggregate, compute_rdm,
                        fedavg_weights, lower_triangle, rsa_score,
                        self_adaptive_weights, spearman)
 from fedcl.seeding import rng_for
@@ -141,11 +141,11 @@ def test_rsa_score_needs_probe():
 
 
 def test_self_adaptive_weight_tables():
-    w = self_adaptive_weights([0.0, 0.0, 0.0]).a
+    w = self_adaptive_weights([0.0, 0.0, 0.0])
     assert np.array_equal(w, np.full(3, 1.0 / 3.0))
-    w = self_adaptive_weights([1.0, 0.0, -1.0]).a
+    w = self_adaptive_weights([1.0, 0.0, -1.0])
     assert np.array_equal(w, np.array([0.0, 1.0 / 3.0, 2.0 / 3.0]))
-    w = self_adaptive_weights([1.0, 1.0]).a  # nothing moved: uniform fallback
+    w = self_adaptive_weights([1.0, 1.0])  # nothing moved: uniform fallback
     assert np.array_equal(w, np.array([0.5, 0.5]))
 
 
@@ -157,7 +157,9 @@ def test_self_adaptive_weight_validation():
 
 
 def test_fedavg_weight_table():
-    assert np.array_equal(fedavg_weights([1, 1, 2]).a, [0.25, 0.25, 0.5])
+    w = fedavg_weights([1, 1, 2])
+    assert w.dtype == np.float64
+    assert np.array_equal(w, [0.25, 0.25, 0.5])
 
 
 def test_fedavg_weight_validation():
@@ -173,7 +175,7 @@ def test_aggregate_weighted_sum():
     shapes = mlp_shapes(3, [], 2)
     a = EncoderParams(np.arange(8.0), shapes, 2)
     b = EncoderParams(np.ones(8), shapes, 2)
-    out = aggregate([a, b], AggregationWeights(np.array([0.25, 0.75])))
+    out = aggregate([a, b], [0.25, 0.75])
     assert np.array_equal(out.values, 0.25 * np.arange(8.0) + 0.75)
 
 

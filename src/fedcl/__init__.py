@@ -6,8 +6,8 @@ the local contrastive update, metadata exchange, representation-similarity
 aggregation, the round loop, and evaluation probes.
 """
 
-from .config import (ARMS, DataConfig, ExperimentConfig, PRESETS, apply_arm,
-                     load_config, preset_config, save_config)
+from .config import (ARMS, ExperimentConfig, PRESETS, apply_arm, load_config,
+                     preset_config, save_config)
 from .contrastive import (LocalHyperparams, NegativeQueue, augment,
                           local_update, momentum_update)
 from .datagen import (DISEASE_CLASSES, EVAL_CLASSES, HEALTHY_CLASS,
@@ -32,7 +32,7 @@ from .seeding import rng_for, seed_for
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARMS", "AuditReport", "ConfigError", "DataConfig", "DISEASE_CLASSES",
+    "ARMS", "AuditReport", "ConfigError", "DISEASE_CLASSES",
     "EVAL_CLASSES", "EncoderParams", "ExperimentConfig", "FederatedNode",
     "FineTuneConfig", "FineTuneResult", "HEALTHY_CLASS", "ImageSample",
     "LayerShape", "LocalHyperparams", "Message", "MessageChannel",

@@ -74,17 +74,15 @@ def _model_label(arm: str, node_count: int | None) -> str:
 
 def _evaluate_run(config: ExperimentConfig, result, seed: int) -> list[dict]:
     records: list[dict] = []
-    spec = config.scenario_spec()
-    train, test = datagen.make_eval_split(spec, seed)
+    train, test = datagen.make_eval_split(config.data, seed)
     if config.run_probe:
-        probe_cfg = dataclasses.replace(config.probe, seed=seed)
-        probe = evaluate.linear_probe(result.theta0, train, test, probe_cfg)
+        probe = evaluate.linear_probe(result.theta0, train, test, config.probe, seed)
         records.append({"metric": "probe_accuracy", "value": probe.accuracy})
         for cls, acc in sorted(probe.per_class_accuracy.items()):
             records.append({"metric": f"probe_accuracy_class_{cls}", "value": acc})
     if config.run_fine_tune:
-        ft_cfg = dataclasses.replace(config.fine_tune, seed=seed)
-        ft = evaluate.fine_tune(result.theta0, config.fine_tune_fraction, train, test, ft_cfg)
+        ft = evaluate.fine_tune(result.theta0, config.fine_tune_fraction, train, test,
+                                config.fine_tune, seed)
         records.append({"metric": "finetune_final_accuracy", "value": ft.final_accuracy})
         records.append({"metric": "finetune_best_accuracy", "value": ft.best_accuracy})
         records.append({"metric": "finetune_best_epoch", "value": float(ft.best_epoch)})
@@ -296,14 +294,14 @@ def _audit_one(run_dir: Path) -> int:
 
 def cmd_export_data(args) -> int:
     config, _, _, name = _load_base_config(args)
-    spec = config.scenario_spec()
     dest = Path(args.out or f"./data-{name}")
     dest.mkdir(parents=True, exist_ok=True)
     for k in range(config.nodes):
-        shard = datagen.generate_node_dataset(spec, k, config.seed, keep_labels=True)
+        shard = datagen.generate_node_dataset(config.data, config.nodes, k, config.seed,
+                                              keep_labels=True)
         datagen.export_dataset(shard, dest / f"node-{k}.bin")
         print(f"node-{k}: {len(shard)} images -> {dest / f'node-{k}.bin'}")
-    train, test = datagen.make_eval_split(spec, config.seed)
+    train, test = datagen.make_eval_split(config.data, config.seed)
     datagen.export_dataset(train, dest / "eval-train.bin")
     datagen.export_dataset(test, dest / "eval-test.bin")
     print(f"eval split: {len(train)} train / {len(test)} test -> {dest}")

@@ -1,5 +1,6 @@
 """Experiment configuration: validated dataclasses, YAML loading, presets,
-and the ablation arm definitions.
+and the ablation arm definitions. The ``data`` section is
+``datagen.ScenarioSpec``; ``ExperimentConfig.validate`` checks every section.
 
 An arm names a (metadata_enabled, aggregation_mode) combination so every
 ablation runs from one base config:
@@ -27,21 +28,6 @@ from .seeding import seed_for
 
 
 @dataclass
-class DataConfig:
-    scenario: str = "equal"
-    base_size: int = 10000
-    gamma: float = 10.0
-    image_size: int = 16
-    intensity_offsets: list[float] | None = None
-    noise_sigmas: list[float] | None = None
-    texture_freqs: list[float] | None = None
-    eval_per_class: int = 600
-    eval_offset: float = 0.08
-    eval_noise: float = 0.15
-    eval_texture_freq: float = 1.5
-
-
-@dataclass
 class ExperimentConfig:
     # federation
     nodes: int = 3
@@ -49,7 +35,6 @@ class ExperimentConfig:
     warmup_rounds: int = 50
     aggregation_mode: str = "self_adaptive"
     metadata_enabled: bool = True
-    metadata_timing: str = "post_sync"  # or "post_update"
     eta: float = 0.05
     # intra-node contrastive training
     queue_capacity: int = 1024
@@ -70,9 +55,8 @@ class ExperimentConfig:
     # aggregation scoring
     probe_size: int = 100
     # data and seeds
-    data: DataConfig = field(default_factory=DataConfig)
+    data: ScenarioSpec = field(default_factory=ScenarioSpec)
     seed: int = 0
-    node_seeds: list | None = None
     # evaluation
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     fine_tune: FineTuneConfig = field(default_factory=FineTuneConfig)
@@ -89,8 +73,6 @@ class ExperimentConfig:
             (0 <= self.warmup_rounds <= self.rounds, "warmup_rounds: must lie in [0, rounds]"),
             (self.aggregation_mode in ("self_adaptive", "fedavg"),
              f"aggregation_mode: unknown mode '{self.aggregation_mode}'"),
-            (self.metadata_timing in ("post_sync", "post_update"),
-             f"metadata_timing: unknown timing '{self.metadata_timing}'"),
             (self.eta >= 0, "eta: must be non-negative"),
             (self.queue_capacity >= 0, "queue_capacity: must be non-negative"),
             (self.batch_size >= 1, "batch_size: must be at least 1"),
@@ -106,47 +88,32 @@ class ExperimentConfig:
             (self.seed >= 0, "seed: must be non-negative"),
             (0 < self.fine_tune_fraction <= 1, "fine_tune_fraction: must lie in (0, 1]"),
         ]
+        for section in ("probe", "fine_tune"):
+            sub = getattr(self, section)
+            checks += [
+                (sub.epochs >= 1, f"{section}.epochs: must be at least 1"),
+                (sub.batch_size >= 1, f"{section}.batch_size: must be at least 1"),
+                (sub.lr >= 0, f"{section}.lr: must be non-negative"),
+            ]
+        checks += [
+            (0 <= self.fine_tune.momentum < 1, "fine_tune.momentum: must lie in [0, 1)"),
+            (self.fine_tune.weight_decay >= 0, "fine_tune.weight_decay: must be non-negative"),
+        ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
         for pair in self.lr_milestones:
             if len(pair) != 2 or pair[0] < 1 or pair[1] <= 0:
                 raise ConfigError(f"lr_milestones: bad entry {pair!r} (want [round, factor])")
-        if self.node_seeds is not None:
-            if len(self.node_seeds) != self.nodes:
-                raise ConfigError(f"node_seeds: expected {self.nodes} entries")
-            if any(int(s) < 0 for s in self.node_seeds):
-                raise ConfigError("node_seeds: entries must be non-negative")
-        spec = self.scenario_spec()  # re-raises scenario field problems
-        if min(spec.node_sizes()) < 3:
-            raise ConfigError("data.base_size: every node needs at least 3 images")
+        self.data.validate(self.nodes)
         return self
 
     # -- derived objects ---------------------------------------------------
-
-    def scenario_spec(self) -> ScenarioSpec:
-        d = self.data
-        return ScenarioSpec(
-            kind=d.scenario,
-            num_nodes=self.nodes,
-            base_size=d.base_size,
-            gamma=d.gamma,
-            image_size=d.image_size,
-            intensity_offsets=tuple(d.intensity_offsets) if d.intensity_offsets else None,
-            noise_sigmas=tuple(d.noise_sigmas) if d.noise_sigmas else None,
-            texture_freqs=tuple(d.texture_freqs) if d.texture_freqs else None,
-            eval_per_class=d.eval_per_class,
-            eval_offset=d.eval_offset,
-            eval_noise=d.eval_noise,
-            eval_texture_freq=d.eval_texture_freq,
-        )
 
     def encoder_shapes(self) -> tuple[LayerShape, ...]:
         return mlp_shapes(self.data.image_size ** 2, self.hidden_dims, self.feature_dim)
 
     def node_seed(self, node_id: int) -> int:
-        if self.node_seeds is not None:
-            return int(self.node_seeds[node_id])
         return seed_for(self.seed, "node", node_id)
 
     def lr_at(self, round_index: int) -> float:
@@ -157,18 +124,18 @@ class ExperimentConfig:
         return self.lr * factor
 
 
-_NESTED = {"data": DataConfig, "probe": ProbeConfig, "fine_tune": FineTuneConfig}
+_NESTED = {"data": ScenarioSpec, "probe": ProbeConfig, "fine_tune": FineTuneConfig}
 
 
 def _build(dc_cls, data: dict, prefix: str):
     if not isinstance(data, dict):
-        raise ConfigError(f"{prefix or 'config'}: expected a mapping")
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'}: expected a mapping")
     known = {f.name for f in fields(dc_cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"{prefix}{key}: unknown field")
-        if dc_cls is ExperimentConfig and key in _NESTED and isinstance(value, dict):
+        if dc_cls is ExperimentConfig and key in _NESTED and not isinstance(value, _NESTED[key]):
             kwargs[key] = _build(_NESTED[key], value, f"{prefix}{key}.")
         else:
             kwargs[key] = value
@@ -233,14 +200,10 @@ def apply_arm(config: ExperimentConfig, arm: str) -> ExperimentConfig:
     for key, value in ARMS[arm].items():
         setattr(cfg, key, value)
     if arm == "oracle":
-        total = sum(config.scenario_spec().node_sizes())
+        total = sum(config.data.node_sizes(config.nodes))
         cfg.nodes = 1
         cfg.data.scenario = "equal"
         cfg.data.base_size = total
-        cfg.data.intensity_offsets = None
-        cfg.data.noise_sigmas = None
-        cfg.data.texture_freqs = None
-        cfg.node_seeds = None
     return cfg.validate()
 
 

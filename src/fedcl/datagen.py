@@ -44,9 +44,12 @@ def sample_fingerprint(sample: ImageSample) -> str:
 
 @dataclass
 class ScenarioSpec:
-    """How data is laid out across nodes, plus rendering knobs.
+    """The config's ``data`` section: how images are laid out across nodes,
+    plus rendering knobs. Node ``k`` renders with intensity offset
+    ``0.08 k``, noise sigma ``0.05 + 0.02 k`` and texture frequency
+    ``1 + k``, emulating a different scanner at each site.
 
-    ``kind`` is one of:
+    ``scenario`` is one of:
       equal      -- every node holds ``base_size`` images of all four
                     pre-training classes
       size_skew  -- all but the last node shrink to ``gamma`` percent of
@@ -55,57 +58,47 @@ class ScenarioSpec:
                     the last node holds only the disease-proxy classes
     """
 
-    kind: str = "equal"
-    num_nodes: int = 3
-    base_size: int = 2000
+    scenario: str = "equal"
+    base_size: int = 10000
     gamma: float = 10.0
     image_size: int = 16
-    intensity_offsets: tuple[float, ...] | None = None
-    noise_sigmas: tuple[float, ...] | None = None
-    texture_freqs: tuple[float, ...] | None = None
     eval_per_class: int = 600
     eval_offset: float = 0.08
     eval_noise: float = 0.15
     eval_texture_freq: float = 1.5
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("equal", "size_skew", "label_skew"):
-            raise ConfigError(f"scenario.kind: unknown scenario '{self.kind}'")
-        if self.num_nodes < 1:
-            raise ConfigError("scenario.num_nodes: must be at least 1")
-        if self.kind == "label_skew" and self.num_nodes < 2:
-            raise ConfigError("scenario.kind: label_skew needs at least 2 nodes")
-        if self.base_size < 3:
-            raise ConfigError("scenario.base_size: must be at least 3")
-        if self.kind == "size_skew" and not 0.0 < self.gamma <= 100.0:
-            raise ConfigError("scenario.gamma: must lie in (0, 100]")
-        if self.image_size < 8:
-            raise ConfigError("scenario.image_size: must be at least 8")
-        if self.eval_per_class < 2:
-            raise ConfigError("scenario.eval_per_class: must be at least 2")
-        k = self.num_nodes
-        if self.intensity_offsets is None:
-            self.intensity_offsets = tuple(0.08 * i for i in range(k))
-        if self.noise_sigmas is None:
-            self.noise_sigmas = tuple(0.05 + 0.02 * i for i in range(k))
-        if self.texture_freqs is None:
-            self.texture_freqs = tuple(1.0 + i for i in range(k))
-        for name in ("intensity_offsets", "noise_sigmas", "texture_freqs"):
-            knobs = tuple(getattr(self, name))
-            setattr(self, name, knobs)
-            if len(knobs) != k:
-                raise ConfigError(f"scenario.{name}: expected {k} entries, got {len(knobs)}")
+    def validate(self, num_nodes: int) -> "ScenarioSpec":
+        checks = [
+            (self.scenario in ("equal", "size_skew", "label_skew"),
+             f"data.scenario: unknown scenario '{self.scenario}'"),
+            (self.scenario != "label_skew" or num_nodes >= 2,
+             "data.scenario: label_skew needs at least 2 nodes"),
+            (self.base_size >= 3, "data.base_size: must be at least 3"),
+            (self.scenario != "size_skew" or 0.0 < self.gamma <= 100.0,
+             "data.gamma: must lie in (0, 100]"),
+            (self.image_size >= 8, "data.image_size: must be at least 8"),
+            (self.eval_per_class >= 2, "data.eval_per_class: must be at least 2"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
+        return self
 
-    def node_sizes(self) -> tuple[int, ...]:
-        if self.kind == "size_skew":
+    def node_sizes(self, num_nodes: int) -> tuple[int, ...]:
+        if self.scenario == "size_skew":
             small = max(3, int(round(self.base_size * self.gamma / 100.0)))
-            return tuple([small] * (self.num_nodes - 1) + [self.base_size])
-        return tuple([self.base_size] * self.num_nodes)
+            return tuple([small] * (num_nodes - 1) + [self.base_size])
+        return tuple([self.base_size] * num_nodes)
 
-    def node_classes(self, node_id: int) -> tuple[int, ...]:
-        if self.kind == "label_skew":
-            return (HEALTHY_CLASS,) if node_id < self.num_nodes - 1 else DISEASE_CLASSES
+    def node_classes(self, num_nodes: int, node_id: int) -> tuple[int, ...]:
+        if self.scenario == "label_skew":
+            return (HEALTHY_CLASS,) if node_id < num_nodes - 1 else DISEASE_CLASSES
         return PRETRAIN_CLASSES
+
+
+def node_knobs(node_id: int) -> tuple[float, float, float]:
+    """(intensity offset, noise sigma, texture frequency) of node ``node_id``."""
+    return 0.08 * node_id, 0.05 + 0.02 * node_id, 1.0 + node_id
 
 
 def _render_shape(cls: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -173,17 +166,15 @@ def _compose(base: np.ndarray, rng: np.random.Generator, offset: float,
     return np.clip(img, 0.0, 1.0)
 
 
-def generate_node_dataset(spec: ScenarioSpec, node_id: int, seed: int,
+def generate_node_dataset(spec: ScenarioSpec, num_nodes: int, node_id: int, seed: int,
                           keep_labels: bool = False) -> list[ImageSample]:
     """Render one node's shard. Labels are stripped unless ``keep_labels``
     (they exist only for debugging; pre-training is unlabeled)."""
-    if not 0 <= node_id < spec.num_nodes:
-        raise ConfigError(f"node_id: {node_id} out of range for {spec.num_nodes} nodes")
-    n = spec.node_sizes()[node_id]
-    classes = spec.node_classes(node_id)
-    offset = spec.intensity_offsets[node_id]
-    sigma = spec.noise_sigmas[node_id]
-    freq = spec.texture_freqs[node_id]
+    if not 0 <= node_id < num_nodes:
+        raise ConfigError(f"node_id: {node_id} out of range for {num_nodes} nodes")
+    n = spec.node_sizes(num_nodes)[node_id]
+    classes = spec.node_classes(num_nodes, node_id)
+    offset, sigma, freq = node_knobs(node_id)
     rng = rng_for(seed, "node-data", node_id)
     out = []
     for _ in range(n):

@@ -23,7 +23,6 @@ class ProbeConfig:
     epochs: int = 50
     lr: float = 0.1
     batch_size: int = 64
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class FineTuneConfig:
     batch_size: int = 32
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    seed: int = 0
 
 
 @dataclass
@@ -66,7 +64,8 @@ def _stack(samples) -> np.ndarray:
     return np.stack([s.pixels for s in samples])
 
 
-def linear_probe(encoder: nn.EncoderParams, train, test, config: ProbeConfig) -> ProbeResult:
+def linear_probe(encoder: nn.EncoderParams, train, test, config: ProbeConfig,
+                 seed: int) -> ProbeResult:
     """Multinomial logistic regression on frozen features, plain SGD at a
     constant learning rate. The encoder itself is never modified.
 
@@ -90,7 +89,7 @@ def linear_probe(encoder: nn.EncoderParams, train, test, config: ProbeConfig) ->
     n_classes, d = len(classes), encoder.feature_dim
     w = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
-    rng = rng_for(config.seed, "linear-probe")
+    rng = rng_for(seed, "linear-probe")
     n = len(train)
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -123,7 +122,7 @@ def _test_accuracy(params, w, b, x_test, y_test) -> float:
 
 
 def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train, test,
-              config: FineTuneConfig) -> FineTuneResult:
+              config: FineTuneConfig, seed: int) -> FineTuneResult:
     """Unfreeze the encoder, attach a linear head, and train both on a
     stratified ``train_fraction`` of the labeled split.
 
@@ -138,7 +137,7 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train, test,
     test = _canonical(test)
     classes = sorted({s.label for s in train} | {s.label for s in test})
     index = {c: i for i, c in enumerate(classes)}
-    rng = rng_for(config.seed, "fine-tune")
+    rng = rng_for(seed, "fine-tune")
 
     chosen: list[ImageSample] = []
     for c in classes:

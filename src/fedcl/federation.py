@@ -10,7 +10,8 @@ Per round: parameters go down and every node trains from them afresh (key
 encoder equal to the query encoder, empty key queue, zero optimizer
 momentum). After the warm-up phase, distribution metadata flows down before
 any local update and back up after it, so a node only ever consumes
-statistics its peers uploaded in the previous round.
+statistics its peers uploaded in the previous round. An upload summarizes
+the node's features under the broadcast encoder.
 
 The wire contract (``CONTRACT``) and the run artifacts are defined here too.
 """
@@ -271,9 +272,8 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
                 f"node {node.node_id}, round {round_index}: local loss is {loss}")
         synthetic_counts[node.node_id] = int(synth.shape[0])
         if meta_round:
-            source = theta if config.metadata_timing == "post_sync" else trained[node.node_id]
             uploads[node.node_id] = md.compute_metadata(
-                nn.forward_batch(source, node.images), config.boxcox_lambda,
+                nn.forward_batch(theta, node.images), config.boxcox_lambda,
                 config.cov_jitter, node.node_id, round_index)
 
     if meta_round:
@@ -316,10 +316,9 @@ class RunResult:
 
 def build_nodes(config: ExperimentConfig) -> list[FederatedNode]:
     """Each node's private shard and seed; nodes hold no parameters."""
-    spec = config.scenario_spec()
     nodes = []
     for k in range(config.nodes):
-        shard = datagen.generate_node_dataset(spec, k, config.seed)
+        shard = datagen.generate_node_dataset(config.data, config.nodes, k, config.seed)
         images = np.stack([s.pixels for s in shard])
         nodes.append(FederatedNode(k, images, config.node_seed(k)))
     return nodes

@@ -206,17 +206,24 @@ def sgd_step(values, grad, buf, lr, momentum, weight_decay, scratch) -> None:
     values -= scratch
 
 
-def _as_key_rows(keys, d: int) -> np.ndarray:
+def _as_key_rows(keys, d: int, name: str) -> np.ndarray:
+    """Key features as (n, d) rows; a 1-D row of width d is one key."""
     if keys is None or np.size(keys) == 0:
         return np.zeros((0, d))
-    return np.asarray(keys, dtype=np.float64).reshape(-1, d)
+    rows = np.asarray(keys, dtype=np.float64)
+    if rows.ndim == 1 and rows.size == d:
+        return rows.reshape(1, d)
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise ShapeError(f"{name}: expected key rows of width {d}, got shape {rows.shape}")
+    return rows
 
 
 def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negatives, temperature):
     """Mean contrastive loss over the query batch and its exact gradient.
 
     ``positives``, ``negatives`` and ``synthetic_negatives`` are key-side
-    feature rows and are treated as constants: gradients flow only through
+    feature rows of width ``feature_dim`` (any other width is a
+    ``ShapeError``) and are treated as constants: gradients flow only through
     the query encoder. Either negative set may be empty; with both empty the
     softmax has a single term and the loss is exactly zero.
 
@@ -228,13 +235,14 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     if queries.size == 0 or queries.shape[0] == 0:
         raise ValueError("empty query batch")
     d = params_q.feature_dim
-    pos = np.asarray(positives, dtype=np.float64).reshape(-1, d)
+    pos = _as_key_rows(positives, d, "positives")
+    negs = np.vstack([_as_key_rows(negatives, d, "negatives"),
+                      _as_key_rows(synthetic_negatives, d, "synthetic negatives")])
     cache = forward_cached(params_q, queries)
     z_q = cache.features
     batch = z_q.shape[0]
     if pos.shape[0] != batch:
         raise ShapeError(f"{batch} queries but {pos.shape[0]} positive keys")
-    negs = np.vstack([_as_key_rows(negatives, d), _as_key_rows(synthetic_negatives, d)])
 
     tau = float(temperature)
     logits = np.empty((batch, 1 + negs.shape[0]))

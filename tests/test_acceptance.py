@@ -250,9 +250,8 @@ def test_criterion_09_label_skew_arms_beat_or_match_baseline():
         for seed in (0, 1, 2):
             cfg = apply_arm(dataclasses.replace(base, seed=seed), arm)
             result = run_training(cfg)
-            train, test = make_eval_split(cfg.scenario_spec(), seed)
-            probe = linear_probe(result.theta0, train, test,
-                                 dataclasses.replace(cfg.probe, seed=seed))
+            train, test = make_eval_split(cfg.data, seed)
+            probe = linear_probe(result.theta0, train, test, cfg.probe, seed)
             accs.append(probe.accuracy)
         means[arm] = float(np.mean(accs))
         per_seed[arm] = [round(a, 4) for a in accs]
@@ -279,11 +278,10 @@ def test_criterion_10_pretraining_beats_random_init_fine_tune():
     pretrained = run_training(cfg).theta0
     diffs = []
     for seed in range(5):
-        train, test = make_eval_split(cfg.scenario_spec(), seed)
-        ft_cfg = dataclasses.replace(cfg.fine_tune, seed=seed)
-        pre = fine_tune(pretrained, cfg.fine_tune_fraction, train, test, ft_cfg)
+        train, test = make_eval_split(cfg.data, seed)
+        pre = fine_tune(pretrained, cfg.fine_tune_fraction, train, test, cfg.fine_tune, seed)
         rand_enc = init_params(cfg.encoder_shapes(), seed_for(seed, "random-init"))
-        rand = fine_tune(rand_enc, cfg.fine_tune_fraction, train, test, ft_cfg)
+        rand = fine_tune(rand_enc, cfg.fine_tune_fraction, train, test, cfg.fine_tune, seed)
         diffs.append(pre.best_accuracy - rand.best_accuracy)
     median = float(np.median(diffs))
     elapsed = time.perf_counter() - started

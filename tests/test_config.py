@@ -1,10 +1,16 @@
+import copy
+import dataclasses
+import re
+
 import pytest
+import yaml
 
 from fedcl.config import (ARMS, ExperimentConfig, PRESETS, apply_arm,
                           from_dict, load_config, preset_config, save_config,
                           to_dict)
 from fedcl.errors import ConfigError
 from fedcl.nn import LayerShape
+from fedcl.seeding import seed_for
 
 
 def small_config(**kw):
@@ -23,11 +29,23 @@ def test_defaults_validate():
     assert cfg.encoder_shapes() == (LayerShape(64, 256), LayerShape(32, 64))
 
 
-def test_unknown_keys_report_dotted_path():
-    with pytest.raises(ConfigError, match="data.nope"):
-        from_dict({"data": {"nope": 1}})
-    with pytest.raises(ConfigError, match="mystery"):
-        from_dict({"mystery": 1})
+# The last five were settings once: a config.yaml that still holds one is
+# refused, not read without it.
+@pytest.mark.parametrize("key", ["data.nope", "mystery", "metadata_timing", "node_seeds",
+                                 "data.noise_sigmas", "probe.seed", "fine_tune.seed"])
+def test_unknown_keys_report_dotted_path(key, tmp_path):
+    raw = to_dict(small_config())
+    *sections, name = key.split(".")
+    target = raw
+    for section in sections:
+        target = target[section]
+    target[name] = 1
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: unknown field"):
+        from_dict(raw)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=rf"config\.yaml: {re.escape(key)}: unknown field"):
+        load_config(path)
 
 
 def test_dict_roundtrip():
@@ -41,14 +59,26 @@ def test_validate_messages_name_the_field():
         ({"rounds": 2, "warmup_rounds": 5}, "warmup_rounds"),
         ({"aggregation_mode": "mean"}, "aggregation_mode"),
         ({"temperature": 0.0}, "temperature"),
-        ({"metadata_timing": "sometime"}, "metadata_timing"),
         ({"momentum_coeff": 1.0}, "momentum_coeff"),
         ({"fine_tune_fraction": 0.0}, "fine_tune_fraction"),
+        ({"probe": {"epochs": 0}}, "probe.epochs"),
+        ({"probe": {"batch_size": 0}}, "probe.batch_size"),
+        ({"probe": {"lr": -0.1}}, "probe.lr"),
+        ({"fine_tune": {"epochs": 0}}, "fine_tune.epochs"),
+        ({"fine_tune": {"batch_size": 0}}, "fine_tune.batch_size"),
+        ({"fine_tune": {"lr": -0.1}}, "fine_tune.lr"),
+        ({"fine_tune": {"momentum": 1.0}}, "fine_tune.momentum"),
+        ({"fine_tune": {"momentum": -0.1}}, "fine_tune.momentum"),
+        ({"fine_tune": {"weight_decay": -1e-4}}, "fine_tune.weight_decay"),
+        ({"data": {"scenario": "mystery"}}, "data.scenario"),
     ]:
         with pytest.raises(ConfigError, match=needle):
             small_config(**overrides).validate()
-    with pytest.raises(ConfigError, match="base_size"):
+    with pytest.raises(ConfigError, match="data.base_size"):
         small_config(data={"base_size": 2}).validate()
+    for section in ("data", "probe", "fine_tune"):
+        with pytest.raises(ConfigError, match=f"^{section}: expected a mapping"):
+            small_config(**{section: None})
 
 
 def test_lr_schedule_steps_down_at_milestones():
@@ -62,15 +92,11 @@ def test_lr_schedule_steps_down_at_milestones():
     assert cfg.lr_at(200) == 0.03 * 0.01
 
 
-def test_node_seeds_explicit_and_derived():
-    cfg = small_config(node_seeds=[11, 22, 33])
-    cfg.validate()
-    assert [cfg.node_seed(k) for k in range(3)] == [11, 22, 33]
-    auto = small_config()
-    seeds = {auto.node_seed(k) for k in range(3)}
-    assert len(seeds) == 3
-    with pytest.raises(ConfigError, match="node_seeds"):
-        small_config(node_seeds=[1, 2]).validate()
+def test_node_seeds_derive_from_the_run_seed():
+    cfg = small_config(seed=7)
+    seeds = [cfg.node_seed(k) for k in range(3)]
+    assert seeds == [seed_for(7, "node", k) for k in range(3)]
+    assert len(set(seeds)) == 3
 
 
 def test_arm_toggle_table():
@@ -121,11 +147,23 @@ def test_load_config_prefixes_file_errors(tmp_path):
         load_config(path)
 
 
-def test_presets_all_build():
+def test_presets_all_build(tmp_path):
+    """Every config a `fedcl run --preset` sweep writes to config.yaml, built
+    as cmd_run builds it (each arm at each node count), validates and reads
+    back equal."""
     for name in PRESETS:
-        cfg, preset = preset_config(name)
-        cfg.validate()
+        base, preset = preset_config(name)
+        base.validate()
         assert all(arm in ARMS for arm in preset.arms)
+        for arm in preset.arms:
+            for k in preset.node_counts or (None,):
+                cfg = dataclasses.replace(copy.deepcopy(base), seed=3)
+                if k is not None:
+                    cfg.nodes = k
+                cfg = apply_arm(cfg, arm).validate()
+                path = tmp_path / f"{name}-{arm}-{k}.yaml"
+                save_config(cfg, path)
+                assert load_config(path) == cfg
     with pytest.raises(ConfigError, match="preset"):
         preset_config("imaginary")
 

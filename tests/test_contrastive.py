@@ -296,8 +296,8 @@ def test_local_update_loss_decreases_over_epochs():
     keep the check off a single lucky trajectory."""
     from fedcl.datagen import ScenarioSpec, generate_node_dataset
 
-    spec = ScenarioSpec(kind="equal", num_nodes=1, base_size=64)
-    images = np.stack([s.pixels for s in generate_node_dataset(spec, 0, 0)])
+    spec = ScenarioSpec(base_size=64)
+    images = np.stack([s.pixels for s in generate_node_dataset(spec, 1, 0, 0)])
     shapes = mlp_shapes(256, [64], 32)
     hp = hyper(batch_size=32, lr=0.05, epochs=10)
     drops = []
@@ -318,6 +318,12 @@ def test_local_update_synthetic_negatives_enter_loss():
     _, with_synth = local_update(theta, images, synth, hp, 5)
     assert plain == empty
     assert with_synth[0] > plain[0]  # extra negatives add softmax mass
+
+
+def test_local_update_rejects_synthetic_rows_of_the_wrong_width():
+    """Three 8-wide rows for a 4-feature encoder are not six keys."""
+    with pytest.raises(ShapeError, match="synthetic negatives.*width 4"):
+        local_update(init_params(SHAPES, 0), small_shard(4), np.ones((3, 8)), hyper(), 5)
 
 
 def test_local_update_checks_key_encoder_momentum():

@@ -6,26 +6,30 @@ import pytest
 from fedcl.datagen import (DISEASE_CLASSES, EVAL_CLASSES, HEALTHY_CLASS,
                            PRETRAIN_CLASSES, ImageSample, ScenarioSpec,
                            export_dataset, generate_node_dataset,
-                           load_dataset, make_eval_split, sample_fingerprint)
+                           load_dataset, make_eval_split, node_knobs,
+                           sample_fingerprint)
 from fedcl.errors import ConfigError, ShapeError
 
 
+K = 3  # nodes in every scenario below
+
+
 def spec(**kw):
-    defaults = dict(kind="equal", num_nodes=3, base_size=12, eval_per_class=9)
+    defaults = dict(scenario="equal", base_size=12, eval_per_class=9)
     defaults.update(kw)
     return ScenarioSpec(**defaults)
 
 
 def test_generation_is_deterministic():
-    a = generate_node_dataset(spec(), 1, seed=7)
-    b = generate_node_dataset(spec(), 1, seed=7)
+    a = generate_node_dataset(spec(), K, 1, seed=7)
+    b = generate_node_dataset(spec(), K, 1, seed=7)
     assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
-    c = generate_node_dataset(spec(), 2, seed=7)
+    c = generate_node_dataset(spec(), K, 2, seed=7)
     assert not np.array_equal(a[0].pixels, c[0].pixels)
 
 
 def test_images_shape_and_range():
-    shard = generate_node_dataset(spec(), 0, seed=0)
+    shard = generate_node_dataset(spec(), K, 0, seed=0)
     assert len(shard) == 12
     for s in shard:
         assert s.pixels.shape == (16, 16)
@@ -34,25 +38,25 @@ def test_images_shape_and_range():
 
 
 def test_size_skew_shrinks_all_but_last_node():
-    sizes = spec(kind="size_skew", base_size=40, gamma=25.0).node_sizes()
+    sizes = spec(scenario="size_skew", base_size=40, gamma=25.0).node_sizes(K)
     assert sizes == (10, 10, 40)
-    sizes = spec(kind="size_skew", base_size=12, gamma=10.0).node_sizes()
+    sizes = spec(scenario="size_skew", base_size=12, gamma=10.0).node_sizes(K)
     assert sizes == (3, 3, 12)  # floor of 3 images per node
 
 
 def test_label_skew_class_split():
-    sk = spec(kind="label_skew")
-    assert sk.node_classes(0) == (HEALTHY_CLASS,)
-    assert sk.node_classes(1) == (HEALTHY_CLASS,)
-    assert sk.node_classes(2) == DISEASE_CLASSES
-    healthy = generate_node_dataset(sk, 0, seed=1, keep_labels=True)
-    disease = generate_node_dataset(sk, 2, seed=1, keep_labels=True)
+    sk = spec(scenario="label_skew")
+    assert sk.node_classes(K, 0) == (HEALTHY_CLASS,)
+    assert sk.node_classes(K, 1) == (HEALTHY_CLASS,)
+    assert sk.node_classes(K, 2) == DISEASE_CLASSES
+    healthy = generate_node_dataset(sk, K, 0, seed=1, keep_labels=True)
+    disease = generate_node_dataset(sk, K, 2, seed=1, keep_labels=True)
     assert {s.label for s in healthy} == {HEALTHY_CLASS}
     assert {s.label for s in disease} <= set(DISEASE_CLASSES)
 
 
 def test_equal_scenario_uses_pretrain_palette():
-    shard = generate_node_dataset(spec(base_size=60), 0, seed=3, keep_labels=True)
+    shard = generate_node_dataset(spec(base_size=60), K, 0, seed=3, keep_labels=True)
     assert {s.label for s in shard} == set(PRETRAIN_CLASSES)
 
 
@@ -77,7 +81,7 @@ def test_eval_split_deterministic():
 
 
 def test_export_load_roundtrip(tmp_path):
-    samples = generate_node_dataset(spec(), 0, seed=2, keep_labels=True)
+    samples = generate_node_dataset(spec(), K, 0, seed=2, keep_labels=True)
     samples[3].label = None  # mixed labeled/unlabeled
     path = tmp_path / "shard.bin"
     export_dataset(samples, path)
@@ -89,7 +93,7 @@ def test_export_load_roundtrip(tmp_path):
 
 
 def test_load_rejects_truncated_file(tmp_path):
-    samples = generate_node_dataset(spec(), 0, seed=2)
+    samples = generate_node_dataset(spec(), K, 0, seed=2)
     path = tmp_path / "shard.bin"
     export_dataset(samples, path)
     path.write_bytes(path.read_bytes()[:-16])
@@ -99,7 +103,7 @@ def test_load_rejects_truncated_file(tmp_path):
 
 @pytest.mark.parametrize("change", [-1, 1])
 def test_load_rejects_sidecar_of_wrong_length(tmp_path, change):
-    samples = generate_node_dataset(spec(), 0, seed=2, keep_labels=True)
+    samples = generate_node_dataset(spec(), K, 0, seed=2, keep_labels=True)
     path = tmp_path / "shard.bin"
     export_dataset(samples, path)
     sidecar = tmp_path / "shard.bin.labels"
@@ -121,22 +125,23 @@ def test_fingerprint_tracks_content_and_label():
 
 
 def test_scenario_validation():
-    with pytest.raises(ConfigError):
-        spec(kind="mystery")
-    with pytest.raises(ConfigError):
-        spec(kind="size_skew", gamma=0.0)
-    with pytest.raises(ConfigError):
-        spec(kind="label_skew", num_nodes=1)
-    with pytest.raises(ConfigError):
-        spec(image_size=4)
-    with pytest.raises(ConfigError):
-        spec(noise_sigmas=(0.1, 0.2))  # wrong length for 3 nodes
-    with pytest.raises(ConfigError):
-        generate_node_dataset(spec(), 3, seed=0)
+    assert spec().validate(K) == spec()
+    for kw, nodes, needle in [
+        ({"scenario": "mystery"}, K, "data.scenario"),
+        ({"scenario": "size_skew", "gamma": 0.0}, K, "data.gamma"),
+        ({"scenario": "label_skew"}, 1, "data.scenario"),
+        ({"base_size": 2}, K, "data.base_size"),
+        ({"image_size": 4}, K, "data.image_size"),
+        ({"eval_per_class": 1}, K, "data.eval_per_class"),
+    ]:
+        with pytest.raises(ConfigError, match=needle):
+            spec(**kw).validate(nodes)
+    with pytest.raises(ConfigError, match="node_id"):
+        generate_node_dataset(spec(), K, K, seed=0)
 
 
 def test_default_knobs_differ_per_node():
-    s = spec()
-    assert len(set(s.intensity_offsets)) == 3
-    assert len(set(s.noise_sigmas)) == 3
-    assert len(set(s.texture_freqs)) == 3
+    knobs = [node_knobs(k) for k in range(K)]
+    assert knobs[0] == (0.0, 0.05, 1.0)
+    for column in zip(*knobs):
+        assert len(set(column)) == K

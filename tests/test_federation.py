@@ -147,16 +147,14 @@ def test_queue_flushed_every_round(monkeypatch):
     assert seen == want
 
 
-@pytest.mark.parametrize("timing,source", [("post_sync", MessageKind.PARAMS_DOWN),
-                                           ("post_update", MessageKind.PARAMS_UP)])
-def test_metadata_summarizes_the_timed_encoder(timing, source):
-    """post_sync uploads summarize the broadcast encoder, post_update ones
-    the node's locally trained encoder."""
-    cfg = tiny_config(rounds=2, metadata_timing=timing)
+def test_metadata_summarizes_the_broadcast_encoder():
+    """Uploads summarize the node's features under the encoder it was sent
+    that round, not the one it trained."""
+    cfg = tiny_config(rounds=2)
     result = run_training(cfg)
     nodes = build_nodes(cfg)
     params = {(m.round_index, node_id_of(m)): m.payload
-              for m in result.messages if m.kind is source}
+              for m in result.messages if m.kind is MessageKind.PARAMS_DOWN}
     uploads = [m for m in result.messages if m.kind is MessageKind.METADATA_UP]
     assert len(uploads) == cfg.nodes
     for m in uploads:
@@ -188,7 +186,7 @@ def test_fedavg_mode_weights_by_sample_count():
                       data={"base_size": 12, "scenario": "size_skew",
                             "gamma": 25.0, "eval_per_class": 4})
     result = run_training(cfg)
-    sizes = cfg.scenario_spec().node_sizes()  # (3, 3, 12)
+    sizes = cfg.data.node_sizes(cfg.nodes)  # (3, 3, 12)
     want = {k: sizes[k] / sum(sizes) for k in range(3)}
     assert result.metrics[0].weights == pytest.approx(want)
 

@@ -149,6 +149,22 @@ def test_loss_and_grad_validation():
         loss_and_grad(p, q, np.ones((3, 2)), None, None, 0.2)
 
 
+@pytest.mark.parametrize("slot", ["positives", "negatives", "synthetic negatives"])
+def test_loss_and_grad_rejects_key_rows_of_the_wrong_width(slot):
+    """Keys whose width is not feature_dim are refused, not reread as more
+    rows; a 1-D row of width d still stands for one key."""
+    p = init_params(mlp_shapes(6, [5], 4), 0)
+    q = np.ones((4, 6))
+    keys = {"positives": np.ones((4, 4)), "negatives": None, "synthetic negatives": None}
+    keys[slot] = np.ones((2, 8))  # 16 values: four 4-wide rows if reshaped
+    with pytest.raises(ShapeError, match=f"{slot}: expected key rows of width 4"):
+        loss_and_grad(p, q, keys["positives"], keys["negatives"],
+                      keys["synthetic negatives"], 0.2)
+    one = loss_and_grad(p, q[:1], np.ones(4), np.ones(4), None, 0.2)
+    rows = loss_and_grad(p, q[:1], np.ones((1, 4)), np.ones((1, 4)), None, 0.2)
+    assert one[0] == rows[0] and np.array_equal(one[1], rows[1])
+
+
 def test_loss_grad_matches_finite_difference():
     rng = rng_for(21, "fd-loss")
     p = init_params(mlp_shapes(6, [5], 4), 21)

@@ -15,7 +15,8 @@ ablation runs from one base config:
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field, fields
+import numbers
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -67,6 +68,7 @@ class ExperimentConfig:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
+        _check_types(self)
         checks = [
             (self.nodes >= 1, "nodes: must be at least 1"),
             (self.rounds >= 0, "rounds: must be non-negative"),
@@ -83,7 +85,7 @@ class ExperimentConfig:
             (0 <= self.sgd_momentum < 1, "sgd_momentum: must lie in [0, 1)"),
             (self.weight_decay >= 0, "weight_decay: must be non-negative"),
             (self.feature_dim >= 2, "feature_dim: must be at least 2"),
-            (all(int(h) >= 1 for h in self.hidden_dims), "hidden_dims: entries must be positive"),
+            (all(h >= 1 for h in self.hidden_dims), "hidden_dims: entries must be positive"),
             (self.probe_size >= 3, "probe_size: must be at least 3"),
             (self.seed >= 0, "seed: must be non-negative"),
             (0 < self.fine_tune_fraction <= 1, "fine_tune_fraction: must lie in (0, 1]"),
@@ -122,6 +124,54 @@ class ExperimentConfig:
             if round_index >= milestone:
                 factor = f
         return self.lr * factor
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# Field annotation -> (type test, what the error asks for). Float fields take
+# integers; integer fields refuse booleans, which Python counts as integers.
+_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
+_ITEMS = {
+    "hidden_dims": (_is_int, "a list of integers"),
+    "lr_milestones": (_is_pair, "a list of [round, factor] pairs"),
+}
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    """Raise ``ConfigError`` naming the first field of the config dataclass
+    ``obj`` whose value has the wrong type; sections are checked under their
+    dotted names. ``validate`` runs this before any range check, so a
+    comparison never meets a string or a list."""
+    for f in fields(obj):
+        name, value = f"{prefix}{f.name}", getattr(obj, f.name)
+        if is_dataclass(value):
+            _check_types(value, f"{name}.")
+            continue
+        if f.name in _ITEMS:
+            item_ok, want = _ITEMS[f.name]
+            ok = isinstance(value, (list, tuple)) and all(map(item_ok, value))
+        else:
+            type_ok, want = _TYPES[f.type]
+            ok = type_ok(value)
+        if not ok:
+            raise ConfigError(f"{name}: expected {want}, got {value!r}")
 
 
 _NESTED = {"data": ScenarioSpec, "probe": ProbeConfig, "fine_tune": FineTuneConfig}
@@ -166,8 +216,6 @@ def load_config(path) -> ExperimentConfig:
         cfg = from_dict(raw)
         cfg.validate()
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return cfg
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .nn import EncoderParams, forward_batch, loss_and_grad, sgd_step
+from .nn import BLOCK, EncoderParams, blockwise, forward_batch, loss_and_grad, sgd_step
 from .seeding import rng_for
 
 
@@ -259,8 +259,15 @@ def local_update(theta: EncoderParams, images, synthetic, hp: LocalHyperparams,
     theta_d = theta.copy()
     queue = NegativeQueue(hp.queue_capacity)
     buf = np.zeros_like(theta_q.values)
-    scratch = np.empty_like(theta_q.values)
+    grad = np.empty_like(theta_q.values)
+    scratch = np.empty(min(BLOCK, grad.size))
     rng = rng_for(rng_seed, "local-update", hp.round_index)
+
+    def step(q, g, v, k):
+        # theta_d's update reads this block of the new theta_q from cache.
+        s = scratch[: q.size]
+        sgd_step(q, g, v, hp.lr, hp.sgd_momentum, hp.weight_decay, s)
+        _momentum_step(k, q, hp.momentum_coeff, s)
 
     n = images.shape[0]
     losses: list[float] = []
@@ -270,11 +277,9 @@ def local_update(theta: EncoderParams, images, synthetic, hp: LocalHyperparams,
             idx = order[start : start + hp.batch_size]
             pairs = augment(images[idx], rng, views=2)
             keys = forward_batch(theta_d, pairs[:, 1])
-            loss, grad = loss_and_grad(
-                theta_q, pairs[:, 0], keys, queue.as_matrix(d), synthetic, hp.temperature
-            )
-            sgd_step(theta_q.values, grad, buf, hp.lr, hp.sgd_momentum, hp.weight_decay, scratch)
-            _momentum_step(theta_d.values, theta_q.values, hp.momentum_coeff, scratch)
+            loss, _ = loss_and_grad(theta_q, pairs[:, 0], keys, queue.as_matrix(d), synthetic,
+                                    hp.temperature, out=grad)
+            blockwise(step, theta_q.values, grad, buf, theta_d.values)
             queue.push(keys)
             losses.append(loss)
 

@@ -166,8 +166,13 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train, test,
     buf_p = np.zeros_like(params.values)
     buf_w = np.zeros_like(w)
     buf_b = np.zeros_like(b)
-    scratch_p = np.empty_like(params.values)
+    grad_p = np.empty_like(params.values)
+    scratch_p = np.empty(min(nn.BLOCK, grad_p.size))
     scratch_w = np.empty_like(w)
+
+    def step_p(v, g, m):
+        nn.sgd_step(v, g, m, config.lr, config.momentum, config.weight_decay,
+                    scratch_p[: v.size])
 
     best, best_epoch, final = -1.0, 0, 0.0
     n = len(chosen)
@@ -182,13 +187,12 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train, test,
             p /= idx.size
             gw = p.T @ z
             gb = p.sum(axis=0)
-            gp = nn.backward_features(params, cache, p @ w)
+            nn.backward_features(params, cache, p @ w, out=grad_p)
             nn.sgd_step(w, gw, buf_w, config.lr, config.momentum, config.weight_decay, scratch_w)
             buf_b *= config.momentum
             buf_b += gb
             b -= config.lr * buf_b
-            nn.sgd_step(params.values, gp, buf_p, config.lr, config.momentum,
-                        config.weight_decay, scratch_p)
+            nn.blockwise(step_p, params.values, grad_p, buf_p)
         acc = _test_accuracy(params, w, b, x_test, y_test)
         final = acc
         if acc > best:

@@ -358,10 +358,10 @@ def write_atomic(path, *chunks) -> None:
 def payload_digest(payload) -> str:
     h = hashlib.sha256()
     if isinstance(payload, nn.EncoderParams):
-        h.update(payload.values.astype("<f8").tobytes())
+        h.update(np.ascontiguousarray(payload.values, dtype="<f8"))
     elif isinstance(payload, md.NodeMetadata):
-        h.update(payload.mu.astype("<f8").tobytes())
-        h.update(payload.sigma.astype("<f8").tobytes())
+        h.update(np.ascontiguousarray(payload.mu, dtype="<f8"))
+        h.update(np.ascontiguousarray(payload.sigma, dtype="<f8"))
         h.update(np.array([payload.node_id, payload.round_index], dtype="<i8").tobytes())
     elif isinstance(payload, list):
         for item in payload:

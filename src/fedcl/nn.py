@@ -89,16 +89,19 @@ def init_params(shapes, seed: int) -> EncoderParams:
     return EncoderParams(np.concatenate(chunks), shapes, shapes[-1].rows)
 
 
-def layer_views(params: EncoderParams):
-    """(weight, bias) array views into the flat vector; bias may be None."""
+def layer_views(params: EncoderParams, values=None):
+    """(weight, bias) array views into the flat vector; bias may be None.
+    ``values``, a vector of the same length, is laid out by ``params``'s
+    manifest in place of ``params.values`` when given."""
+    values = params.values if values is None else values
     out = []
     offset = 0
     for s in params.shapes:
-        w = params.values[offset : offset + s.rows * s.cols].reshape(s.rows, s.cols)
+        w = values[offset : offset + s.rows * s.cols].reshape(s.rows, s.cols)
         offset += s.rows * s.cols
         b = None
         if s.has_bias:
-            b = params.values[offset : offset + s.rows]
+            b = values[offset : offset + s.rows]
             offset += s.rows
         out.append((w, b))
     return out
@@ -142,7 +145,7 @@ def forward_cached(params: EncoderParams, images) -> ForwardCache:
     for w, b in layer_views(params):
         h = a @ w.T
         if b is not None:
-            h = h + b
+            h += b
         preacts.append(h)
         a = np.maximum(h, 0.0)
         activations.append(a)
@@ -154,17 +157,39 @@ def forward_cached(params: EncoderParams, images) -> ForwardCache:
 
 
 def forward_batch(params: EncoderParams, images) -> np.ndarray:
-    """(B, d) feature rows for a stack of images or flat input rows."""
-    return forward_cached(params, images).features
+    """(B, d) feature rows for a stack of images or flat input rows.
+
+    Bit-equal to ``forward_cached(params, images).features``, but keeps no
+    activations for a backward pass and adds the bias and applies the ReLU
+    in place, so each layer's rows exist once and only while the next layer
+    reads them.
+    """
+    a = _flatten_batch(params, images)
+    for w, b in layer_views(params):
+        a = a @ w.T
+        if b is not None:
+            a += b
+        np.maximum(a, 0.0, out=a)
+    return normalize_rows(a)
 
 
-def backward_features(params: EncoderParams, cache: ForwardCache, d_features) -> np.ndarray:
+def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
+                      out=None) -> np.ndarray:
     """Gradient of a scalar loss w.r.t. the flat parameter vector, given the
     loss gradient w.r.t. the normalized output features.
+
+    Each layer's gradient is written into its view of ``out``, a float64
+    vector as long as ``params.values`` that is returned; a new one is made
+    when it is ``None``, so a training loop can reuse one buffer per step.
 
     Rows whose pre-normalization activation is exactly zero propagate no
     gradient, matching the zero-maps-to-zero head rule.
     """
+    if out is None:
+        out = np.empty_like(params.values)
+    elif out.dtype != np.float64 or out.shape != params.values.shape:
+        raise ShapeError(f"gradient buffer must be float64 of shape {params.values.shape}, "
+                         f"got {out.dtype} {out.shape}")
     d_feats = np.asarray(d_features, dtype=np.float64)
     a_last = cache.activations[-1]
     da = np.zeros_like(a_last)
@@ -174,22 +199,39 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features) ->
         inner = np.einsum("ij,ij->i", d_feats[nz], z)
         da[nz] = (d_feats[nz] - inner[:, None] * z) / cache.norms[nz, None]
 
-    views = layer_views(params)
-    grads: list = [None] * len(views)
-    for i in range(len(views) - 1, -1, -1):
-        w, b = views[i]
+    weights = layer_views(params)
+    grads = layer_views(params, out)
+    for i in range(len(weights) - 1, -1, -1):
         dh = da * (cache.preacts[i] > 0.0)
-        gw = dh.T @ cache.activations[i]
-        gb = dh.sum(axis=0) if b is not None else None
-        grads[i] = (gw, gb)
-        if i > 0:
-            da = dh @ w
-    flat = []
-    for gw, gb in grads:
-        flat.append(gw.ravel())
+        gw, gb = grads[i]
+        np.matmul(dh.T, cache.activations[i], out=gw)
         if gb is not None:
-            flat.append(gb)
-    return np.concatenate(flat)
+            np.sum(dh, axis=0, out=gb)
+        if i > 0:
+            da = dh @ weights[i][0]
+    return out
+
+
+# Values per slice in ``blockwise``: one block of each vector a step touches
+# (256 KB each) stays in a 2 MB per-core L2 cache between the step's passes.
+# On 1.18M-value vectors, an SGD plus key-encoder step took 7.2-8.0 ms at
+# this size, 10.7 ms on the whole vectors, and 8.5-11 ms at 1 << 12 or 1 << 18.
+BLOCK = 1 << 15
+
+
+def blockwise(step, *arrays) -> None:
+    """Run the element-wise in-place ``step`` over equal-length 1-D
+    ``arrays``, ``BLOCK`` values at a time: ``step`` gets the matching slice
+    of each array. Bit-equal to one call on the whole arrays, since no value
+    depends on another; each block is read from memory once, not once per
+    pass of ``step``.
+    """
+    n = arrays[0].shape[0]
+    if any(a.ndim != 1 or a.shape[0] != n for a in arrays):
+        raise ShapeError(f"blockwise needs equal-length vectors, got "
+                         f"{[a.shape for a in arrays]}")
+    for start in range(0, n, BLOCK):
+        step(*(a[start : start + BLOCK] for a in arrays))
 
 
 def sgd_step(values, grad, buf, lr, momentum, weight_decay, scratch) -> None:
@@ -218,7 +260,8 @@ def _as_key_rows(keys, d: int, name: str) -> np.ndarray:
     return rows
 
 
-def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negatives, temperature):
+def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negatives, temperature,
+                  out=None):
     """Mean contrastive loss over the query batch and its exact gradient.
 
     ``positives``, ``negatives`` and ``synthetic_negatives`` are key-side
@@ -227,7 +270,8 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     the query encoder. Either negative set may be empty; with both empty the
     softmax has a single term and the loss is exactly zero.
 
-    Returns ``(loss, grad)`` with ``grad`` aligned with ``params_q.values``.
+    Returns ``(loss, grad)`` with ``grad`` aligned with ``params_q.values``;
+    ``grad`` is ``out`` when given (see ``backward_features``).
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -259,5 +303,4 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     dlogits[:, 0] -= 1.0
     dlogits /= batch * tau
     d_z = dlogits[:, :1] * pos + dlogits[:, 1:] @ negs
-    grad = backward_features(params_q, cache, d_z)
-    return loss, grad
+    return loss, backward_features(params_q, cache, d_z, out)

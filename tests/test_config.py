@@ -53,8 +53,18 @@ def test_dict_roundtrip():
     assert from_dict(to_dict(cfg)) == cfg
 
 
-def test_validate_messages_name_the_field():
+def test_validate_messages_name_the_field(tmp_path):
     for overrides, needle in [
+        ({"nodes": "3"}, "^nodes: expected an integer"),
+        ({"nodes": True}, "^nodes: expected an integer"),
+        ({"lr": "0.1"}, "^lr: expected a number"),
+        ({"hidden_dims": 64}, "^hidden_dims: expected a list of integers"),
+        ({"hidden_dims": [64.0]}, "^hidden_dims: expected a list of integers"),
+        ({"lr_milestones": [5]}, "^lr_milestones: expected a list of"),
+        ({"run_probe": 1}, "^run_probe: expected true or false"),
+        ({"aggregation_mode": 3}, "^aggregation_mode: expected a string"),
+        ({"data": {"base_size": "12"}}, "^data.base_size: expected an integer"),
+        ({"fine_tune": {"lr": "0.1"}}, "^fine_tune.lr: expected a number"),
         ({"nodes": 0}, "nodes"),
         ({"rounds": 2, "warmup_rounds": 5}, "warmup_rounds"),
         ({"aggregation_mode": "mean"}, "aggregation_mode"),
@@ -79,6 +89,11 @@ def test_validate_messages_name_the_field():
     for section in ("data", "probe", "fine_tune"):
         with pytest.raises(ConfigError, match=f"^{section}: expected a mapping"):
             small_config(**{section: None})
+    small_config(lr=1, data={"gamma": 10, "base_size": 12}).validate()  # ints fill floats
+    path = tmp_path / "config.yaml"
+    path.write_text("nodes: '3'\n")
+    with pytest.raises(ConfigError, match=r"config\.yaml: nodes: expected an integer, got '3'"):
+        load_config(path)
 
 
 def test_lr_schedule_steps_down_at_milestones():

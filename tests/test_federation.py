@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
                               save_checkpoint, write_atomic, write_jsonl,
                               write_message_log)
 from fedcl.metadata import NodeMetadata, compute_metadata
-from fedcl.nn import forward_batch, init_params, mlp_shapes
+from fedcl.nn import EncoderParams, forward_batch, init_params, mlp_shapes
 
 
 def tiny_config(**kw):
@@ -409,6 +410,22 @@ def test_message_log_roundtrip(tmp_path):
     assert records[0]["kind"] == "params_down"
     assert all(set(r) == {"kind", "sender", "receiver", "round",
                           "payload", "digest"} for r in records)
+
+
+def test_payload_digest_hashes_little_endian_float64_bytes():
+    """The digest is the SHA-256 of the values' little-endian float64 bytes,
+    in order, whatever the array's stride or byte order in memory."""
+    values = np.arange(28, dtype=">f8")[::2]  # big-endian, strided
+    params = EncoderParams(values, mlp_shapes(3, [2], 2), 2)
+    meta = NodeMetadata(values[:2], values[2:6].reshape(2, 2).T, 1, 2)
+
+    def sha(*chunks):
+        return hashlib.sha256(b"".join(chunks)).hexdigest()[:16]
+
+    assert payload_digest(params) == sha(params.values.astype("<f8").tobytes())
+    assert payload_digest(meta) == sha(np.array([0.0, 2.0]).astype("<f8").tobytes(),
+                                       np.array([4.0, 8.0, 6.0, 10.0]).astype("<f8").tobytes(),
+                                       np.array([1, 2], dtype="<i8").tobytes())
 
 
 def test_metrics_records_are_timing_free():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedcl.contrastive import _momentum_step
 from fedcl.errors import ConfigError, ShapeError
-from fedcl.nn import (EncoderParams, LayerShape, backward_features,
-                      forward_batch, forward_cached, init_params, layer_views,
-                      loss_and_grad, mlp_shapes, normalize_rows,
-                      validate_shapes)
+from fedcl.nn import (BLOCK, EncoderParams, LayerShape, backward_features,
+                      blockwise, forward_batch, forward_cached, init_params,
+                      layer_views, loss_and_grad, mlp_shapes, normalize_rows,
+                      sgd_step, validate_shapes)
 from fedcl.seeding import rng_for
 
 
@@ -82,6 +85,79 @@ def test_features_are_unit_or_zero():
     z = forward_batch(p, rng_for(6, "imgs").random((10, 16)))
     norms = np.linalg.norm(z, axis=1)
     assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
+
+
+@st.composite
+def nets(draw):
+    """A random MLP with per-layer bias flags, an input batch, and the
+    output gradient of a loss. Half the rows are negated: with non-negative
+    first-layer weights and non-positive biases, those rows reach the head
+    as exact zeros."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    biases = draw(st.lists(st.booleans(), min_size=len(dims) - 1, max_size=len(dims) - 1))
+    shapes = tuple(LayerShape(r, c, has_bias=b) for c, r, b in zip(dims, dims[1:], biases))
+    seed, batch = draw(st.integers(0, 2**16)), draw(st.integers(1, 6))
+    rng = rng_for(seed, "net")
+    p = init_params(shapes, seed)
+    views = layer_views(p)
+    views[0][0][...] = np.abs(views[0][0])
+    for _, b in views:
+        if b is not None:
+            b[...] = -np.abs(b)
+    x = rng.random((batch, dims[0]))
+    x[::2] *= -1.0
+    return p, x, rng.standard_normal((batch, dims[-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nets())
+def test_forward_batch_is_bit_equal_to_the_cached_forward(net):
+    p, x, _ = net
+    got = forward_batch(p, x)
+    cached = forward_cached(p, x)
+    assert got.tobytes() == cached.features.tobytes()
+    assert not np.any(got[::2])  # the negated rows are all zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(nets())
+def test_backward_features_fills_the_given_buffer(net):
+    """The gradient lands in ``out`` itself, every value overwritten, equal
+    to a fresh allocation's; bias-free layers leave no gap."""
+    p, x, g_out = net
+    cache = forward_cached(p, x)
+    fresh = backward_features(p, cache, g_out)
+    buf = np.full_like(p.values, np.nan)
+    assert backward_features(p, cache, g_out, out=buf) is buf
+    assert buf.tobytes() == fresh.tobytes()
+    with pytest.raises(ShapeError, match="gradient buffer"):
+        backward_features(p, cache, g_out, out=np.empty(p.values.size + 1))
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_blockwise_steps_equal_whole_vector_steps(size):
+    """An SGD step, then the key-encoder step, run block by block with one
+    block of scratch, give the bytes of the two whole-vector calls."""
+    rng = rng_for(size, "blockwise")
+    values, grad, buf, key = (rng.standard_normal(size) for _ in range(4))
+    want = [a.copy() for a in (values, grad, buf, key)]
+    sgd_step(want[0], want[1], want[2], 0.03, 0.9, 1e-4, np.empty(size))
+    _momentum_step(want[3], want[0], 0.99, np.empty(size))
+
+    scratch = np.empty(min(BLOCK, size))
+    calls = []
+
+    def step(q, g, v, k):
+        calls.append(q.size)
+        sgd_step(q, g, v, 0.03, 0.9, 1e-4, scratch[: q.size])
+        _momentum_step(k, q, 0.99, scratch[: q.size])
+
+    blockwise(step, values, grad, buf, key)
+    for got, expected in zip((values, grad, buf, key), want):
+        assert got.tobytes() == expected.tobytes()
+    assert sum(calls) == size and all(n <= BLOCK for n in calls)
+    with pytest.raises(ShapeError, match="equal-length"):
+        blockwise(step, values, np.empty(size + 1))
 
 
 def test_normalize_rows_zero_rule():

@@ -78,6 +78,7 @@ class ScenarioSpec:
              "data.gamma: must lie in (0, 100]"),
             (self.image_size >= 8, "data.image_size: must be at least 8"),
             (self.eval_per_class >= 2, "data.eval_per_class: must be at least 2"),
+            (self.eval_noise >= 0.0, "data.eval_noise: must be non-negative"),
         ]
         for ok, message in checks:
             if not ok:
@@ -101,49 +102,81 @@ def node_knobs(node_id: int) -> tuple[float, float, float]:
     return 0.08 * node_id, 0.05 + 0.02 * node_id, 1.0 + node_id
 
 
-def _render_shape(cls: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    canvas = np.zeros((size, size))
-    if cls == 0:  # horizontal bars
-        period = int(rng.integers(3, 6))
-        phase = int(rng.integers(0, period))
-        thickness = int(rng.integers(1, 3))
-        canvas[(np.arange(size) + phase) % period < thickness, :] = 1.0
-    elif cls == 1:  # vertical bars
-        period = int(rng.integers(3, 6))
-        phase = int(rng.integers(0, period))
-        thickness = int(rng.integers(1, 3))
-        canvas[:, (np.arange(size) + phase) % period < thickness] = 1.0
-    elif cls == 2:  # filled blob
-        cy = (size - 1) / 2.0 + rng.uniform(-2, 2)
-        cx = (size - 1) / 2.0 + rng.uniform(-2, 2)
-        ry = rng.uniform(2.5, 4.5)
-        rx = rng.uniform(2.5, 4.5)
-        yy, xx = np.ogrid[:size, :size]
-        canvas[((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0] = 1.0
-    elif cls == 3:  # ring
-        cy = (size - 1) / 2.0 + rng.uniform(-1, 1)
-        cx = (size - 1) / 2.0 + rng.uniform(-1, 1)
-        r_out = rng.uniform(4.5, 6.5)
-        width = rng.uniform(1.5, 2.5)
-        yy, xx = np.ogrid[:size, :size]
-        dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
-        canvas[(dist <= r_out) & (dist >= r_out - width)] = 1.0
-    elif cls == 4:  # cross
-        cy = size // 2 + int(rng.integers(-2, 3))
-        cx = size // 2 + int(rng.integers(-2, 3))
-        half = int(rng.integers(1, 3))
-        arm = int(rng.integers(5, 8))
-        canvas[max(0, cy - half) : cy + half + 1, max(0, cx - arm) : cx + arm + 1] = 1.0
-        canvas[max(0, cy - arm) : cy + arm + 1, max(0, cx - half) : cx + half + 1] = 1.0
-    elif cls == 5:  # checkerboard
-        cell = int(rng.integers(2, 5))
-        pr = int(rng.integers(0, cell))
-        pc = int(rng.integers(0, cell))
-        yy, xx = np.ogrid[:size, :size]
-        canvas[(((yy + pr) // cell) + ((xx + pc) // cell)) % 2 == 0] = 1.0
-    else:
-        raise ConfigError(f"unknown class id {cls}")
-    return canvas
+# (low, high) of the uniforms a blob or ring draws for its shape, in draw order
+_SHAPE_UNIFORMS = {
+    2: ((-2, 2), (-2, 2), (2.5, 4.5), (2.5, 4.5)),  # blob: centre shifts, radii
+    3: ((-1, 1), (-1, 1), (4.5, 6.5), (1.5, 2.5)),  # ring: centre shifts, r_out, width
+}
+# ... and of the amplitude and texture phase every image draws after them
+_AMP_PHASE = ((0.55, 0.85), (0.0, 2.0 * np.pi))
+_BLOCK_PIXELS = 1 << 14  # composed at once; bounds the scratch memory
+
+
+def _decode(u: np.ndarray, bounds) -> np.ndarray:
+    """``uniform(a, b)`` is ``a + (b - a) * random()``, column by column."""
+    lows, highs = np.array(bounds, dtype=float).T
+    return lows + (highs - lows) * u
+
+
+def _draw(rng: np.random.Generator, runs, size: int):
+    """Every draw of the images in ``runs``, (palette, count) pairs, in the
+    order of rendering them one at a time: the class (none from a one-class
+    palette, as ``integers(1)`` draws nothing), the shape's integers, its
+    uniforms and the amplitude and phase as one ``random(k)``, then the
+    image's standard normals, drawn straight into ``pixels``. Returns labels,
+    integer shape parameters ``(n, 4)``, raw uniforms ``(n, 6)`` (a blob or
+    ring fills all six, any other class the last two) and ``pixels``."""
+    n = sum(count for _, count in runs)
+    labels = np.empty(n, dtype=np.int64)
+    ints = np.zeros((n, 4), dtype=np.int64)
+    unis = np.zeros((n, 6))
+    pixels = np.empty((n, size, size))
+    integers, random, normals = rng.integers, rng.random, rng.standard_normal
+    i = 0
+    for palette, count in runs:
+        for _ in range(count):
+            cls = palette[integers(len(palette))] if len(palette) > 1 else palette[0]
+            if cls < 2:  # bars: period, phase, thickness
+                period = integers(3, 6)
+                ints[i, :3] = period, integers(0, period), integers(1, 3)
+            elif cls == 4:  # cross: centre shifts, half width, arm length
+                ints[i] = integers(-2, 3), integers(-2, 3), integers(1, 3), integers(5, 8)
+            elif cls == 5:  # checkerboard: cell, row and column phase
+                cell = integers(2, 5)
+                ints[i, :3] = cell, integers(0, cell), integers(0, cell)
+            random(out=unis[i] if cls in _SHAPE_UNIFORMS else unis[i, 4:])
+            normals(out=pixels[i])
+            labels[i] = cls
+            i += 1
+    return labels, ints, unis, pixels
+
+
+def _shape_masks(cls: int, size: int, ints: np.ndarray, unis: np.ndarray) -> np.ndarray:
+    """Masks of ``m`` images of class ``cls``, broadcastable to ``(m, size, size)``."""
+    r = np.arange(size)
+    rows, cols = r[None, :, None], r[None, None, :]
+    if cls in (0, 1):  # horizontal or vertical bars
+        period, phase, thickness = (ints[:, j, None] for j in range(3))
+        on = (r + phase) % period < thickness
+        return on[:, :, None] if cls == 0 else on[:, None, :]
+    if cls in (2, 3):
+        dy, dx, a, b = (unis[:, j, None, None] for j in range(4))
+        cy = (size - 1) / 2.0 + dy
+        cx = (size - 1) / 2.0 + dx
+        if cls == 2:  # filled blob, radii a and b
+            return ((rows - cy) / a) ** 2 + ((cols - cx) / b) ** 2 <= 1.0
+        dist = np.sqrt((rows - cy) ** 2 + (cols - cx) ** 2)  # ring, r_out a, width b
+        return (dist <= a) & (dist >= a - b)
+    if cls == 4:  # cross
+        dy, dx, half, arm = (ints[:, j, None] for j in range(4))
+        near_row = np.abs(r - (size // 2 + dy))
+        near_col = np.abs(r - (size // 2 + dx))
+        return (((near_row <= half)[:, :, None] & (near_col <= arm)[:, None, :])
+                | ((near_row <= arm)[:, :, None] & (near_col <= half)[:, None, :]))
+    if cls == 5:  # checkerboard
+        cell, pr, pc = (ints[:, j, None] for j in range(3))
+        return ((((r + pr) // cell)[:, :, None] + ((r + pc) // cell)[:, None, :]) % 2) == 0
+    raise ConfigError(f"unknown class id {cls}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -156,14 +189,44 @@ def _texture_ramp(size: int, texture_freq: float) -> np.ndarray:
     return ramp
 
 
-def _compose(base: np.ndarray, rng: np.random.Generator, offset: float,
-             noise_sigma: float, texture_freq: float) -> np.ndarray:
-    size = base.shape[0]
-    amp = rng.uniform(0.55, 0.85)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    texture = _TEXTURE_AMP * np.sin(_texture_ramp(size, texture_freq) + phase)
-    img = amp * base + offset + texture + rng.normal(0.0, noise_sigma, base.shape)
-    return np.clip(img, 0.0, 1.0)
+def _render(rng: np.random.Generator, runs, size: int, offset: float, noise_sigma: float,
+            texture_freq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and ``(n, size, size)`` pixels of the images in ``runs``.
+
+    Image by image, the pixels are ``clip(amp * shape + offset + texture +
+    normal(0, noise_sigma), 0, 1)``, summed left to right. The normals are
+    already in ``pixels``, so the sum ``((amp * shape + offset) + texture)``
+    is added to them, which is bit-equal as addition commutes. Blocks of
+    images keep the scratch arrays small."""
+    labels, ints, unis, pixels = _draw(rng, runs, size)
+    classes = sorted({cls for palette, _ in runs for cls in palette})
+    for cls, bounds in _SHAPE_UNIFORMS.items():
+        mine = labels == cls
+        unis[mine, :4] = _decode(unis[mine, :4], bounds)
+    amp, phase = _decode(unis[:, 4:], _AMP_PHASE).T
+    lifted = amp + offset  # amp * 1.0 + offset; off the shape it is 0.0 + offset
+    ramp = _texture_ramp(size, texture_freq)
+    step = max(1, _BLOCK_PIXELS // (size * size))
+    for start in range(0, len(labels), step):
+        block = slice(start, start + step)
+        noise = pixels[block]
+        # normal(0, s) is 0.0 + s * z. Without the 0.0 a noise value may be
+        # -0.0, which adds to ``image`` (never -0.0) as +0.0 does.
+        noise *= noise_sigma
+        in_block = labels[block]
+        shape = np.zeros(noise.shape, dtype=bool)
+        for cls in classes:
+            mine = np.flatnonzero(in_block == cls)
+            if mine.size:
+                shape[mine] = _shape_masks(cls, size, ints[block][mine], unis[block][mine])
+        texture = np.add(ramp, phase[block, None, None])
+        np.sin(texture, out=texture)
+        texture *= _TEXTURE_AMP
+        image = np.where(shape, lifted[block, None, None], 0.0 + offset)
+        image += texture
+        noise += image
+        np.clip(noise, 0.0, 1.0, out=noise)
+    return labels, pixels
 
 
 def generate_node_dataset(spec: ScenarioSpec, num_nodes: int, node_id: int, seed: int,
@@ -173,33 +236,25 @@ def generate_node_dataset(spec: ScenarioSpec, num_nodes: int, node_id: int, seed
     if not 0 <= node_id < num_nodes:
         raise ConfigError(f"node_id: {node_id} out of range for {num_nodes} nodes")
     n = spec.node_sizes(num_nodes)[node_id]
-    classes = spec.node_classes(num_nodes, node_id)
-    offset, sigma, freq = node_knobs(node_id)
+    runs = [(spec.node_classes(num_nodes, node_id), n)]
     rng = rng_for(seed, "node-data", node_id)
-    out = []
-    for _ in range(n):
-        cls = int(classes[rng.integers(len(classes))])
-        base = _render_shape(cls, rng, spec.image_size)
-        img = _compose(base, rng, offset, sigma, freq)
-        out.append(ImageSample(img, cls if keep_labels else None))
-    return out
+    labels, pixels = _render(rng, runs, spec.image_size, *node_knobs(node_id))
+    kept = labels.tolist() if keep_labels else [None] * n
+    return [ImageSample(img, label) for img, label in zip(pixels, kept)]
 
 
 def make_eval_split(spec: ScenarioSpec, seed: int) -> tuple[list[ImageSample], list[ImageSample]]:
     """Labeled 50/50 stratified train/test split over the two held-out
     classes, rendered with site-neutral knobs. Disjoint from all shards."""
     rng = rng_for(seed, "eval-data")
-    by_class: dict[int, list[ImageSample]] = {c: [] for c in EVAL_CLASSES}
-    for cls in EVAL_CLASSES:
-        for _ in range(spec.eval_per_class):
-            base = _render_shape(cls, rng, spec.image_size)
-            img = _compose(base, rng, spec.eval_offset, spec.eval_noise, spec.eval_texture_freq)
-            by_class[cls].append(ImageSample(img, cls))
+    per_class = spec.eval_per_class
+    _, pixels = _render(rng, [((cls,), per_class) for cls in EVAL_CLASSES], spec.image_size,
+                        spec.eval_offset, spec.eval_noise, spec.eval_texture_freq)
     train, test = [], []
-    for cls in EVAL_CLASSES:
-        members = by_class[cls]
-        order = rng.permutation(len(members))
-        cut = (len(members) + 1) // 2
+    cut = (per_class + 1) // 2
+    for j, cls in enumerate(EVAL_CLASSES):
+        members = [ImageSample(img, cls) for img in pixels[j * per_class:(j + 1) * per_class]]
+        order = rng.permutation(per_class)
         train.extend(members[i] for i in order[:cut])
         test.extend(members[i] for i in order[cut:])
     return train, test
@@ -208,14 +263,20 @@ def make_eval_split(spec: ScenarioSpec, seed: int) -> tuple[list[ImageSample], l
 def export_dataset(samples: list[ImageSample], path) -> None:
     """Flat binary image file: int64 little-endian (count, H, W) header,
     float64 little-endian row-major pixels, labels in a JSON sidecar
-    (``<path>.labels``, -1 for unlabeled)."""
+    (``<path>.labels``, -1 for unlabeled). Every sample must share one 2-D
+    shape."""
     path = Path(path)
-    count = len(samples)
-    h, w = samples[0].pixels.shape if count else (0, 0)
+    shape = samples[0].pixels.shape if samples else (0, 0)
+    if len(shape) != 2:
+        raise ShapeError(f"{path}: sample 0 has shape {shape}, not (H, W)")
+    for i, s in enumerate(samples):
+        if s.pixels.shape != shape:
+            raise ShapeError(f"{path}: sample {i} has shape {s.pixels.shape}, "
+                             f"sample 0 has {shape}")
     with open(path, "wb") as fh:
-        fh.write(np.array([count, h, w], dtype="<i8").tobytes())
-        for s in samples:
-            fh.write(np.ascontiguousarray(s.pixels, dtype="<f8").tobytes())
+        fh.write(np.array([len(samples), *shape], dtype="<i8").tobytes())
+        if samples:
+            fh.write(np.stack([s.pixels for s in samples]).astype("<f8", copy=False))
     labels = [-1 if s.label is None else int(s.label) for s in samples]
     Path(str(path) + ".labels").write_text(json.dumps(labels))
 
@@ -223,16 +284,20 @@ def export_dataset(samples: list[ImageSample], path) -> None:
 def load_dataset(path) -> list[ImageSample]:
     path = Path(path)
     raw = path.read_bytes()
-    count, h, w = (int(v) for v in np.frombuffer(raw[:24], dtype="<i8"))
-    body = np.frombuffer(raw[24:], dtype="<f8")
-    if body.size != count * h * w:
-        raise ValueError(f"{path}: body holds {body.size} values, header implies {count * h * w}")
+    if len(raw) < 24:
+        raise ShapeError(f"{path}: {len(raw)} bytes, shorter than the 24-byte "
+                         f"(count, H, W) header")
+    count, h, w = (int(v) for v in np.frombuffer(raw, dtype="<i8", count=3))
+    if min(count, h, w) < 0:
+        raise ShapeError(f"{path}: header (count, H, W) = {(count, h, w)} holds a "
+                         f"negative value")
+    if len(raw) - 24 != 8 * count * h * w:
+        raise ValueError(f"{path}: body holds {len(raw) - 24} bytes, header implies "
+                         f"{8 * count * h * w}")
     sidecar = Path(str(path) + ".labels")
     labels = json.loads(sidecar.read_text())
     if len(labels) != count:
         raise ShapeError(f"{sidecar}: holds {len(labels)} labels, {path} holds {count} images")
-    images = body.reshape(count, h, w) if count else np.zeros((0, h, w))
-    return [
-        ImageSample(images[i].copy(), None if labels[i] < 0 else int(labels[i]))
-        for i in range(count)
-    ]
+    images = np.frombuffer(raw[24:], dtype="<f8").reshape(count, h, w).copy()
+    return [ImageSample(img, None if label < 0 else int(label))
+            for img, label in zip(images, labels)]

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 
 from fedcl.contrastive import LocalHyperparams, local_update
+from fedcl.datagen import ScenarioSpec, generate_node_dataset
 from fedcl.nn import forward_batch, init_params, mlp_shapes
 from fedcl.seeding import rng_for
 
@@ -48,3 +49,13 @@ def test_forward_batch_keeps_one_hidden_layer():
     hidden = np.empty((600, 2048)).nbytes
     peak = peak_bytes(lambda: forward_batch(THETA, rows))
     assert peak < 1.5 * hidden, peak / hidden
+
+
+def test_shard_rendering_keeps_one_copy_of_the_pixels():
+    """The noise is drawn into the output array and each block of images is
+    composed there in place; the per-image renderer peaked at 1.11 copies,
+    and composing every image at once at 3.2."""
+    spec = ScenarioSpec(base_size=2000)
+    pixels = np.empty((2000, spec.image_size, spec.image_size)).nbytes
+    peak = peak_bytes(lambda: generate_node_dataset(spec, 3, 0, 13))
+    assert peak <= 1.5 * pixels, peak / pixels

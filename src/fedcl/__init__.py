@@ -11,7 +11,7 @@ from .config import (ARMS, ExperimentConfig, PRESETS, apply_arm, load_config,
 from .contrastive import (LocalHyperparams, NegativeQueue, augment,
                           local_update, momentum_update)
 from .datagen import (DISEASE_CLASSES, EVAL_CLASSES, HEALTHY_CLASS,
-                      PRETRAIN_CLASSES, ImageSample, ScenarioSpec,
+                      PRETRAIN_CLASSES, Images, ScenarioSpec,
                       export_dataset, generate_node_dataset, load_dataset,
                       make_eval_split)
 from .errors import ConfigError, ProtocolError, ShapeError
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARMS", "AuditReport", "ConfigError", "DISEASE_CLASSES",
     "EVAL_CLASSES", "EncoderParams", "ExperimentConfig", "FederatedNode",
-    "FineTuneConfig", "FineTuneResult", "HEALTHY_CLASS", "ImageSample",
+    "FineTuneConfig", "FineTuneResult", "HEALTHY_CLASS", "Images",
     "LayerShape", "LocalHyperparams", "Message", "MessageChannel",
     "MessageKind", "NegativeQueue", "NodeMetadata", "PRESETS",
     "PRETRAIN_CLASSES", "ProbeConfig", "ProbeResult", "ProtocolError",

@@ -17,7 +17,8 @@ never leaves a half-written artifact behind.
 `audit` checks each logged message against ``federation.CONTRACT`` (kind,
 direction, payload tag), the message counts against
 ``federation.expected_counts`` of the run's config.yaml, and digest.txt
-against ``federation.run_digest``; any mismatch or missing file is a FAIL.
+against ``federation.run_digest``; any mismatch, missing file or config.yaml
+that does not load is a FAIL, and a tree of runs is audited to the end.
 """
 
 from __future__ import annotations
@@ -269,9 +270,14 @@ def _audit_one(run_dir: Path) -> int:
 
     config_path = run_dir / "config.yaml"
     if config_path.exists():
-        for kind, want in federation.expected_counts(load_config(config_path)).items():
-            if counts[kind] != want:
-                problems.append(f"count {kind}: expected {want}, found {counts[kind]}")
+        try:
+            config = load_config(config_path)
+        except ConfigError as exc:
+            problems.append(f"config.yaml: {exc}")
+        else:
+            for kind, want in federation.expected_counts(config).items():
+                if counts[kind] != want:
+                    problems.append(f"count {kind}: expected {want}, found {counts[kind]}")
     else:
         problems.append("config.yaml missing: message counts cannot be checked")
 
@@ -297,8 +303,7 @@ def cmd_export_data(args) -> int:
     dest = Path(args.out or f"./data-{name}")
     dest.mkdir(parents=True, exist_ok=True)
     for k in range(config.nodes):
-        shard = datagen.generate_node_dataset(config.data, config.nodes, k, config.seed,
-                                              keep_labels=True)
+        shard = datagen.generate_node_dataset(config.data, config.nodes, k, config.seed)
         datagen.export_dataset(shard, dest / f"node-{k}.bin")
         print(f"node-{k}: {len(shard)} images -> {dest / f'node-{k}.bin'}")
     train, test = datagen.make_eval_split(config.data, config.seed)

@@ -11,7 +11,6 @@ background texture frequency emulate scanner differences between sites.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,16 +29,26 @@ CLASS_NAMES = ("h_bars", "v_bars", "blob", "ring", "cross", "checker")
 _TEXTURE_AMP = 0.04
 
 
-@dataclass
-class ImageSample:
+@dataclass(eq=False)
+class Images:
+    """float64 ``pixels`` (n, H, W) and int64 ``labels`` (n,), -1 where an
+    image is unlabeled. An index array or a slice selects a subset."""
+
     pixels: np.ndarray
-    label: int | None = None
+    labels: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.pixels.ndim != 3 or self.labels.shape != self.pixels.shape[:1]:
+            raise ShapeError(f"Images need (n, H, W) pixels and (n,) labels, got "
+                             f"{self.pixels.shape} and {self.labels.shape}")
 
-def sample_fingerprint(sample: ImageSample) -> str:
-    h = hashlib.sha256(np.ascontiguousarray(sample.pixels, dtype=np.float64).tobytes())
-    h.update(str(sample.label).encode("utf-8"))
-    return h.hexdigest()
+    def __len__(self) -> int:
+        return self.pixels.shape[0]
+
+    def __getitem__(self, index) -> "Images":
+        return Images(self.pixels[index], self.labels[index])
 
 
 @dataclass
@@ -229,59 +238,45 @@ def _render(rng: np.random.Generator, runs, size: int, offset: float, noise_sigm
     return labels, pixels
 
 
-def generate_node_dataset(spec: ScenarioSpec, num_nodes: int, node_id: int, seed: int,
-                          keep_labels: bool = False) -> list[ImageSample]:
-    """Render one node's shard. Labels are stripped unless ``keep_labels``
-    (they exist only for debugging; pre-training is unlabeled)."""
+def generate_node_dataset(spec: ScenarioSpec, num_nodes: int, node_id: int,
+                          seed: int) -> Images:
+    """Render one node's shard with its class labels. Pre-training never
+    reads the labels; they are kept for export and debugging."""
     if not 0 <= node_id < num_nodes:
         raise ConfigError(f"node_id: {node_id} out of range for {num_nodes} nodes")
     n = spec.node_sizes(num_nodes)[node_id]
     runs = [(spec.node_classes(num_nodes, node_id), n)]
     rng = rng_for(seed, "node-data", node_id)
     labels, pixels = _render(rng, runs, spec.image_size, *node_knobs(node_id))
-    kept = labels.tolist() if keep_labels else [None] * n
-    return [ImageSample(img, label) for img, label in zip(pixels, kept)]
+    return Images(pixels, labels)
 
 
-def make_eval_split(spec: ScenarioSpec, seed: int) -> tuple[list[ImageSample], list[ImageSample]]:
+def make_eval_split(spec: ScenarioSpec, seed: int) -> tuple[Images, Images]:
     """Labeled 50/50 stratified train/test split over the two held-out
     classes, rendered with site-neutral knobs. Disjoint from all shards."""
     rng = rng_for(seed, "eval-data")
     per_class = spec.eval_per_class
-    _, pixels = _render(rng, [((cls,), per_class) for cls in EVAL_CLASSES], spec.image_size,
-                        spec.eval_offset, spec.eval_noise, spec.eval_texture_freq)
-    train, test = [], []
+    labels, pixels = _render(rng, [((cls,), per_class) for cls in EVAL_CLASSES], spec.image_size,
+                             spec.eval_offset, spec.eval_noise, spec.eval_texture_freq)
+    rendered = Images(pixels, labels)
     cut = (per_class + 1) // 2
-    for j, cls in enumerate(EVAL_CLASSES):
-        members = [ImageSample(img, cls) for img in pixels[j * per_class:(j + 1) * per_class]]
-        order = rng.permutation(per_class)
-        train.extend(members[i] for i in order[:cut])
-        test.extend(members[i] for i in order[cut:])
-    return train, test
+    orders = [j * per_class + rng.permutation(per_class) for j in range(len(EVAL_CLASSES))]
+    return (rendered[np.concatenate([order[:cut] for order in orders])],
+            rendered[np.concatenate([order[cut:] for order in orders])])
 
 
-def export_dataset(samples: list[ImageSample], path) -> None:
+def export_dataset(images: Images, path) -> None:
     """Flat binary image file: int64 little-endian (count, H, W) header,
     float64 little-endian row-major pixels, labels in a JSON sidecar
-    (``<path>.labels``, -1 for unlabeled). Every sample must share one 2-D
-    shape."""
+    (``<path>.labels``, -1 for unlabeled). Both files are written atomically."""
+    from .federation import write_atomic  # federation imports this module
     path = Path(path)
-    shape = samples[0].pixels.shape if samples else (0, 0)
-    if len(shape) != 2:
-        raise ShapeError(f"{path}: sample 0 has shape {shape}, not (H, W)")
-    for i, s in enumerate(samples):
-        if s.pixels.shape != shape:
-            raise ShapeError(f"{path}: sample {i} has shape {s.pixels.shape}, "
-                             f"sample 0 has {shape}")
-    with open(path, "wb") as fh:
-        fh.write(np.array([len(samples), *shape], dtype="<i8").tobytes())
-        if samples:
-            fh.write(np.stack([s.pixels for s in samples]).astype("<f8", copy=False))
-    labels = [-1 if s.label is None else int(s.label) for s in samples]
-    Path(str(path) + ".labels").write_text(json.dumps(labels))
+    write_atomic(path, np.array(images.pixels.shape, dtype="<i8").tobytes(),
+                 np.ascontiguousarray(images.pixels, dtype="<f8"))
+    write_atomic(str(path) + ".labels", json.dumps(images.labels.tolist()))
 
 
-def load_dataset(path) -> list[ImageSample]:
+def load_dataset(path) -> Images:
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 24:
@@ -292,12 +287,11 @@ def load_dataset(path) -> list[ImageSample]:
         raise ShapeError(f"{path}: header (count, H, W) = {(count, h, w)} holds a "
                          f"negative value")
     if len(raw) - 24 != 8 * count * h * w:
-        raise ValueError(f"{path}: body holds {len(raw) - 24} bytes, header implies "
+        raise ShapeError(f"{path}: body holds {len(raw) - 24} bytes, header implies "
                          f"{8 * count * h * w}")
     sidecar = Path(str(path) + ".labels")
     labels = json.loads(sidecar.read_text())
     if len(labels) != count:
         raise ShapeError(f"{sidecar}: holds {len(labels)} labels, {path} holds {count} images")
-    images = np.frombuffer(raw[24:], dtype="<f8").reshape(count, h, w).copy()
-    return [ImageSample(img, None if label < 0 else int(label))
-            for img, label in zip(images, labels)]
+    pixels = np.frombuffer(raw[24:], dtype="<f8").reshape(count, h, w).copy()
+    return Images(pixels, labels)

@@ -1,20 +1,21 @@
 """Downstream evaluation: frozen-feature linear probing and small-label
 fine-tuning of the full encoder.
 
-Both routines canonicalize sample order by content fingerprint before any
-seeded shuffling, so results depend on the data and the seed but not on the
-order the caller happened to build the lists in.
+Both routines sort each ``datagen.Images`` split by the SHA-256 of every
+image's pixel bytes and label text before any seeded shuffling, so results
+depend on the data and the seed but not on the order the splits came in.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .datagen import ImageSample, sample_fingerprint
+from .datagen import Images
 from .seeding import rng_for
 
 
@@ -50,8 +51,18 @@ class FineTuneResult:
     train_size: int
 
 
-def _canonical(samples) -> list[ImageSample]:
-    return sorted(samples, key=sample_fingerprint)
+def _canonical_order(images: Images) -> np.ndarray:
+    keys = [hashlib.sha256(row.tobytes() + str(label).encode("utf-8")).hexdigest()
+            for row, label in zip(images.pixels, images.labels.tolist())]
+    return np.array(sorted(range(len(images)), key=keys.__getitem__), dtype=np.intp)
+
+
+def _labeled_classes(routine: str, train: Images, test: Images) -> list[int]:
+    if not len(train) or not len(test):
+        raise ValueError(f"{routine} needs non-empty labeled train and test splits")
+    if (train.labels < 0).any() or (test.labels < 0).any():
+        raise ValueError(f"{routine} needs labeled images, got an unlabeled (-1) one")
+    return sorted(set(train.labels.tolist()) | set(test.labels.tolist()))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -60,31 +71,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _stack(samples) -> np.ndarray:
-    return np.stack([s.pixels for s in samples])
-
-
-def linear_probe(encoder: nn.EncoderParams, train, test, config: ProbeConfig,
-                 seed: int) -> ProbeResult:
+def linear_probe(encoder: nn.EncoderParams, train: Images, test: Images,
+                 config: ProbeConfig, seed: int) -> ProbeResult:
     """Multinomial logistic regression on frozen features, plain SGD at a
     constant learning rate. The encoder itself is never modified.
 
     Classes present in the test split but missing from the train split are
     reported in ``missing_in_train``; the probe still runs.
     """
-    if not train or not test:
-        raise ValueError("probe needs non-empty labeled train and test splits")
-    train = _canonical(train)
-    test = _canonical(test)
-    train_classes = {s.label for s in train}
-    classes = sorted(train_classes | {s.label for s in test})
-    missing = tuple(c for c in classes if c not in train_classes)
-    index = {c: i for i, c in enumerate(classes)}
+    classes = _labeled_classes("probe", train, test)
+    missing = tuple(sorted(set(classes) - set(train.labels.tolist())))
+    train_order, test_order = _canonical_order(train), _canonical_order(test)
 
-    z_train = nn.forward_batch(encoder, _stack(train))
-    y_train = np.array([index[s.label] for s in train])
-    z_test = nn.forward_batch(encoder, _stack(test))
-    y_test = np.array([index[s.label] for s in test])
+    z_train = nn.forward_batch(encoder, train.pixels[train_order])
+    y_train = np.searchsorted(classes, train.labels[train_order])
+    z_test = nn.forward_batch(encoder, test.pixels[test_order])
+    y_test = np.searchsorted(classes, test.labels[test_order])
 
     n_classes, d = len(classes), encoder.feature_dim
     w = np.zeros((n_classes, d))
@@ -121,8 +123,8 @@ def _test_accuracy(params, w, b, x_test, y_test) -> float:
     return float(np.mean(pred == y_test))
 
 
-def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train, test,
-              config: FineTuneConfig, seed: int) -> FineTuneResult:
+def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
+              test: Images, config: FineTuneConfig, seed: int) -> FineTuneResult:
     """Unfreeze the encoder, attach a linear head, and train both on a
     stratified ``train_fraction`` of the labeled split.
 
@@ -131,32 +133,30 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train, test,
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ValueError("train_fraction must lie in (0, 1]")
-    if not train or not test:
-        raise ValueError("fine-tuning needs non-empty labeled train and test splits")
-    train = _canonical(train)
-    test = _canonical(test)
-    classes = sorted({s.label for s in train} | {s.label for s in test})
-    index = {c: i for i, c in enumerate(classes)}
+    classes = _labeled_classes("fine-tuning", train, test)
+    order = _canonical_order(train)
+    labels = train.labels[order]
+    test = test[_canonical_order(test)]
     rng = rng_for(seed, "fine-tune")
 
-    chosen: list[ImageSample] = []
+    chosen = []  # per class, canonical positions of the images it trains on
     for c in classes:
-        members = [s for s in train if s.label == c]
-        if not members:
+        members = np.flatnonzero(labels == c)
+        if not members.size:
             continue
-        k = int(math.floor(train_fraction * len(members)))
+        k = int(math.floor(train_fraction * members.size))
         if k < 1:
             raise ValueError(
                 f"train_fraction {train_fraction} leaves class {c} with no samples"
             )
-        order = rng.permutation(len(members))
-        chosen.extend(members[i] for i in order[:k])
-    chosen = _canonical(chosen)
+        chosen.append(members[rng.permutation(members.size)[:k]])
+    # in canonical position order, which is the canonical order of the subset
+    chosen = train[order[np.sort(np.concatenate(chosen))]]
 
-    x = _stack(chosen)
-    y = np.array([index[s.label] for s in chosen])
-    x_test = _stack(test)
-    y_test = np.array([index[s.label] for s in test])
+    x = chosen.pixels
+    y = np.searchsorted(classes, chosen.labels)
+    x_test = test.pixels
+    y_test = np.searchsorted(classes, test.labels)
 
     params = encoder.copy()
     n_classes, d = len(classes), encoder.feature_dim

@@ -112,7 +112,7 @@ def payload_violation(message: Message) -> str | None:
     may travel, each in its own kind's direction. Images and per-sample
     feature arrays are prohibited in any position.
     """
-    if isinstance(message.payload, datagen.ImageSample):
+    if isinstance(message.payload, datagen.Images):
         return "image payload"
     kind = _kind_name(message.kind)
     problem = contract_violation(kind, message.sender, payload_tag(message.payload))
@@ -319,8 +319,7 @@ def build_nodes(config: ExperimentConfig) -> list[FederatedNode]:
     nodes = []
     for k in range(config.nodes):
         shard = datagen.generate_node_dataset(config.data, config.nodes, k, config.seed)
-        images = np.stack([s.pixels for s in shard])
-        nodes.append(FederatedNode(k, images, config.node_seed(k)))
+        nodes.append(FederatedNode(k, shard.pixels, config.node_seed(k)))
     return nodes
 
 
@@ -397,12 +396,25 @@ def save_checkpoint(params: nn.EncoderParams, path) -> None:
 
 
 def load_checkpoint(path) -> nn.EncoderParams:
+    """Read a ``save_checkpoint`` file; a malformed one raises ``ShapeError``
+    naming the file."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        values = np.frombuffer(fh.read(), dtype="<f8").copy()
-    if values.size != header["count"]:
-        raise ShapeError(f"{path}: checkpoint body truncated")
+        line, body = fh.readline(), fh.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:
+        raise ShapeError(f"{path}: header line is not JSON ({exc})") from exc
+    if len(body) % 8:
+        raise ShapeError(f"{path}: body holds {len(body)} bytes, not a whole number "
+                         f"of float64 values")
     shapes = tuple(nn.LayerShape(int(r), int(c), bool(b)) for r, c, b in header["shapes"])
+    count, size = header["count"], sum(s.size for s in shapes)
+    if size != count:
+        raise ShapeError(f"{path}: header shapes hold {size} values, its count is {count}")
+    values = np.frombuffer(body, dtype="<f8").copy()
+    if values.size != count:
+        raise ShapeError(f"{path}: checkpoint body holds {values.size} values, "
+                         f"header count is {count}")
     return nn.EncoderParams(values, shapes, int(header["feature_dim"]))
 
 

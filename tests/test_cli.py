@@ -110,7 +110,7 @@ def test_audit_fails_on_tampered_payload_tag(tmp_path):
     run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
     log = run_dir / "messages.log"
     tampered = log.read_text().replace('"payload": "params"',
-                                       '"payload": "other:ImageSample"', 1)
+                                       '"payload": "other:Images"', 1)
     log.write_text(tampered)
     assert main(["audit", str(run_dir)]) == 1
 
@@ -209,18 +209,33 @@ def test_audit_tree_reports_single_bad_run(tmp_path):
     assert main(["audit", str(tmp_path / "runs")]) == 1
 
 
+def test_audit_tree_reports_a_config_that_does_not_load_and_goes_on(tmp_path, capsys):
+    """A run directory whose config.yaml is refused (here it holds a removed
+    key) fails on its own; the runs after it are still audited."""
+    assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "0", "--seed", "1",
+                 "--out", str(tmp_path / "runs"), *FAST]) == 0
+    config = tmp_path / "runs" / "smoke" / "fedavg" / "seed-0" / "config.yaml"
+    config.write_text(config.read_text() + "metadata_timing: post_sync\n")
+    capsys.readouterr()
+    assert main(["audit", str(tmp_path / "runs")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL config.yaml: " in out and "metadata_timing: unknown field" in out
+    assert out.count("audit passed") == 1
+    assert out.index("seed-0") < out.index("FAIL") < out.index("seed-1") < out.index("passed")
+
+
 def test_export_data_writes_loadable_shards(tmp_path):
     dest = tmp_path / "data"
     assert main(["export-data", "--preset", "smoke", *FAST,
                  "--out", str(dest)]) == 0
     for k in range(3):
         shard = load_dataset(dest / f"node-{k}.bin")
-        assert len(shard) == 24
-        assert shard[0].pixels.shape == (16, 16)
+        assert shard.pixels.shape == (24, 16, 16)
+        assert set(shard.labels.tolist()) <= {0, 1, 2, 3}
     train = load_dataset(dest / "eval-train.bin")
     test = load_dataset(dest / "eval-test.bin")
     assert len(train) == 8 and len(test) == 8
-    assert all(s.label in (4, 5) for s in train + test)
+    assert set(train.labels.tolist()) | set(test.labels.tolist()) == {4, 5}
 
 
 def test_run_warns_once_when_synthetic_quota_is_zero(tmp_path, capsys):

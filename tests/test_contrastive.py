@@ -297,7 +297,7 @@ def test_local_update_loss_decreases_over_epochs():
     from fedcl.datagen import ScenarioSpec, generate_node_dataset
 
     spec = ScenarioSpec(base_size=64)
-    images = np.stack([s.pixels for s in generate_node_dataset(spec, 1, 0, 0)])
+    images = generate_node_dataset(spec, 1, 0, 0).pixels
     shapes = mlp_shapes(256, [64], 32)
     hp = hyper(batch_size=32, lr=0.05, epochs=10)
     drops = []

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from fedcl import datagen
 from fedcl.datagen import (DISEASE_CLASSES, EVAL_CLASSES, HEALTHY_CLASS,
-                           PRETRAIN_CLASSES, ImageSample, ScenarioSpec,
+                           PRETRAIN_CLASSES, Images, ScenarioSpec,
                            export_dataset, generate_node_dataset,
-                           load_dataset, make_eval_split, node_knobs,
-                           sample_fingerprint)
+                           load_dataset, make_eval_split, node_knobs)
 from fedcl.errors import ConfigError, ShapeError
 from fedcl.seeding import rng_for
 
@@ -80,21 +79,26 @@ def reference_compose(base, rng, offset, noise_sigma, texture_freq):
 
 
 def reference_images(rng, palette, count, size, knobs):
-    """``count`` images, each drawing its class from ``palette`` (a one-class
-    palette draws nothing), its shape, then its composition."""
+    """(label, pixels) of ``count`` images, each drawing its class from
+    ``palette`` (a one-class palette draws nothing), its shape, then its
+    composition."""
     out = []
     for _ in range(count):
         cls = int(palette[rng.integers(len(palette))])
-        out.append(ImageSample(reference_compose(reference_shape(cls, rng, size), rng, *knobs),
-                               cls))
+        out.append((cls, reference_compose(reference_shape(cls, rng, size), rng, *knobs)))
     return out
+
+
+def as_images(pairs, size):
+    return Images(np.array([img for _, img in pairs]).reshape(-1, size, size),
+                  [label for label, _ in pairs])
 
 
 def reference_node_dataset(sp, num_nodes, node_id, seed):
     rng = rng_for(seed, "node-data", node_id)
-    return reference_images(rng, sp.node_classes(num_nodes, node_id),
-                            sp.node_sizes(num_nodes)[node_id], sp.image_size,
-                            node_knobs(node_id))
+    return as_images(reference_images(rng, sp.node_classes(num_nodes, node_id),
+                                      sp.node_sizes(num_nodes)[node_id], sp.image_size,
+                                      node_knobs(node_id)), sp.image_size)
 
 
 def reference_eval_split(sp, seed):
@@ -108,12 +112,13 @@ def reference_eval_split(sp, seed):
         cut = (len(members) + 1) // 2
         train.extend(members[i] for i in order[:cut])
         test.extend(members[i] for i in order[cut:])
-    return train, test
+    return as_images(train, sp.image_size), as_images(test, sp.image_size)
 
 
-def assert_same_samples(got, want):
-    assert [s.label for s in got] == [s.label for s in want]
-    assert [s.pixels.tobytes() for s in got] == [s.pixels.tobytes() for s in want]
+def assert_same_images(got, want):
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.pixels.shape == want.pixels.shape
+    assert got.pixels.tobytes() == want.pixels.tobytes()
 
 
 @st.composite
@@ -137,9 +142,9 @@ def test_batched_render_matches_the_per_image_reference(job):
     labels, pixels = datagen._render(rng, runs, size, *knobs)
     want = [s for palette, count in runs
             for s in reference_images(ref_rng, palette, count, size, knobs)]
-    assert labels.tolist() == [s.label for s in want]
+    assert labels.tolist() == [label for label, _ in want]
     assert pixels.shape == (len(want), size, size)
-    assert [p.tobytes() for p in pixels] == [s.pixels.tobytes() for s in want]
+    assert [p.tobytes() for p in pixels] == [img.tobytes() for _, img in want]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.random() == ref_rng.random()
 
@@ -149,27 +154,26 @@ def test_batched_render_matches_the_per_image_reference(job):
 def test_shards_and_eval_split_match_the_per_image_reference(scenario, seed):
     sp = spec(scenario=scenario, base_size=40, gamma=20.0, image_size=11)
     for k in range(K):
-        assert_same_samples(generate_node_dataset(sp, K, k, seed, keep_labels=True),
-                            reference_node_dataset(sp, K, k, seed))
+        assert_same_images(generate_node_dataset(sp, K, k, seed),
+                           reference_node_dataset(sp, K, k, seed))
     for got, want in zip(make_eval_split(sp, seed), reference_eval_split(sp, seed)):
-        assert_same_samples(got, want)
+        assert_same_images(got, want)
 
 
 def test_generation_is_deterministic():
     a = generate_node_dataset(spec(), K, 1, seed=7)
     b = generate_node_dataset(spec(), K, 1, seed=7)
-    assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
+    assert np.array_equal(a.pixels, b.pixels)
     c = generate_node_dataset(spec(), K, 2, seed=7)
-    assert not np.array_equal(a[0].pixels, c[0].pixels)
+    assert not np.array_equal(a.pixels[0], c.pixels[0])
 
 
 def test_images_shape_and_range():
     shard = generate_node_dataset(spec(), K, 0, seed=0)
     assert len(shard) == 12
-    for s in shard:
-        assert s.pixels.shape == (16, 16)
-        assert s.pixels.min() >= 0.0 and s.pixels.max() <= 1.0
-        assert s.label is None
+    assert shard.pixels.shape == (12, 16, 16) and shard.labels.shape == (12,)
+    assert shard.pixels.min() >= 0.0 and shard.pixels.max() <= 1.0
+    assert set(shard.labels.tolist()) <= set(PRETRAIN_CLASSES)
 
 
 def test_size_skew_shrinks_all_but_last_node():
@@ -184,64 +188,79 @@ def test_label_skew_class_split():
     assert sk.node_classes(K, 0) == (HEALTHY_CLASS,)
     assert sk.node_classes(K, 1) == (HEALTHY_CLASS,)
     assert sk.node_classes(K, 2) == DISEASE_CLASSES
-    healthy = generate_node_dataset(sk, K, 0, seed=1, keep_labels=True)
-    disease = generate_node_dataset(sk, K, 2, seed=1, keep_labels=True)
-    assert {s.label for s in healthy} == {HEALTHY_CLASS}
-    assert {s.label for s in disease} <= set(DISEASE_CLASSES)
+    healthy = generate_node_dataset(sk, K, 0, seed=1)
+    disease = generate_node_dataset(sk, K, 2, seed=1)
+    assert set(healthy.labels.tolist()) == {HEALTHY_CLASS}
+    assert set(disease.labels.tolist()) <= set(DISEASE_CLASSES)
 
 
 def test_equal_scenario_uses_pretrain_palette():
-    shard = generate_node_dataset(spec(base_size=60), K, 0, seed=3, keep_labels=True)
-    assert {s.label for s in shard} == set(PRETRAIN_CLASSES)
+    shard = generate_node_dataset(spec(base_size=60), K, 0, seed=3)
+    assert set(shard.labels.tolist()) == set(PRETRAIN_CLASSES)
 
 
 def test_eval_split_is_stratified_and_held_out():
     train, test = make_eval_split(spec(), seed=5)
     assert len(train) == 10 and len(test) == 8  # (9+1)//2 per class
     for part in (train, test):
-        labels = [s.label for s in part]
-        assert set(labels) <= set(EVAL_CLASSES)
-    assert [s.label for s in train].count(4) == 5
-    assert [s.label for s in test].count(5) == 4
+        assert set(part.labels.tolist()) <= set(EVAL_CLASSES)
+    assert train.labels.tolist().count(4) == 5
+    assert test.labels.tolist().count(5) == 4
     assert set(EVAL_CLASSES).isdisjoint(PRETRAIN_CLASSES)
-    fingerprints = {sample_fingerprint(s) for s in train + test}
-    assert len(fingerprints) == 18
+    rows = {row.tobytes() for part in (train, test) for row in part.pixels}
+    assert len(rows) == 18
 
 
 def test_eval_split_deterministic():
     a_train, a_test = make_eval_split(spec(), seed=5)
     b_train, b_test = make_eval_split(spec(), seed=5)
-    assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a_train, b_train))
-    assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a_test, b_test))
+    assert np.array_equal(a_train.pixels, b_train.pixels)
+    assert np.array_equal(a_test.pixels, b_test.pixels)
 
 
 def test_export_load_roundtrip(tmp_path):
-    samples = generate_node_dataset(spec(), K, 0, seed=2, keep_labels=True)
-    samples[3].label = None  # mixed labeled/unlabeled
+    images = generate_node_dataset(spec(), K, 0, seed=2)
+    images.labels[3] = -1  # mixed labeled/unlabeled
     path = tmp_path / "shard.bin"
-    export_dataset(samples, path)
+    export_dataset(images, path)
     back = load_dataset(path)
-    assert len(back) == len(samples)
-    for orig, loaded in zip(samples, back):
-        assert np.array_equal(orig.pixels, loaded.pixels)
-        assert orig.label == loaded.label
+    assert back.pixels.tobytes() == images.pixels.tobytes()
+    assert back.pixels.shape == images.pixels.shape
+    assert back.labels.tolist() == images.labels.tolist()
+    assert json.loads((tmp_path / "shard.bin.labels").read_text())[3] == -1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shard.bin", "shard.bin.labels"]
 
 
-def test_export_refuses_samples_of_mixed_shapes(tmp_path):
-    """A (16, 16) image and an (8, 32) one hold as many pixels; written under
-    the first one's header they would reload as two (16, 16) images."""
-    samples = [ImageSample(np.zeros((16, 16))), ImageSample(np.zeros((16, 16))),
-               ImageSample(np.ones((8, 32))), ImageSample(np.zeros((4, 4)))]
-    with pytest.raises(ShapeError, match=r"sample 2 has shape \(8, 32\)"):
-        export_dataset(samples, tmp_path / "mixed.bin")
-    with pytest.raises(ShapeError, match=r"sample 0 has shape \(5,\)"):
-        export_dataset([ImageSample(np.zeros(5))], tmp_path / "flat.bin")
+def test_images_refuse_pixels_not_3d_and_labels_of_wrong_length():
+    """Images share one (H, W) by construction, so a file can only hold
+    what its (count, H, W) header says."""
+    with pytest.raises(ShapeError, match=r"got \(5,\) and \(1,\)"):
+        Images(np.zeros(5), [0])
+    with pytest.raises(ShapeError, match=r"got \(16, 16\) and \(16,\)"):
+        Images(np.zeros((16, 16)), np.zeros(16))
+    with pytest.raises(ShapeError, match=r"got \(4, 16, 16\) and \(3,\)"):
+        Images(np.zeros((4, 16, 16)), [0, 1, 2])
+    with pytest.raises(ShapeError, match=r"got \(4, 16, 16\) and \(4, 1\)"):
+        Images(np.zeros((4, 16, 16)), np.zeros((4, 1)))
+    with pytest.raises(ShapeError):  # one image is a 2-D array, not a batch
+        Images(np.zeros((4, 16, 16)), np.arange(4))[2]
+
+
+def test_images_select_by_index_array():
+    images = Images(np.arange(5 * 4 * 4).reshape(5, 4, 4), [4, 5, -1, 4, 5])
+    assert images.pixels.dtype == np.float64 and images.labels.dtype == np.int64
+    subset = images[np.array([3, 0])]
+    assert len(subset) == 2
+    assert subset.labels.tolist() == [4, 4]
+    assert np.array_equal(subset.pixels, images.pixels[[3, 0]])
+    assert len(images[images.labels == 5]) == 2
 
 
 def test_export_load_roundtrip_of_no_samples(tmp_path):
     path = tmp_path / "empty.bin"
-    export_dataset([], path)
-    assert load_dataset(path) == []
+    export_dataset(Images(np.zeros((0, 16, 16)), []), path)
+    back = load_dataset(path)
+    assert len(back) == 0 and back.pixels.shape == (0, 16, 16)
 
 
 def test_load_names_the_file_when_it_is_empty(tmp_path):
@@ -267,35 +286,27 @@ def test_load_names_the_file_when_the_header_is_negative(tmp_path, header):
 
 
 def test_load_rejects_truncated_file(tmp_path):
-    samples = generate_node_dataset(spec(), K, 0, seed=2)
+    images = generate_node_dataset(spec(), K, 0, seed=2)
     path = tmp_path / "shard.bin"
-    export_dataset(samples, path)
+    export_dataset(images, path)
     path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError, match=r"shard\.bin: body holds 24560 bytes, header "
+                                         r"implies 24576"):
         load_dataset(path)
 
 
 @pytest.mark.parametrize("change", [-1, 1])
 def test_load_rejects_sidecar_of_wrong_length(tmp_path, change):
-    samples = generate_node_dataset(spec(), K, 0, seed=2, keep_labels=True)
+    images = generate_node_dataset(spec(), K, 0, seed=2)
     path = tmp_path / "shard.bin"
-    export_dataset(samples, path)
+    export_dataset(images, path)
     sidecar = tmp_path / "shard.bin.labels"
     labels = json.loads(sidecar.read_text())
     sidecar.write_text(json.dumps(labels[:-1] if change < 0 else labels + [0]))
-    count = len(samples)
+    count = len(images)
     message = rf"shard\.bin\.labels.*{count + change} labels.*{count} images"
     with pytest.raises(ShapeError, match=message):
         load_dataset(path)
-
-
-def test_fingerprint_tracks_content_and_label():
-    s = ImageSample(np.zeros((4, 4)), label=1)
-    base = sample_fingerprint(s)
-    assert sample_fingerprint(ImageSample(np.zeros((4, 4)), label=2)) != base
-    bumped = np.zeros((4, 4))
-    bumped[0, 0] = 1e-9
-    assert sample_fingerprint(ImageSample(bumped, label=1)) != base
 
 
 def test_scenario_validation():

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from fedcl.datagen import ImageSample
+from fedcl import evaluate, nn
+from fedcl.datagen import Images
 from fedcl.evaluate import (FineTuneConfig, ProbeConfig, fine_tune,
                             linear_probe)
 from fedcl.nn import init_params, mlp_shapes
@@ -17,7 +20,7 @@ def two_cluster_samples(n_per_class, seed, noise=0.03):
     different input directions, so they stay separable after the encoder's
     feature normalization and a working probe should hit 100%."""
     rng = rng_for(seed, "clusters")
-    out = []
+    pixels, labels = [], []
     for label in (0, 1):
         base = np.full((4, 4), 0.1)
         if label == 0:
@@ -25,9 +28,9 @@ def two_cluster_samples(n_per_class, seed, noise=0.03):
         else:
             base[:, 2:] = 0.9
         for _ in range(n_per_class):
-            img = np.clip(base + noise * rng.standard_normal((4, 4)), 0.0, 1.0)
-            out.append(ImageSample(img, label))
-    return out
+            pixels.append(np.clip(base + noise * rng.standard_normal((4, 4)), 0.0, 1.0))
+            labels.append(label)
+    return Images(np.array(pixels), labels)
 
 
 def test_probe_separates_clusters():
@@ -44,9 +47,8 @@ def test_probe_is_input_order_invariant():
     test = two_cluster_samples(8, seed=1)
     a = linear_probe(encoder(), train, test, ProbeConfig(epochs=10), 3)
     rng = rng_for(9, "shuffle")
-    b = linear_probe(encoder(), [train[i] for i in rng.permutation(len(train))],
-                     [test[i] for i in rng.permutation(len(test))],
-                     ProbeConfig(epochs=10), 3)
+    b = linear_probe(encoder(), train[rng.permutation(len(train))],
+                     test[rng.permutation(len(test))], ProbeConfig(epochs=10), 3)
     assert a.accuracy == b.accuracy
     assert a.confusion == b.confusion
 
@@ -60,7 +62,8 @@ def test_probe_leaves_encoder_untouched():
 
 
 def test_probe_reports_class_missing_from_train():
-    train = [s for s in two_cluster_samples(6, 0) if s.label == 0]
+    train = two_cluster_samples(6, 0)
+    train = train[train.labels == 0]
     test = two_cluster_samples(6, 1)
     result = linear_probe(encoder(), train, test, ProbeConfig(epochs=5), 0)
     assert result.missing_in_train == (1,)
@@ -77,7 +80,41 @@ def test_probe_confusion_rows_sum_to_test_counts():
 
 def test_probe_validation():
     with pytest.raises(ValueError):
-        linear_probe(encoder(), [], two_cluster_samples(3, 0), ProbeConfig(), 0)
+        linear_probe(encoder(), two_cluster_samples(3, 0)[:0], two_cluster_samples(3, 0),
+                     ProbeConfig(), 0)
+
+
+def unlabeled_at(images, i):
+    labels = images.labels.copy()
+    labels[i] = -1
+    return Images(images.pixels, labels)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_probe_and_fine_tune_refuse_unlabeled_images(split):
+    """A -1 label marks an unlabeled image; as a class of its own it would
+    silently skew the probe and the fine-tune."""
+    splits = {"train": two_cluster_samples(6, 0), "test": two_cluster_samples(6, 1)}
+    splits[split] = unlabeled_at(splits[split], 4)
+    with pytest.raises(ValueError, match=r"probe needs labeled images, got an unlabeled"):
+        linear_probe(encoder(), splits["train"], splits["test"], ProbeConfig(epochs=2), 0)
+    with pytest.raises(ValueError, match=r"fine-tuning needs labeled images"):
+        fine_tune(encoder(), 0.5, splits["train"], splits["test"],
+                  FineTuneConfig(epochs=2), 0)
+
+
+def test_canonical_order_is_the_sha256_of_pixel_bytes_and_label_text():
+    """The order the probe and the fine-tune shuffle from; it pins their
+    results, so it must not drift with the in-memory format."""
+    images = two_cluster_samples(5, seed=4)
+    images = Images(images.pixels, [3, 0, 1, 2, 0, 1, 2, 3, 10, 11])
+    key = [hashlib.sha256(images.pixels[i].tobytes() + str(images.labels[i]).encode())
+           .hexdigest() for i in range(len(images))]
+    want = sorted(range(len(images)), key=key.__getitem__)
+    reversed_images = images[np.arange(len(images))[::-1]]
+    got = reversed_images[evaluate._canonical_order(reversed_images)]
+    assert got.labels.tolist() == images.labels[want].tolist()
+    assert got.pixels.tobytes() == images.pixels[want].tobytes()
 
 
 def test_fine_tune_reports_best_and_final():
@@ -91,14 +128,26 @@ def test_fine_tune_reports_best_and_final():
     assert result.best_accuracy == 1.0
 
 
-def test_fine_tune_is_input_order_invariant():
+def test_fine_tune_is_input_order_invariant(monkeypatch):
+    """The same minibatches, in the same order, whatever order the splits
+    came in: the chosen subset keeps the canonical order."""
+    batches = []
+    real = nn.forward_cached
+
+    def recording(params, x):
+        batches.append(x.tobytes())
+        return real(params, x)
+
+    monkeypatch.setattr(nn, "forward_cached", recording)
     train = two_cluster_samples(12, seed=0)
     test = two_cluster_samples(6, seed=1)
     cfg = FineTuneConfig(epochs=4)
     a = fine_tune(encoder(), 0.5, train, test, cfg, 2)
+    first, batches[:] = list(batches), []
     rng = rng_for(10, "shuffle")
-    b = fine_tune(encoder(), 0.5, [train[i] for i in rng.permutation(len(train))],
-                  [test[i] for i in rng.permutation(len(test))], cfg, 2)
+    b = fine_tune(encoder(), 0.5, train[rng.permutation(len(train))],
+                  test[rng.permutation(len(test))], cfg, 2)
+    assert batches == first
     assert (a.final_accuracy, a.best_accuracy, a.best_epoch) == \
         (b.final_accuracy, b.best_accuracy, b.best_epoch)
 

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcl.config import from_dict
-from fedcl.datagen import ImageSample
+from fedcl.datagen import Images
 from fedcl.errors import ProtocolError, ShapeError
 from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
                               audit_privacy, build_nodes, contract_violation,
@@ -240,7 +241,7 @@ def test_run_round_rejects_out_of_range_round():
 def test_channel_rejects_image_payload():
     channel = MessageChannel()
     msg = Message(MessageKind.PARAMS_UP, "node-0", "server", 1,
-                  ImageSample(np.zeros((4, 4))))
+                  Images(np.zeros((1, 4, 4)), [-1]))
     with pytest.raises(ProtocolError, match="image payload"):
         channel.send(msg)
     assert channel.messages == []
@@ -261,7 +262,7 @@ def test_audit_catches_forged_log_entries():
     result = run_training(cfg)
     forged = list(result.messages)
     forged.insert(2, Message(MessageKind.METADATA_UP, "node-0", "server", 1,
-                             ImageSample(np.zeros((4, 4)))))
+                             Images(np.zeros((1, 4, 4)), [-1])))
     report = audit_privacy(forged)
     assert not report.passed
     assert report.violations[0][0] == 2
@@ -284,7 +285,7 @@ def test_contract_names_every_kind_once():
         sender = "server" if downward else "node-0"
         assert contract_violation(kind, sender, tag) is None
         assert contract_violation(kind, "node-0" if downward else "server", tag) is not None
-        assert contract_violation(kind, sender, "other:ImageSample") is not None
+        assert contract_violation(kind, sender, "other:Images") is not None
 
 
 @pytest.mark.parametrize("kind,sender,receiver", [
@@ -398,6 +399,35 @@ def test_checkpoint_rejects_truncation(tmp_path):
     save_checkpoint(params, path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ShapeError):
+        load_checkpoint(path)
+
+
+def _cut_body(raw: bytes) -> bytes:
+    return raw[:-3]
+
+
+def _garble_header(raw: bytes) -> bytes:
+    return b"{not json" + raw[raw.index(b"\n"):]
+
+
+def _miscount_header(raw: bytes) -> bytes:
+    line, body = raw.split(b"\n", 1)
+    header = json.loads(line)
+    header["count"] += 1
+    return json.dumps(header).encode() + b"\n" + body
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_cut_body, r"body holds 1037 bytes, not a whole number of float64 values"),
+    (_garble_header, r"header line is not JSON"),
+    (_miscount_header, r"header shapes hold 130 values, its count is 131"),
+], ids=["cut-body", "garbled-header", "miscounted-header"])
+def test_checkpoint_errors_name_the_file(tmp_path, damage, message):
+    params = init_params(mlp_shapes(16, [6], 4), 3)
+    path = tmp_path / "model.bin"
+    save_checkpoint(params, path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ShapeError, match=r"model\.bin: " + message):
         load_checkpoint(path)
 
 

@@ -25,8 +25,8 @@ DIGESTS = {
     "wide": "0106b46b9098a09b5c5b2dce531301bf8859f842b4a8f424f59ccda0414cc345",
     "crowd": "55406071c9e8d650a9c4995ecaed3b1c999aad027aaac1fc1710ead931f422bb",
 }
-# sha256 over the sample fingerprints (pixels and label) of every node's
-# shard in node order, and of the evaluation split's train then test part;
+# sha256 over the image fingerprints (pixel bytes, then label text) of every
+# node's shard in node order, and of the evaluation split's train then test part;
 # the three workloads render the same evaluation split
 EVAL_DIGEST = "123e93abc8651cb948f030badf6ac189fbd95d71503f72c899bd3ac471a60d07"
 IMAGE_DIGESTS = {
@@ -75,17 +75,21 @@ import hashlib
 from fedcl import datagen
 from fedcl.config import from_dict
 
-def digest(samples):
-    return hashlib.sha256("".join(map(datagen.sample_fingerprint, samples)).encode()).hexdigest()
+# per image, the SHA-256 of its float64 pixel bytes followed by its label text
+def fingerprints(images):
+    return [hashlib.sha256(row.tobytes() + str(label).encode()).hexdigest()
+            for row, label in zip(images.pixels, images.labels.tolist())]
+
+def digest(batches):
+    return hashlib.sha256("".join(sum(map(fingerprints, batches), [])).encode()).hexdigest()
 
 digests = {}
 for name, overrides in run.WORKLOADS.items():
     config = from_dict(run.workload_config(overrides, seed))
-    shards = [s for k in range(config.nodes)
-              for s in datagen.generate_node_dataset(config.data, config.nodes, k, seed,
-                                                     keep_labels=True)]
-    train, test = datagen.make_eval_split(config.data, seed)
-    digests[name] = {"shards": digest(shards), "eval": digest(train + test)}
+    shards = [datagen.generate_node_dataset(config.data, config.nodes, k, seed)
+              for k in range(config.nodes)]
+    digests[name] = {"shards": digest(shards),
+                     "eval": digest(datagen.make_eval_split(config.data, seed))}
 print(json.dumps(digests))
 """
 

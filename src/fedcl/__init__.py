@@ -18,7 +18,7 @@ from .errors import ConfigError, ProtocolError, ShapeError
 from .evaluate import (FineTuneConfig, FineTuneResult, ProbeConfig,
                        ProbeResult, fine_tune, linear_probe)
 from .federation import (AuditReport, FederatedNode, Message, MessageChannel,
-                         MessageKind, RoundMetrics, RunResult, ServerState,
+                         MessageKind, RunResult, ServerState,
                          audit_privacy, load_checkpoint, run_round,
                          run_training, save_checkpoint)
 from .metadata import (NodeMetadata, boxcox, compute_metadata, inv_boxcox,
@@ -38,7 +38,7 @@ __all__ = [
     "LayerShape", "LocalHyperparams", "Message", "MessageChannel",
     "MessageKind", "NegativeQueue", "NodeMetadata", "PRESETS",
     "PRETRAIN_CLASSES", "ProbeConfig", "ProbeResult", "ProtocolError",
-    "RoundMetrics", "RunResult", "ScenarioSpec", "ServerState", "ShapeError",
+    "RunResult", "ScenarioSpec", "ServerState", "ShapeError",
     "aggregate", "apply_arm", "audit_privacy", "augment", "boxcox",
     "compute_metadata", "compute_rdm", "export_dataset", "fedavg_weights",
     "fine_tune", "forward_batch", "generate_node_dataset", "init_params",

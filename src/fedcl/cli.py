@@ -138,8 +138,7 @@ def _load_base_config(args) -> tuple[ExperimentConfig, tuple[str, ...],
 def _quota_warning(config: ExperimentConfig, label: str) -> str | None:
     """Warning text when a run sends metadata but its synthetic quota
     floors to zero, so no peer's negatives are ever mixed in."""
-    if not (config.metadata_enabled and config.eta > 0 and config.nodes > 1
-            and config.rounds > config.warmup_rounds):
+    if not (config.metadata_rounds() and config.eta > 0 and config.nodes > 1):
         return None
     per_peer, _ = metadata.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
     if per_peer:

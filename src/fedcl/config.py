@@ -118,6 +118,13 @@ class ExperimentConfig:
     def node_seed(self, node_id: int) -> int:
         return seed_for(self.seed, "node", node_id)
 
+    def metadata_rounds(self) -> range:
+        """The rounds that exchange metadata: every round after warm-up, when
+        ``metadata_enabled`` is set."""
+        if not self.metadata_enabled:
+            return range(0)
+        return range(self.warmup_rounds + 1, self.rounds + 1)
+
     def lr_at(self, round_index: int) -> float:
         factor = 1.0
         for milestone, f in sorted(tuple(p) for p in self.lr_milestones):

@@ -277,6 +277,9 @@ def export_dataset(images: Images, path) -> None:
 
 
 def load_dataset(path) -> Images:
+    """Read an ``export_dataset`` file and its sidecar. A malformed header or
+    body, a non-finite pixel, or a sidecar that is not a JSON list of one
+    int64 label (-1 or more) per image raises ``ShapeError`` naming the file."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 24:
@@ -289,9 +292,17 @@ def load_dataset(path) -> Images:
     if len(raw) - 24 != 8 * count * h * w:
         raise ShapeError(f"{path}: body holds {len(raw) - 24} bytes, header implies "
                          f"{8 * count * h * w}")
+    pixels = np.frombuffer(raw[24:], dtype="<f8").reshape(count, h, w).copy()
+    if not np.isfinite(pixels).all():
+        raise ShapeError(f"{path}: pixels hold a NaN or infinite value")
     sidecar = Path(str(path) + ".labels")
-    labels = json.loads(sidecar.read_text())
+    try:
+        labels = json.loads(sidecar.read_bytes())
+    except ValueError as exc:
+        raise ShapeError(f"{sidecar}: not JSON ({exc})") from exc
+    if not (isinstance(labels, list)
+            and all(type(v) is int and -1 <= v < 2 ** 63 for v in labels)):
+        raise ShapeError(f"{sidecar}: not a JSON list of int64 labels, each -1 or more")
     if len(labels) != count:
         raise ShapeError(f"{sidecar}: holds {len(labels)} labels, {path} holds {count} images")
-    pixels = np.frombuffer(raw[24:], dtype="<f8").reshape(count, h, w).copy()
     return Images(pixels, labels)

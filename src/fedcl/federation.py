@@ -31,7 +31,7 @@ import numpy as np
 from . import contrastive, datagen, nn, rsa
 from . import metadata as md
 from .config import ExperimentConfig
-from .errors import ProtocolError, ShapeError
+from .errors import ConfigError, ProtocolError, ShapeError
 from .seeding import rng_for
 
 
@@ -124,10 +124,9 @@ def payload_violation(message: Message) -> str | None:
 def expected_counts(config: ExperimentConfig) -> dict[str, int]:
     """Messages of each kind a complete run sends: every node downloads and
     uploads parameters each round; metadata flows only after warm-up."""
-    k, t = config.nodes, config.rounds
-    meta_rounds = max(0, t - config.warmup_rounds) if config.metadata_enabled else 0
+    k, t, m = config.nodes, config.rounds, len(config.metadata_rounds())
     return {"params_down": k * t, "params_up": k * t,
-            "metadata_down": k * meta_rounds, "metadata_up": k * meta_rounds}
+            "metadata_down": k * m, "metadata_up": k * m}
 
 
 class MessageChannel:
@@ -185,18 +184,12 @@ class FederatedNode:
         return self.images.shape[0]
 
 
-@dataclass
-class RoundMetrics:
-    round_index: int
-    lr: float
-    losses: dict[int, float]
-    rsa_scores: dict[int, float]
-    weights: dict[int, float]
-    synthetic_counts: dict[int, int]
-
-
-def _node_name(node_id: int) -> str:
-    return f"node-{node_id}"
+def _send(channel, kind: MessageKind, node_id: int, round_index: int, payload) -> None:
+    """Send ``payload`` between the server and node ``node_id``, in the
+    direction ``CONTRACT`` fixes for ``kind``."""
+    node = f"node-{node_id}"
+    sender, receiver = (SERVER, node) if CONTRACT[kind.value][1] else (node, SERVER)
+    channel.send(Message(kind, sender, receiver, round_index, payload))
 
 
 def _peer_negatives(peers, per_peer: int, config: ExperimentConfig,
@@ -217,9 +210,10 @@ def _probe_images(node: FederatedNode, config: ExperimentConfig, round_index: in
 
 
 def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index: int,
-              channel: MessageChannel) -> RoundMetrics:
+              channel: MessageChannel) -> list[dict]:
     """Advance one synchronization round. Mutates ``server`` in place and
-    returns the round's metrics; nodes carry no state between rounds.
+    returns the round's ``metrics.jsonl`` records, one per node in node-id
+    order; nodes carry no state between rounds.
 
     ``nodes`` may arrive in any order; the message log and the aggregate
     are computed in node-id order regardless.
@@ -227,13 +221,12 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
     if not 1 <= round_index <= config.rounds:
         raise ValueError(f"round {round_index} outside [1, {config.rounds}]")
     lr = config.lr_at(round_index)
-    meta_round = config.metadata_enabled and round_index > config.warmup_rounds
+    meta_round = round_index in config.metadata_rounds()
     by_id = sorted(nodes, key=lambda nd: nd.node_id)
     theta = server.theta0
 
     for node in by_id:
-        channel.send(Message(MessageKind.PARAMS_DOWN, SERVER, _node_name(node.node_id),
-                             round_index, theta))
+        _send(channel, MessageKind.PARAMS_DOWN, node.node_id, round_index, theta)
 
     downloads: dict[int, list[md.NodeMetadata]] = {}
     per_peer = 0
@@ -243,8 +236,7 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
             peers = [server.metadata_store[j] for j in sorted(server.metadata_store)
                      if j != node.node_id]
             downloads[node.node_id] = peers
-            channel.send(Message(MessageKind.METADATA_DOWN, SERVER,
-                                 _node_name(node.node_id), round_index, peers))
+            _send(channel, MessageKind.METADATA_DOWN, node.node_id, round_index, peers)
 
     hp = contrastive.LocalHyperparams(
         batch_size=config.batch_size,
@@ -259,48 +251,42 @@ def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index:
     )
     trained: dict[int, nn.EncoderParams] = {}
     uploads: dict[int, md.NodeMetadata] = {}
-    losses: dict[int, float] = {}
-    synthetic_counts: dict[int, int] = {}
+    records: dict[int, dict] = {}
     for node in nodes:  # caller-supplied processing order
         synth = _peer_negatives(downloads.get(node.node_id, []), per_peer, config,
                                 round_index, node.node_id)
         trained[node.node_id], batch_losses = contrastive.local_update(
             theta, node.images, synth, hp, node.rng_seed)
-        losses[node.node_id] = loss = float(np.mean(batch_losses))
+        loss = float(np.mean(batch_losses))
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"node {node.node_id}, round {round_index}: local loss is {loss}")
-        synthetic_counts[node.node_id] = int(synth.shape[0])
+        records[node.node_id] = {"round": round_index, "node": node.node_id, "lr": lr,
+                                 "loss": loss, "synthetic_count": int(synth.shape[0])}
         if meta_round:
             uploads[node.node_id] = md.compute_metadata(
                 nn.forward_batch(theta, node.images), config.boxcox_lambda,
                 config.cov_jitter, node.node_id, round_index)
 
     if meta_round:
-        for node in by_id:
-            channel.send(Message(MessageKind.METADATA_UP, _node_name(node.node_id),
-                                 SERVER, round_index, uploads[node.node_id]))
+        for node_id in sorted(uploads):
+            _send(channel, MessageKind.METADATA_UP, node_id, round_index, uploads[node_id])
         server.metadata_store.update(uploads)
     for node in by_id:
-        channel.send(Message(MessageKind.PARAMS_UP, _node_name(node.node_id),
-                             SERVER, round_index, trained[node.node_id]))
+        _send(channel, MessageKind.PARAMS_UP, node.node_id, round_index, trained[node.node_id])
 
-    scores = {
-        node.node_id: rsa.rsa_score(theta, trained[node.node_id],
-                                    _probe_images(node, config, round_index))
-        for node in by_id
-    }
+    scores = [rsa.rsa_score(theta, trained[node.node_id],
+                            _probe_images(node, config, round_index)) for node in by_id]
     if config.aggregation_mode == "self_adaptive":
-        weights = rsa.self_adaptive_weights([scores[node.node_id] for node in by_id])
+        weights = rsa.self_adaptive_weights(scores)
     else:
         weights = rsa.fedavg_weights([node.size for node in by_id])
 
     server.theta0 = rsa.aggregate([trained[node.node_id] for node in by_id], weights)
-    return RoundMetrics(
-        round_index, lr, losses, scores,
-        {node.node_id: float(w) for node, w in zip(by_id, weights)},
-        synthetic_counts,
-    )
+    rows = [records[node.node_id] for node in by_id]
+    for row, score, weight in zip(rows, scores, weights):
+        row.update(rsa=score, weight=float(weight))
+    return rows
 
 
 @dataclass
@@ -308,7 +294,7 @@ class RunResult:
     """Round t's aggregate is the ``params_down`` payload of round t + 1;
     the last round's is ``theta0``."""
     theta0: nn.EncoderParams
-    metrics: list
+    metrics: list  # one list of run_round records per round
     messages: list
     wall_times: list
     config: ExperimentConfig
@@ -332,7 +318,7 @@ def run_training(config: ExperimentConfig) -> RunResult:
     server = ServerState(nn.init_params(config.encoder_shapes(), config.seed))
     nodes = build_nodes(config)
     channel = MessageChannel()
-    metrics: list[RoundMetrics] = []
+    metrics: list[list[dict]] = []
     wall_times: list[float] = []
     for t in range(1, config.rounds + 1):
         started = time.perf_counter()
@@ -395,46 +381,60 @@ def save_checkpoint(params: nn.EncoderParams, path) -> None:
                  np.ascontiguousarray(params.values, dtype="<f8"))
 
 
+def _header_fields(header) -> tuple | None:
+    """(shapes, count, feature_dim) of a well-typed checkpoint header, else None."""
+    if not isinstance(header, dict):
+        return None
+    shapes, count, dim = header.get("shapes"), header.get("count"), header.get("feature_dim")
+    if not (isinstance(shapes, list) and type(count) is int and type(dim) is int
+            and all(isinstance(s, list) and list(map(type, s)) == [int, int, bool]
+                    for s in shapes)):
+        return None
+    return tuple(nn.LayerShape(*s) for s in shapes), count, dim
+
+
 def load_checkpoint(path) -> nn.EncoderParams:
     """Read a ``save_checkpoint`` file; a malformed one raises ``ShapeError``
-    naming the file."""
+    naming the file. The header must describe a chaining layer manifest whose
+    last layer has ``feature_dim`` rows, and every value must be finite."""
     with open(path, "rb") as fh:
         line, body = fh.readline(), fh.read()
     try:
         header = json.loads(line.decode("utf-8"))
     except ValueError as exc:
         raise ShapeError(f"{path}: header line is not JSON ({exc})") from exc
+    fields = _header_fields(header)
+    if fields is None:
+        raise ShapeError(f"{path}: header is not an object with a list 'shapes' of "
+                         f"[rows, cols, bias] and integers 'count' and 'feature_dim'")
+    shapes, count, feature_dim = fields
+    try:
+        nn.validate_shapes(shapes)
+    except ConfigError as exc:
+        raise ShapeError(f"{path}: {exc}") from exc
+    size = sum(s.size for s in shapes)
+    if size != count:
+        raise ShapeError(f"{path}: header shapes hold {size} values, its count is {count}")
+    if feature_dim != shapes[-1].rows:
+        raise ShapeError(f"{path}: feature_dim is {feature_dim}, the last layer has "
+                         f"{shapes[-1].rows} rows")
     if len(body) % 8:
         raise ShapeError(f"{path}: body holds {len(body)} bytes, not a whole number "
                          f"of float64 values")
-    shapes = tuple(nn.LayerShape(int(r), int(c), bool(b)) for r, c, b in header["shapes"])
-    count, size = header["count"], sum(s.size for s in shapes)
-    if size != count:
-        raise ShapeError(f"{path}: header shapes hold {size} values, its count is {count}")
     values = np.frombuffer(body, dtype="<f8").copy()
     if values.size != count:
         raise ShapeError(f"{path}: checkpoint body holds {values.size} values, "
                          f"header count is {count}")
-    return nn.EncoderParams(values, shapes, int(header["feature_dim"]))
+    if not np.isfinite(values).all():
+        raise ShapeError(f"{path}: body holds a NaN or infinite value")
+    return nn.EncoderParams(values, shapes, feature_dim)
 
 
 def metrics_records(metrics) -> list[dict]:
-    """Flatten round metrics to one record per round per node. Timing is
+    """Flatten ``RunResult.metrics`` to the rows of metrics.jsonl. Timing is
     deliberately kept out of these records so identical runs serialize to
     identical bytes."""
-    records = []
-    for m in metrics:
-        for node_id in sorted(m.losses):
-            records.append({
-                "round": m.round_index,
-                "node": node_id,
-                "lr": m.lr,
-                "loss": m.losses[node_id],
-                "rsa": m.rsa_scores.get(node_id),
-                "weight": m.weights[node_id],
-                "synthetic_count": m.synthetic_counts[node_id],
-            })
-    return records
+    return [record for round_records in metrics for record in round_records]
 
 
 def write_jsonl(records, path) -> None:

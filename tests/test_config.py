@@ -107,6 +107,12 @@ def test_lr_schedule_steps_down_at_milestones():
     assert cfg.lr_at(200) == 0.03 * 0.01
 
 
+def test_metadata_rounds_follow_warmup_and_the_switch():
+    assert small_config(rounds=4, warmup_rounds=1).metadata_rounds() == range(2, 5)
+    assert small_config(rounds=4, warmup_rounds=4).metadata_rounds() == range(5, 5)
+    assert not small_config(rounds=4, warmup_rounds=0, metadata_enabled=False).metadata_rounds()
+
+
 def test_node_seeds_derive_from_the_run_seed():
     cfg = small_config(seed=7)
     seeds = [cfg.node_seed(k) for k in range(3)]

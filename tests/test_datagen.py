@@ -309,6 +309,62 @@ def test_load_rejects_sidecar_of_wrong_length(tmp_path, change):
         load_dataset(path)
 
 
+def _two_image_file(tmp_path):
+    path = tmp_path / "pair.bin"
+    export_dataset(Images(np.zeros((2, 4, 4)), [4, -1]), path)
+    return path
+
+
+@pytest.mark.parametrize("text", ["[4.9, -7]", "[true, 1]", "[4, -7]", "[4, 1", '["a", 1]',
+                                  "[1e30, 0]", "[NaN, 0]", '{"labels": [4, 1]}'],
+                         ids=["float", "bool", "below-minus-one", "not-json", "string",
+                              "huge-float", "nan", "object"])
+def test_load_refuses_sidecar_that_is_not_a_list_of_labels(tmp_path, text):
+    path = _two_image_file(tmp_path)
+    (tmp_path / "pair.bin.labels").write_text(text)
+    with pytest.raises(ShapeError, match=r"pair\.bin\.labels: not "):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_refuses_non_finite_pixels(tmp_path, value):
+    path = _two_image_file(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[24 + 8 * 5:24 + 8 * 6] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ShapeError, match=r"pair\.bin: pixels hold a NaN or infinite value"):
+        load_dataset(path)
+
+
+def _one_byte_damage(raw: bytes):
+    """Any single-byte change of ``raw``, or any cut of it."""
+    change = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)).map(
+        lambda pv: raw[:pv[0]] + bytes([pv[1]]) + raw[pv[0] + 1:])
+    return st.one_of(change, st.integers(0, len(raw) - 1).map(lambda n: raw[:n]))
+
+
+# Pixels at 0 and 1 as the renderer clips them: one byte turns 1.0 into inf.
+_SMALL = Images(np.array([0.0, 1.0, 0.25, 0.5] * 6).reshape(3, 2, 4), [4, -1, 5])
+
+
+@pytest.mark.parametrize("target", ["small.bin", "small.bin.labels"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dataset_byte_damage_loads_well_formed_or_names_the_file(tmp_path_factory, target,
+                                                                 data):
+    path = tmp_path_factory.getbasetemp() / "small.bin"
+    export_dataset(_SMALL, path)
+    damaged = path.with_name(target)
+    damaged.write_bytes(data.draw(_one_byte_damage(damaged.read_bytes())))
+    try:
+        images = load_dataset(path)
+    except ShapeError as exc:
+        assert str(damaged) in str(exc)
+        return
+    assert np.isfinite(images.pixels).all()
+    assert (images.labels >= -1).all() and len(images.labels) == len(images)
+
+
 def test_scenario_validation():
     assert spec().validate(K) == spec()
     for kw, nodes, needle in [

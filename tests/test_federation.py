@@ -19,7 +19,8 @@ from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
                               save_checkpoint, write_atomic, write_jsonl,
                               write_message_log)
 from fedcl.metadata import NodeMetadata, compute_metadata
-from fedcl.nn import EncoderParams, forward_batch, init_params, mlp_shapes
+from fedcl.nn import (EncoderParams, forward_batch, init_params, mlp_shapes,
+                      validate_shapes)
 
 
 def tiny_config(**kw):
@@ -90,13 +91,15 @@ def test_result_does_not_depend_on_node_processing_order():
         server = ServerState(theta0.copy())
         nodes = build_nodes(cfg)
         channel = MessageChannel()
-        for t in range(1, cfg.rounds + 1):
-            run_round(server, reorder(nodes), cfg, t, channel)
-        return server, channel
+        records = [run_round(server, reorder(nodes), cfg, t, channel)
+                   for t in range(1, cfg.rounds + 1)]
+        return server, channel, records
 
-    fwd_server, fwd_channel = simulate(lambda ns: ns)
-    rev_server, rev_channel = simulate(lambda ns: list(reversed(ns)))
+    fwd_server, fwd_channel, fwd_records = simulate(lambda ns: ns)
+    rev_server, rev_channel, rev_records = simulate(lambda ns: list(reversed(ns)))
     assert np.array_equal(fwd_server.theta0.values, rev_server.theta0.values)
+    assert fwd_records == rev_records  # list order included
+    assert all([r["node"] for r in rows] == [0, 1, 2] for rows in fwd_records)
     fwd_log = [(m.kind, m.sender, m.receiver, m.round_index, payload_digest(m.payload))
                for m in fwd_channel.messages]
     rev_log = [(m.kind, m.sender, m.receiver, m.round_index, payload_digest(m.payload))
@@ -171,16 +174,17 @@ def test_synthetic_counts_follow_quota():
     cfg = tiny_config(rounds=3, warmup_rounds=1)
     result = run_training(cfg)
     per_peer = 1  # floor(0.2 * 16 / 2)
-    for m in result.metrics:
-        expected = per_peer * (cfg.nodes - 1) if m.round_index > cfg.warmup_rounds + 1 else 0
-        assert all(c == expected for c in m.synthetic_counts.values())
+    for rows in result.metrics:
+        for r in rows:
+            expected = per_peer * (cfg.nodes - 1) if r["round"] > cfg.warmup_rounds + 1 else 0
+            assert r["synthetic_count"] == expected
 
 
 def test_round_metrics_weights_sum_to_one():
     result = run_training(tiny_config())
-    for m in result.metrics:
-        assert sum(m.weights.values()) == pytest.approx(1.0, abs=1e-12)
-        assert set(m.losses) == {0, 1, 2}
+    for rows in result.metrics:
+        assert sum(r["weight"] for r in rows) == pytest.approx(1.0, abs=1e-12)
+        assert {r["node"] for r in rows} == {0, 1, 2}
 
 
 def test_fedavg_mode_weights_by_sample_count():
@@ -190,7 +194,7 @@ def test_fedavg_mode_weights_by_sample_count():
     result = run_training(cfg)
     sizes = cfg.data.node_sizes(cfg.nodes)  # (3, 3, 12)
     want = {k: sizes[k] / sum(sizes) for k in range(3)}
-    assert result.metrics[0].weights == pytest.approx(want)
+    assert {r["node"]: r["weight"] for r in result.metrics[0]} == pytest.approx(want)
 
 
 def test_zero_rounds_returns_initial_params():
@@ -410,18 +414,48 @@ def _garble_header(raw: bytes) -> bytes:
     return b"{not json" + raw[raw.index(b"\n"):]
 
 
-def _miscount_header(raw: bytes) -> bytes:
-    line, body = raw.split(b"\n", 1)
-    header = json.loads(line)
-    header["count"] += 1
-    return json.dumps(header).encode() + b"\n" + body
+def _edit_header(edit):
+    def damage(raw: bytes) -> bytes:
+        line, body = raw.split(b"\n", 1)
+        header = json.loads(line)
+        return json.dumps(edit(header)).encode() + b"\n" + body
+    return damage
+
+
+def _set_value(index: int, value: float):
+    def damage(raw: bytes) -> bytes:
+        line, body = raw.split(b"\n", 1)
+        values = np.frombuffer(body, dtype="<f8").copy()
+        values[index] = value
+        return line + b"\n" + values.tobytes()
+    return damage
+
+
+_NOT_A_HEADER = r"header is not an object with a list 'shapes'"
 
 
 @pytest.mark.parametrize("damage,message", [
     (_cut_body, r"body holds 1037 bytes, not a whole number of float64 values"),
     (_garble_header, r"header line is not JSON"),
-    (_miscount_header, r"header shapes hold 130 values, its count is 131"),
-], ids=["cut-body", "garbled-header", "miscounted-header"])
+    (_edit_header(lambda h: {**h, "count": h["count"] + 1}),
+     r"header shapes hold 130 values, its count is 131"),
+    (_edit_header(lambda h: {}), _NOT_A_HEADER),
+    (_edit_header(lambda h: [1]), _NOT_A_HEADER),
+    (_edit_header(lambda h: "x"), _NOT_A_HEADER),
+    (_edit_header(lambda h: None), _NOT_A_HEADER),
+    (_edit_header(lambda h: {**h, "count": 130.0}), _NOT_A_HEADER),
+    (_edit_header(lambda h: {**h, "shapes": [[6, 16, True], [4, 6]]}), _NOT_A_HEADER),
+    (_edit_header(lambda h: {**h, "shapes": h["shapes"] + [[0, 4, True]]}),
+     r"layer 2 has a zero-dimensional shape 0x4"),
+    (_edit_header(lambda h: {**h, "shapes": [[6, 16, True], [2, 13, True]]}),
+     r"layer 1 expects 13 inputs but layer 0 produces 6"),
+    (_edit_header(lambda h: {**h, "feature_dim": -3}),
+     r"feature_dim is -3, the last layer has 4 rows"),
+    (_set_value(7, np.nan), r"body holds a NaN or infinite value"),
+    (_set_value(-1, -np.inf), r"body holds a NaN or infinite value"),
+], ids=["cut-body", "garbled-header", "miscounted-header", "empty-object", "list",
+        "string", "null", "float-count", "short-layer", "zero-size-layer",
+        "non-chaining-layer", "negative-feature-dim", "nan-value", "infinite-value"])
 def test_checkpoint_errors_name_the_file(tmp_path, damage, message):
     params = init_params(mlp_shapes(16, [6], 4), 3)
     path = tmp_path / "model.bin"
@@ -429,6 +463,32 @@ def test_checkpoint_errors_name_the_file(tmp_path, damage, message):
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(ShapeError, match=r"model\.bin: " + message):
         load_checkpoint(path)
+
+
+def _one_byte_damage(raw: bytes):
+    """Any single-byte change of ``raw``, or any cut of it."""
+    change = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)).map(
+        lambda pv: raw[:pv[0]] + bytes([pv[1]]) + raw[pv[0] + 1:])
+    return st.one_of(change, st.integers(0, len(raw) - 1).map(lambda n: raw[:n]))
+
+
+_CHECKPOINT = init_params(mlp_shapes(16, [6], 4), 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_byte_damage_loads_well_formed_or_names_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "damaged-checkpoint.bin"
+    save_checkpoint(_CHECKPOINT, path)
+    path.write_bytes(data.draw(_one_byte_damage(path.read_bytes())))
+    try:
+        params = load_checkpoint(path)
+    except ShapeError as exc:
+        assert str(path) in str(exc)
+        return
+    assert validate_shapes(params.shapes) == params.shapes
+    assert params.feature_dim == params.shapes[-1].rows
+    assert np.isfinite(params.values).all()
 
 
 def test_message_log_roundtrip(tmp_path):

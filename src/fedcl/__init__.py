@@ -8,8 +8,7 @@ aggregation, the round loop, and evaluation probes.
 
 from .config import (ARMS, ExperimentConfig, PRESETS, apply_arm, load_config,
                      preset_config, save_config)
-from .contrastive import (LocalHyperparams, NegativeQueue, augment,
-                          local_update, momentum_update)
+from .contrastive import NegativeQueue, augment, local_update, momentum_update
 from .datagen import (DISEASE_CLASSES, EVAL_CLASSES, HEALTHY_CLASS,
                       PRETRAIN_CLASSES, Images, ScenarioSpec,
                       export_dataset, generate_node_dataset, load_dataset,
@@ -17,10 +16,9 @@ from .datagen import (DISEASE_CLASSES, EVAL_CLASSES, HEALTHY_CLASS,
 from .errors import ConfigError, ProtocolError, ShapeError
 from .evaluate import (FineTuneConfig, FineTuneResult, ProbeConfig,
                        ProbeResult, fine_tune, linear_probe)
-from .federation import (AuditReport, FederatedNode, Message, MessageChannel,
-                         MessageKind, RunResult, ServerState,
-                         audit_privacy, load_checkpoint, run_round,
-                         run_training, save_checkpoint)
+from .federation import (AuditReport, Message, MessageChannel, MessageKind,
+                         RunResult, ServerState, audit_privacy, load_checkpoint,
+                         run_round, run_training, save_checkpoint)
 from .metadata import (NodeMetadata, boxcox, compute_metadata, inv_boxcox,
                        sample_gaussian, sample_synthetic, synthetic_quota)
 from .nn import (EncoderParams, LayerShape, forward_batch,
@@ -33,10 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARMS", "AuditReport", "ConfigError", "DISEASE_CLASSES",
-    "EVAL_CLASSES", "EncoderParams", "ExperimentConfig", "FederatedNode",
-    "FineTuneConfig", "FineTuneResult", "HEALTHY_CLASS", "Images",
-    "LayerShape", "LocalHyperparams", "Message", "MessageChannel",
-    "MessageKind", "NegativeQueue", "NodeMetadata", "PRESETS",
+    "EVAL_CLASSES", "EncoderParams", "ExperimentConfig", "FineTuneConfig",
+    "FineTuneResult", "HEALTHY_CLASS", "Images", "LayerShape", "Message",
+    "MessageChannel", "MessageKind", "NegativeQueue", "NodeMetadata", "PRESETS",
     "PRETRAIN_CLASSES", "ProbeConfig", "ProbeResult", "ProtocolError",
     "RunResult", "ScenarioSpec", "ServerState", "ShapeError",
     "aggregate", "apply_arm", "audit_privacy", "augment", "boxcox",

@@ -17,8 +17,9 @@ never leaves a half-written artifact behind.
 `audit` checks each logged message against ``federation.CONTRACT`` (kind,
 direction, payload tag), the message counts against
 ``federation.expected_counts`` of the run's config.yaml, and digest.txt
-against ``federation.run_digest``; any mismatch, missing file or config.yaml
-that does not load is a FAIL, and a tree of runs is audited to the end.
+against ``federation.run_digest``; any mismatch, missing file, damaged
+messages.log line or config.yaml that does not load is a FAIL, and a tree of
+runs is audited to the end.
 """
 
 from __future__ import annotations
@@ -258,8 +259,33 @@ def cmd_audit(args) -> int:
     return worst
 
 
+def _log_records(path: Path) -> list[dict]:
+    """The records of a messages.log. Raises ``ValueError("line N: ...")`` at
+    the first line that is not a JSON object with string ``kind``, ``sender``
+    and ``payload`` fields."""
+    records = []
+    for n, line in enumerate(path.read_bytes().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"line {n}: not JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"line {n}: not a JSON object")
+        for key in ("kind", "sender", "payload"):
+            if not isinstance(record.get(key), str):
+                raise ValueError(f"line {n}: no string {key!r} field")
+        records.append(record)
+    return records
+
+
 def _audit_one(run_dir: Path) -> int:
-    records = federation.read_jsonl(run_dir / "messages.log")
+    try:
+        records = _log_records(run_dir / "messages.log")
+    except ValueError as exc:
+        print(f"FAIL messages.log: {exc}")
+        return 1
     counts = Counter(rec["kind"] for rec in records)
     problems: list[str] = []
     for i, rec in enumerate(records):

@@ -3,10 +3,9 @@ key dictionary, the momentum key encoder, and one local pass over a shard."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import ShapeError
 from .nn import BLOCK, EncoderParams, blockwise, forward_batch, loss_and_grad, sgd_step
 from .seeding import rng_for
@@ -222,24 +221,12 @@ def augment(images, rng: np.random.Generator, views: int = 1) -> np.ndarray:
     return out.reshape(n, views, h, w)
 
 
-@dataclass(frozen=True)
-class LocalHyperparams:
-    batch_size: int
-    lr: float
-    sgd_momentum: float
-    weight_decay: float
-    momentum_coeff: float  # key-encoder momentum m
-    temperature: float
-    queue_capacity: int  # key queue length
-    epochs: int = 1
-    round_index: int = 1
-
-
-def local_update(theta: EncoderParams, images, synthetic, hp: LocalHyperparams,
-                 rng_seed: int):
-    """One local pass over a shard (``hp.epochs`` epochs of minibatches,
-    shuffled and augmented from ``rng_seed``), starting from the broadcast
-    ``theta`` with an equal key encoder, an empty key queue and no momentum.
+def local_update(theta: EncoderParams, images, synthetic, config: ExperimentConfig,
+                 round_index: int, rng_seed: int):
+    """One local pass over a shard (``config.epochs_per_round`` epochs of
+    minibatches, shuffled and augmented from ``rng_seed``), starting from the
+    broadcast ``theta`` with an equal key encoder, an empty key queue and no
+    momentum. The learning rate is ``config.lr_at(round_index)``.
 
     Per batch: two views per image; queries run through theta_q, keys through
     theta_d (constants); the loss contrasts each query against its key, the
@@ -253,32 +240,33 @@ def local_update(theta: EncoderParams, images, synthetic, hp: LocalHyperparams,
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3 or images.shape[0] == 0:
         raise ValueError("dataset shard must be a non-empty (n, H, W) stack")
-    _check_momentum(hp.momentum_coeff)
+    _check_momentum(config.momentum_coeff)
+    lr = config.lr_at(round_index)
     d = theta.feature_dim
     theta_q = theta.copy()
     theta_d = theta.copy()
-    queue = NegativeQueue(hp.queue_capacity)
+    queue = NegativeQueue(config.queue_capacity)
     buf = np.zeros_like(theta_q.values)
     grad = np.empty_like(theta_q.values)
     scratch = np.empty(min(BLOCK, grad.size))
-    rng = rng_for(rng_seed, "local-update", hp.round_index)
+    rng = rng_for(rng_seed, "local-update", round_index)
 
     def step(q, g, v, k):
         # theta_d's update reads this block of the new theta_q from cache.
         s = scratch[: q.size]
-        sgd_step(q, g, v, hp.lr, hp.sgd_momentum, hp.weight_decay, s)
-        _momentum_step(k, q, hp.momentum_coeff, s)
+        sgd_step(q, g, v, lr, config.sgd_momentum, config.weight_decay, s)
+        _momentum_step(k, q, config.momentum_coeff, s)
 
     n = images.shape[0]
     losses: list[float] = []
-    for _ in range(hp.epochs):
+    for _ in range(config.epochs_per_round):
         order = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = order[start : start + hp.batch_size]
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
             pairs = augment(images[idx], rng, views=2)
             keys = forward_batch(theta_d, pairs[:, 1])
             loss, _ = loss_and_grad(theta_q, pairs[:, 0], keys, queue.as_matrix(d), synthetic,
-                                    hp.temperature, out=grad)
+                                    config.temperature, out=grad)
             blockwise(step, theta_q.values, grad, buf, theta_d.values)
             queue.push(keys)
             losses.append(loss)

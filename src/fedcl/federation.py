@@ -2,9 +2,8 @@
 
 The simulation runs in one process, but every exchange goes through an
 append-only message log whose total order is fixed by (round, phase, node);
-that log is the auditable protocol surface. Node updates share no state
-within a round, and aggregation accumulates in node-id order, so results do
-not depend on the order node updates are executed in.
+that log is the auditable protocol surface. A node is its shard: node k's
+id is its index, and every per-node step of a round runs in node order.
 
 Per round: parameters go down and every node trains from them afresh (key
 encoder equal to the query encoder, empty key queue, zero optimizer
@@ -173,17 +172,6 @@ class ServerState:
     metadata_store: dict[int, md.NodeMetadata] = field(default_factory=dict)
 
 
-@dataclass
-class FederatedNode:
-    node_id: int
-    images: np.ndarray  # (n, H, W); never leaves the node
-    rng_seed: int
-
-    @property
-    def size(self) -> int:
-        return self.images.shape[0]
-
-
 def _send(channel, kind: MessageKind, node_id: int, round_index: int, payload) -> None:
     """Send ``payload`` between the server and node ``node_id``, in the
     direction ``CONTRACT`` fixes for ``kind``."""
@@ -202,88 +190,69 @@ def _peer_negatives(peers, per_peer: int, config: ExperimentConfig,
     return np.vstack(rows)
 
 
-def _probe_images(node: FederatedNode, config: ExperimentConfig, round_index: int) -> np.ndarray:
-    size = min(config.probe_size, node.size)
-    rng = rng_for(config.seed, "probe", round_index, node.node_id)
-    idx = rng.choice(node.size, size=size, replace=False)
-    return node.images[np.sort(idx)]
+def _probe_images(shard: np.ndarray, node_id: int, config: ExperimentConfig,
+                  round_index: int) -> np.ndarray:
+    size = min(config.probe_size, len(shard))
+    rng = rng_for(config.seed, "probe", round_index, node_id)
+    idx = rng.choice(len(shard), size=size, replace=False)
+    return shard[np.sort(idx)]
 
 
-def run_round(server: ServerState, nodes, config: ExperimentConfig, round_index: int,
+def run_round(server: ServerState, shards, config: ExperimentConfig, round_index: int,
               channel: MessageChannel) -> list[dict]:
-    """Advance one synchronization round. Mutates ``server`` in place and
-    returns the round's ``metrics.jsonl`` records, one per node in node-id
-    order; nodes carry no state between rounds.
-
-    ``nodes`` may arrive in any order; the message log and the aggregate
-    are computed in node-id order regardless.
+    """Advance one synchronization round. Node k trains on ``shards[k]`` from
+    the seed ``config.node_seed(k)``. Mutates ``server`` in place and returns
+    the round's ``metrics.jsonl`` records, one per node in node order; nodes
+    carry no state between rounds.
     """
     if not 1 <= round_index <= config.rounds:
         raise ValueError(f"round {round_index} outside [1, {config.rounds}]")
-    lr = config.lr_at(round_index)
     meta_round = round_index in config.metadata_rounds()
-    by_id = sorted(nodes, key=lambda nd: nd.node_id)
     theta = server.theta0
 
-    for node in by_id:
-        _send(channel, MessageKind.PARAMS_DOWN, node.node_id, round_index, theta)
+    for k in range(len(shards)):
+        _send(channel, MessageKind.PARAMS_DOWN, k, round_index, theta)
 
-    downloads: dict[int, list[md.NodeMetadata]] = {}
+    downloads: list[list[md.NodeMetadata]] = [[] for _ in shards]
     per_peer = 0
     if meta_round:
         per_peer, _ = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
-        for node in by_id:
-            peers = [server.metadata_store[j] for j in sorted(server.metadata_store)
-                     if j != node.node_id]
-            downloads[node.node_id] = peers
-            _send(channel, MessageKind.METADATA_DOWN, node.node_id, round_index, peers)
+        for k in range(len(shards)):
+            downloads[k] = [meta for j, meta in sorted(server.metadata_store.items()) if j != k]
+            _send(channel, MessageKind.METADATA_DOWN, k, round_index, downloads[k])
 
-    hp = contrastive.LocalHyperparams(
-        batch_size=config.batch_size,
-        lr=lr,
-        sgd_momentum=config.sgd_momentum,
-        weight_decay=config.weight_decay,
-        momentum_coeff=config.momentum_coeff,
-        temperature=config.temperature,
-        queue_capacity=config.queue_capacity,
-        epochs=config.epochs_per_round,
-        round_index=round_index,
-    )
-    trained: dict[int, nn.EncoderParams] = {}
-    uploads: dict[int, md.NodeMetadata] = {}
-    records: dict[int, dict] = {}
-    for node in nodes:  # caller-supplied processing order
-        synth = _peer_negatives(downloads.get(node.node_id, []), per_peer, config,
-                                round_index, node.node_id)
-        trained[node.node_id], batch_losses = contrastive.local_update(
-            theta, node.images, synth, hp, node.rng_seed)
+    trained: list[nn.EncoderParams] = []
+    uploads: list[md.NodeMetadata] = []
+    rows: list[dict] = []
+    for k, shard in enumerate(shards):
+        synth = _peer_negatives(downloads[k], per_peer, config, round_index, k)
+        theta_k, batch_losses = contrastive.local_update(
+            theta, shard, synth, config, round_index, config.node_seed(k))
         loss = float(np.mean(batch_losses))
         if not np.isfinite(loss):
-            raise FloatingPointError(
-                f"node {node.node_id}, round {round_index}: local loss is {loss}")
-        records[node.node_id] = {"round": round_index, "node": node.node_id, "lr": lr,
-                                 "loss": loss, "synthetic_count": int(synth.shape[0])}
+            raise FloatingPointError(f"node {k}, round {round_index}: local loss is {loss}")
+        trained.append(theta_k)
+        rows.append({"round": round_index, "node": k, "lr": config.lr_at(round_index),
+                     "loss": loss, "synthetic_count": int(synth.shape[0])})
         if meta_round:
-            uploads[node.node_id] = md.compute_metadata(
-                nn.forward_batch(theta, node.images), config.boxcox_lambda,
-                config.cov_jitter, node.node_id, round_index)
+            uploads.append(md.compute_metadata(
+                nn.forward_batch(theta, shard), config.boxcox_lambda,
+                config.cov_jitter, k, round_index))
 
-    if meta_round:
-        for node_id in sorted(uploads):
-            _send(channel, MessageKind.METADATA_UP, node_id, round_index, uploads[node_id])
-        server.metadata_store.update(uploads)
-    for node in by_id:
-        _send(channel, MessageKind.PARAMS_UP, node.node_id, round_index, trained[node.node_id])
+    for k, upload in enumerate(uploads):
+        _send(channel, MessageKind.METADATA_UP, k, round_index, upload)
+    server.metadata_store.update(enumerate(uploads))
+    for k, theta_k in enumerate(trained):
+        _send(channel, MessageKind.PARAMS_UP, k, round_index, theta_k)
 
-    scores = [rsa.rsa_score(theta, trained[node.node_id],
-                            _probe_images(node, config, round_index)) for node in by_id]
+    scores = [rsa.rsa_score(theta, theta_k, _probe_images(shard, k, config, round_index))
+              for k, (shard, theta_k) in enumerate(zip(shards, trained))]
     if config.aggregation_mode == "self_adaptive":
         weights = rsa.self_adaptive_weights(scores)
     else:
-        weights = rsa.fedavg_weights([node.size for node in by_id])
+        weights = rsa.fedavg_weights([len(shard) for shard in shards])
 
-    server.theta0 = rsa.aggregate([trained[node.node_id] for node in by_id], weights)
-    rows = [records[node.node_id] for node in by_id]
+    server.theta0 = rsa.aggregate(trained, weights)
     for row, score, weight in zip(rows, scores, weights):
         row.update(rsa=score, weight=float(weight))
     return rows
@@ -300,13 +269,11 @@ class RunResult:
     config: ExperimentConfig
 
 
-def build_nodes(config: ExperimentConfig) -> list[FederatedNode]:
-    """Each node's private shard and seed; nodes hold no parameters."""
-    nodes = []
-    for k in range(config.nodes):
-        shard = datagen.generate_node_dataset(config.data, config.nodes, k, config.seed)
-        nodes.append(FederatedNode(k, shard.pixels, config.node_seed(k)))
-    return nodes
+def build_nodes(config: ExperimentConfig) -> list[np.ndarray]:
+    """Each node's private ``(n, H, W)`` shard, node k's at index k; nodes
+    hold no parameters."""
+    return [datagen.generate_node_dataset(config.data, config.nodes, k, config.seed).pixels
+            for k in range(config.nodes)]
 
 
 def run_training(config: ExperimentConfig) -> RunResult:
@@ -316,13 +283,13 @@ def run_training(config: ExperimentConfig) -> RunResult:
     parameters and an empty log."""
     config.validate()
     server = ServerState(nn.init_params(config.encoder_shapes(), config.seed))
-    nodes = build_nodes(config)
+    shards = build_nodes(config)
     channel = MessageChannel()
     metrics: list[list[dict]] = []
     wall_times: list[float] = []
     for t in range(1, config.rounds + 1):
         started = time.perf_counter()
-        metrics.append(run_round(server, nodes, config, t, channel))
+        metrics.append(run_round(server, shards, config, t, channel))
         wall_times.append(time.perf_counter() - started)
     return RunResult(server.theta0, metrics, channel.messages, wall_times, config)
 

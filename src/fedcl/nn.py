@@ -122,7 +122,6 @@ class ForwardCache:
     """Intermediate activations kept for the backward pass."""
 
     activations: list  # A_0 .. A_L (input, then post-ReLU per layer)
-    preacts: list  # pre-activation per layer
     norms: np.ndarray  # (B,) L2 norms of A_L
     features: np.ndarray  # (B, d) normalized output
 
@@ -138,31 +137,30 @@ def _flatten_batch(params: EncoderParams, images) -> np.ndarray:
 
 
 def forward_cached(params: EncoderParams, images) -> ForwardCache:
-    x = _flatten_batch(params, images)
-    activations = [x]
-    preacts = []
-    a = x
+    """The forward pass with every layer's activations kept, each built in
+    place as in ``forward_batch``. No pre-activation is kept: the backward
+    ReLU mask ``max(h, 0) > 0`` equals ``h > 0``, NaN included."""
+    a = _flatten_batch(params, images)
+    activations = [a]
     for w, b in layer_views(params):
-        h = a @ w.T
+        a = a @ w.T
         if b is not None:
-            h += b
-        preacts.append(h)
-        a = np.maximum(h, 0.0)
+            a += b
+        np.maximum(a, 0.0, out=a)
         activations.append(a)
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     features = np.zeros_like(a)
     nz = norms > 0.0
     features[nz] = a[nz] / norms[nz, None]
-    return ForwardCache(activations, preacts, norms, features)
+    return ForwardCache(activations, norms, features)
 
 
 def forward_batch(params: EncoderParams, images) -> np.ndarray:
     """(B, d) feature rows for a stack of images or flat input rows.
 
     Bit-equal to ``forward_cached(params, images).features``, but keeps no
-    activations for a backward pass and adds the bias and applies the ReLU
-    in place, so each layer's rows exist once and only while the next layer
-    reads them.
+    activations for a backward pass, so each layer's rows exist only while
+    the next layer reads them.
     """
     a = _flatten_batch(params, images)
     for w, b in layer_views(params):
@@ -202,7 +200,7 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
     weights = layer_views(params)
     grads = layer_views(params, out)
     for i in range(len(weights) - 1, -1, -1):
-        dh = da * (cache.preacts[i] > 0.0)
+        dh = da * (cache.activations[i + 1] > 0.0)
         gw, gb = grads[i]
         np.matmul(dh.T, cache.activations[i], out=gw)
         if gb is not None:

@@ -224,6 +224,37 @@ def test_audit_tree_reports_a_config_that_does_not_load_and_goes_on(tmp_path, ca
     assert out.index("seed-0") < out.index("FAIL") < out.index("seed-1") < out.index("passed")
 
 
+def _cut_last_line(text):
+    return text[: text.rindex("}")], len(text.splitlines())
+
+
+def _drop_first_sender(text):
+    first, rest = text.split("\n", 1)
+    record = json.loads(first)
+    del record["sender"]
+    return json.dumps(record) + "\n" + rest, 1
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (_cut_last_line, "not JSON"),
+    (_drop_first_sender, "no string 'sender' field"),
+])
+def test_audit_tree_names_a_damaged_message_log_and_goes_on(tmp_path, capsys, damage, reason):
+    """A truncated line or a record without a sender fails its run by line
+    number; the run after it is still audited."""
+    assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "0", "--seed", "1",
+                 "--out", str(tmp_path / "runs"), *FAST]) == 0
+    log = tmp_path / "runs" / "smoke" / "fedavg" / "seed-0" / "messages.log"
+    damaged, line = damage(log.read_text())
+    log.write_text(damaged)
+    capsys.readouterr()
+    assert main(["audit", str(tmp_path / "runs")]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL messages.log: line {line}: {reason}" in out
+    assert out.count("FAIL") == 1 and out.count("audit passed") == 1
+    assert out.index("seed-0") < out.index("FAIL") < out.index("seed-1") < out.index("passed")
+
+
 def test_export_data_writes_loadable_shards(tmp_path):
     dest = tmp_path / "data"
     assert main(["export-data", "--preset", "smoke", *FAST,

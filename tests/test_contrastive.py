@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedcl.contrastive import (LocalHyperparams, NegativeQueue,
-                               _momentum_step, augment, local_update,
-                               momentum_update)
+from fedcl.config import ExperimentConfig
+from fedcl.contrastive import (NegativeQueue, _momentum_step, augment,
+                               local_update, momentum_update)
 from fedcl.errors import ShapeError
 from fedcl.nn import (EncoderParams, LayerShape, forward_batch, init_params,
                       loss_and_grad, mlp_shapes, sgd_step)
@@ -234,9 +234,10 @@ SHAPES = mlp_shapes(16, [6], 4)
 
 
 def hyper(**kw):
-    base = dict(batch_size=4, lr=0.1, sgd_momentum=0.9, weight_decay=1e-4,
+    """A run config setting the fields ``local_update`` reads."""
+    base = dict(batch_size=4, lr=0.1, lr_milestones=[], sgd_momentum=0.9, weight_decay=1e-4,
                 momentum_coeff=0.9, temperature=0.2, queue_capacity=64)
-    return LocalHyperparams(**{**base, **kw})
+    return ExperimentConfig(**{**base, **kw})
 
 
 def small_shard(n=8, seed=2):
@@ -254,8 +255,8 @@ def test_local_update_keys_track_momentum_encoder():
     exact for m = 0.5."""
     theta = init_params(SHAPES, 0)
     images = small_shard(8)
-    hp = hyper(momentum_coeff=0.7, round_index=3)
-    trained, losses = local_update(theta, images, None, hp, 5)
+    hp = hyper(momentum_coeff=0.7)
+    trained, losses = local_update(theta, images, None, hp, 3, 5)
 
     rng = rng_for(5, "local-update", 3)
     order = rng.permutation(8)
@@ -281,8 +282,8 @@ def test_local_update_leaves_input_state_alone():
     bytes: no queue entry or momentum carries over between calls."""
     theta = init_params(SHAPES, 0)
     before = theta.values.copy()
-    first, first_losses = local_update(theta, small_shard(6), None, hyper(), 5)
-    again, again_losses = local_update(theta, small_shard(6), None, hyper(), 5)
+    first, first_losses = local_update(theta, small_shard(6), None, hyper(), 1, 5)
+    again, again_losses = local_update(theta, small_shard(6), None, hyper(), 1, 5)
     assert np.array_equal(theta.values, before)
     assert first is not theta
     assert not np.array_equal(first.values, before)
@@ -299,10 +300,10 @@ def test_local_update_loss_decreases_over_epochs():
     spec = ScenarioSpec(base_size=64)
     images = generate_node_dataset(spec, 1, 0, 0).pixels
     shapes = mlp_shapes(256, [64], 32)
-    hp = hyper(batch_size=32, lr=0.05, epochs=10)
+    hp = hyper(batch_size=32, lr=0.05, epochs_per_round=10)
     drops = []
     for seed in (0, 1, 2):
-        _, losses = local_update(init_params(shapes, seed), images, None, hp, 5)
+        _, losses = local_update(init_params(shapes, seed), images, None, hp, 1, 5)
         full = losses[2:]  # queue holds all 64 keys from the third batch on
         drops.append(np.mean(full[:2]) - np.mean(full[-2:]))
     assert np.median(drops) > 0.0
@@ -313,9 +314,9 @@ def test_local_update_synthetic_negatives_enter_loss():
     images = small_shard(4)
     hp = hyper(lr=0.0, sgd_momentum=0.0, weight_decay=0.0, momentum_coeff=0.0)
     synth = rng_for(8, "synth").random((6, 4))
-    _, plain = local_update(theta, images, None, hp, 5)
-    _, empty = local_update(theta, images, np.zeros((0, 4)), hp, 5)
-    _, with_synth = local_update(theta, images, synth, hp, 5)
+    _, plain = local_update(theta, images, None, hp, 1, 5)
+    _, empty = local_update(theta, images, np.zeros((0, 4)), hp, 1, 5)
+    _, with_synth = local_update(theta, images, synth, hp, 1, 5)
     assert plain == empty
     assert with_synth[0] > plain[0]  # extra negatives add softmax mass
 
@@ -323,18 +324,19 @@ def test_local_update_synthetic_negatives_enter_loss():
 def test_local_update_rejects_synthetic_rows_of_the_wrong_width():
     """Three 8-wide rows for a 4-feature encoder are not six keys."""
     with pytest.raises(ShapeError, match="synthetic negatives.*width 4"):
-        local_update(init_params(SHAPES, 0), small_shard(4), np.ones((3, 8)), hyper(), 5)
+        local_update(init_params(SHAPES, 0), small_shard(4), np.ones((3, 8)), hyper(), 1, 5)
 
 
 def test_local_update_checks_key_encoder_momentum():
     with pytest.raises(ValueError):
-        local_update(init_params(SHAPES, 0), small_shard(4), None, hyper(momentum_coeff=1.0), 5)
+        local_update(init_params(SHAPES, 0), small_shard(4), None, hyper(momentum_coeff=1.0),
+                     1, 5)
 
 
 def test_local_update_rejects_bad_shard():
     theta = init_params(SHAPES, 0)
     hp = hyper(batch_size=2, momentum_coeff=0.5)
     with pytest.raises(ValueError):
-        local_update(theta, np.zeros((0, 4, 4)), None, hp, 5)
+        local_update(theta, np.zeros((0, 4, 4)), None, hp, 1, 5)
     with pytest.raises(ValueError):
-        local_update(theta, np.zeros((4, 16)), None, hp, 5)
+        local_update(theta, np.zeros((4, 16)), None, hp, 1, 5)

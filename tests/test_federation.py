@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcl.config import from_dict
+from fedcl.config import apply_arm, from_dict, preset_config
 from fedcl.datagen import Images
 from fedcl.errors import ProtocolError, ShapeError
 from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
@@ -75,36 +76,11 @@ def test_metadata_disabled_sends_no_metadata():
 
 
 def test_log_total_order():
-    """The log is sorted by (round, phase, node), whatever order nodes ran."""
+    """The log is sorted by (round, phase, node)."""
     result = run_training(tiny_config())
     keys = [(m.round_index, PHASE_ORDER[m.kind], node_id_of(m))
             for m in result.messages]
     assert keys == sorted(keys)
-
-
-def test_result_does_not_depend_on_node_processing_order():
-    cfg = tiny_config()
-    theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
-
-    def simulate(reorder):
-        from fedcl.federation import ServerState
-        server = ServerState(theta0.copy())
-        nodes = build_nodes(cfg)
-        channel = MessageChannel()
-        records = [run_round(server, reorder(nodes), cfg, t, channel)
-                   for t in range(1, cfg.rounds + 1)]
-        return server, channel, records
-
-    fwd_server, fwd_channel, fwd_records = simulate(lambda ns: ns)
-    rev_server, rev_channel, rev_records = simulate(lambda ns: list(reversed(ns)))
-    assert np.array_equal(fwd_server.theta0.values, rev_server.theta0.values)
-    assert fwd_records == rev_records  # list order included
-    assert all([r["node"] for r in rows] == [0, 1, 2] for rows in fwd_records)
-    fwd_log = [(m.kind, m.sender, m.receiver, m.round_index, payload_digest(m.payload))
-               for m in fwd_channel.messages]
-    rev_log = [(m.kind, m.sender, m.receiver, m.round_index, payload_digest(m.payload))
-               for m in rev_channel.messages]
-    assert fwd_log == rev_log
 
 
 def test_downloads_carry_previous_round_uploads():
@@ -133,22 +109,22 @@ def test_queue_flushed_every_round(monkeypatch):
     from fedcl.federation import ServerState
     cfg = tiny_config(rounds=2, queue_capacity=64)
     server = ServerState(init_params(cfg.encoder_shapes(), cfg.seed))
-    nodes = build_nodes(cfg)
+    shards = build_nodes(cfg)
     channel = MessageChannel()
     real = contrastive.local_update
     seen = []
 
-    def recording(theta, images, synth, hp, rng_seed):
-        seen.append((hp.round_index, hp.queue_capacity, theta.values.tobytes(), rng_seed))
-        return real(theta, images, synth, hp, rng_seed)
+    def recording(theta, images, synth, config, round_index, rng_seed):
+        seen.append((round_index, config.queue_capacity, theta.values.tobytes(), rng_seed))
+        return real(theta, images, synth, config, round_index, rng_seed)
 
     monkeypatch.setattr(contrastive, "local_update", recording)
     for t in (1, 2):
-        run_round(server, nodes, cfg, t, channel)
+        run_round(server, shards, cfg, t, channel)
     broadcast = {(m.round_index, node_id_of(m)): m.payload.values.tobytes()
                  for m in channel.messages if m.kind is MessageKind.PARAMS_DOWN}
-    want = [(t, 64, broadcast[(t, node.node_id)], node.rng_seed)
-            for t in (1, 2) for node in nodes]
+    want = [(t, 64, broadcast[(t, k)], cfg.node_seed(k))
+            for t in (1, 2) for k in range(cfg.nodes)]
     assert seen == want
 
 
@@ -157,14 +133,14 @@ def test_metadata_summarizes_the_broadcast_encoder():
     that round, not the one it trained."""
     cfg = tiny_config(rounds=2)
     result = run_training(cfg)
-    nodes = build_nodes(cfg)
+    shards = build_nodes(cfg)
     params = {(m.round_index, node_id_of(m)): m.payload
               for m in result.messages if m.kind is MessageKind.PARAMS_DOWN}
     uploads = [m for m in result.messages if m.kind is MessageKind.METADATA_UP]
     assert len(uploads) == cfg.nodes
     for m in uploads:
         k = node_id_of(m)
-        want = compute_metadata(forward_batch(params[(m.round_index, k)], nodes[k].images),
+        want = compute_metadata(forward_batch(params[(m.round_index, k)], shards[k]),
                                 cfg.boxcox_lambda, cfg.cov_jitter, k, m.round_index)
         assert np.array_equal(m.payload.mu, want.mu)
         assert np.array_equal(m.payload.sigma, want.sigma)
@@ -184,7 +160,7 @@ def test_round_metrics_weights_sum_to_one():
     result = run_training(tiny_config())
     for rows in result.metrics:
         assert sum(r["weight"] for r in rows) == pytest.approx(1.0, abs=1e-12)
-        assert {r["node"] for r in rows} == {0, 1, 2}
+        assert [r["node"] for r in rows] == [0, 1, 2]  # node order
 
 
 def test_fedavg_mode_weights_by_sample_count():
@@ -211,20 +187,20 @@ def test_run_round_rejects_non_finite_local_loss(monkeypatch):
     cfg = tiny_config()
     theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
     server = ServerState(theta0.copy())
-    nodes = build_nodes(cfg)
+    shards = build_nodes(cfg)
     real = contrastive.local_update
 
-    def nan_loss_on_node_1_in_round_2(theta, images, synth, hp, rng_seed):
-        trained, losses = real(theta, images, synth, hp, rng_seed)
-        if rng_seed == nodes[1].rng_seed and hp.round_index == 2:
+    def nan_loss_on_node_1_in_round_2(theta, images, synth, config, round_index, rng_seed):
+        trained, losses = real(theta, images, synth, config, round_index, rng_seed)
+        if rng_seed == cfg.node_seed(1) and round_index == 2:
             losses = [np.nan] * len(losses)
         return trained, losses
 
     monkeypatch.setattr(contrastive, "local_update", nan_loss_on_node_1_in_round_2)
     channel = MessageChannel()
-    run_round(server, nodes, cfg, 1, channel)
-    with pytest.raises(FloatingPointError, match=f"node {nodes[1].node_id}, round 2"):
-        run_round(server, nodes, cfg, 2, channel)
+    run_round(server, shards, cfg, 1, channel)
+    with pytest.raises(FloatingPointError, match="node 1, round 2"):
+        run_round(server, shards, cfg, 2, channel)
     assert not any(m.kind is MessageKind.PARAMS_UP and m.round_index == 2
                    for m in channel.messages)
 
@@ -234,10 +210,10 @@ def test_run_round_rejects_out_of_range_round():
     theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
     from fedcl.federation import ServerState
     server = ServerState(theta0)
-    nodes = build_nodes(cfg)
+    shards = build_nodes(cfg)
     for bad in (0, cfg.rounds + 1):
         with pytest.raises(ValueError):
-            run_round(server, nodes, cfg, bad, MessageChannel())
+            run_round(server, shards, cfg, bad, MessageChannel())
 
 
 # -- privacy audit ------------------------------------------------------------
@@ -375,6 +351,83 @@ def test_non_finite_payloads_are_rejected(kind, bad, data):
     at = data.draw(st.integers(0, len(clean)), label="index")
     report = audit_privacy(clean[:at] + [message] + clean[at:])
     assert report.violations == [(at, reason)]
+
+
+@functools.cache
+def smoke_log() -> tuple:
+    """The message log of a fedmoco run of the smoke preset, made once."""
+    config, _ = preset_config("smoke")
+    return tuple(run_training(apply_arm(config, "fedmoco")).messages)
+
+
+def _metas(message) -> list:
+    """The metadata a message carries."""
+    if message.kind is MessageKind.METADATA_UP:
+        return [message.payload]
+    return message.payload if message.kind is MessageKind.METADATA_DOWN else []
+
+
+FORGERIES = {
+    "unknown kind": lambda m: True,
+    "reversed direction": lambda m: True,
+    "wrong payload tag": lambda m: True,
+    "NaN parameter": lambda m: isinstance(m.payload, EncoderParams),
+    "NaN mean": lambda m: bool(_metas(m)),
+    "NaN covariance": lambda m: bool(_metas(m)),
+}
+
+
+def forge(message, forgery, data):
+    """``message`` with one forgery applied, and the reason the contract
+    gives for refusing it."""
+    kind, sender, receiver, payload = (message.kind, message.sender, message.receiver,
+                                       message.payload)
+    name = kind.value
+    reason = f"{name} carries non-finite values"
+    if forgery == "unknown kind":
+        kind, reason = "control", "unknown message kind 'control'"
+    elif forgery == "reversed direction":
+        sender, receiver = receiver, sender
+        reason = f"{name} sent by {sender!r}"
+    elif forgery == "wrong payload tag":
+        theta = smoke_log()[0].payload
+        d = theta.feature_dim
+        payload, tag = ((NodeMetadata(np.zeros(d), np.eye(d)), "metadata")
+                        if name.startswith("params") else (theta, "params"))
+        reason = f"{name} carries {tag!r}, expected {CONTRACT[name][0]!r}"
+    elif forgery == "NaN parameter":
+        values = payload.values.copy()
+        values[data.draw(st.integers(0, values.size - 1), label="position")] = np.nan
+        payload = EncoderParams(values, payload.shapes, payload.feature_dim)
+    else:
+        metas = list(_metas(message))
+        e = data.draw(st.integers(0, len(metas) - 1), label="entry")
+        mu, sigma = metas[e].mu.copy(), metas[e].sigma.copy()
+        target = mu if forgery == "NaN mean" else sigma
+        target.flat[data.draw(st.integers(0, target.size - 1), label="position")] = np.nan
+        metas[e] = NodeMetadata(mu, sigma, metas[e].node_id, metas[e].round_index)
+        payload = metas if kind is MessageKind.METADATA_DOWN else metas[0]
+    return Message(kind, sender, receiver, message.round_index, payload), reason
+
+
+@settings(max_examples=120, deadline=None)
+@given(forgery=st.sampled_from(sorted(FORGERIES)), data=st.data())
+def test_a_forged_message_is_refused_at_its_index(forgery, data):
+    """Replace message i of a valid run's log with a forged one: the channel
+    refuses it as message i, and the audit reports exactly (i, reason)."""
+    log = smoke_log()
+    i = data.draw(st.sampled_from([i for i, m in enumerate(log) if FORGERIES[forgery](m)]),
+                  label="index")
+    forged, reason = forge(log[i], forgery, data)
+    channel = MessageChannel()
+    for message in log[:i]:
+        channel.send(message)
+    name = "control" if forgery == "unknown kind" else log[i].kind.value
+    with pytest.raises(ProtocolError) as refused:
+        channel.send(forged)
+    assert str(refused.value) == f"message {i} ({name}): {reason}"
+    assert len(channel.messages) == i
+    assert audit_privacy([*log[:i], forged, *log[i + 1:]]).violations == [(i, reason)]
 
 
 # -- serialization ------------------------------------------------------------

@@ -25,9 +25,9 @@ runs is audited to the end.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
+import numbers
 import os
 import sys
 from collections import Counter
@@ -151,19 +151,20 @@ def _quota_warning(config: ExperimentConfig, label: str) -> str | None:
 
 def cmd_run(args) -> int:
     config, arms, node_counts, name = _load_base_config(args)
+    if node_counts and any(item.partition("=")[0] == "nodes" for item in args.set):
+        raise ConfigError(f"--set nodes: preset '{args.preset}' runs node_counts "
+                          f"{list(node_counts)}, which replace nodes")
     seeds = tuple(args.seed) if args.seed else (config.seed,)
     counts: tuple[int | None, ...] = tuple(node_counts) if node_counts else (None,)
     out_dir = _out_root(args.out) / name
 
     planned = [(arm, k, s) for arm in arms for k in counts for s in seeds]
+    # apply_arm copies and validates each config: all are checked before the first run trains
+    run_cfgs = [apply_arm(dataclasses.replace(config, seed=s, nodes=k or config.nodes), arm)
+                for arm, k, s in planned]
     print(f"{len(planned)} run(s) -> {out_dir}")
     warned: set[str] = set()
-    for arm, k, seed in planned:
-        run_cfg = dataclasses.replace(copy.deepcopy(config), seed=seed)
-        if k is not None:
-            run_cfg.nodes = k
-        run_cfg = apply_arm(run_cfg, arm)
-        run_cfg.validate()
+    for (arm, k, seed), run_cfg in zip(planned, run_cfgs):
         label = _model_label(arm, k)
         warning = _quota_warning(run_cfg, label)
         if warning and warning not in warned:
@@ -181,17 +182,24 @@ def cmd_run(args) -> int:
         shown = f"{headline['metric']}={headline['value']:.4f}" if headline else "done"
         print(shown)
 
-    rows = _collect_eval(out_dir)
+    rows, status = _collect_eval(out_dir)
     if rows:
         _print_table(_summarize(rows))
-    return 0
+    return status
 
 
-def _collect_eval(root: Path) -> list[dict]:
+def _collect_eval(root: Path) -> tuple[list[dict], int]:
+    """The records of every eval.jsonl under ``root``, and status 1 if a file
+    with a damaged line was left out (named on stderr by path and line)."""
     rows: list[dict] = []
+    status = 0
     for path in sorted(root.rglob("eval.jsonl")):
-        rows.extend(federation.read_jsonl(path))
-    return rows
+        try:
+            rows.extend(_jsonl_records(path, _EVAL_FIELDS))
+        except ValueError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            status = 1
+    return rows, status
 
 
 def _summarize(rows: list[dict]) -> list[dict]:
@@ -226,9 +234,10 @@ def _print_table(summary: list[dict]) -> None:
 
 def cmd_report(args) -> int:
     root = Path(args.run_dir)
-    rows = _collect_eval(root)
+    rows, status = _collect_eval(root)
     if not rows:
-        print(f"no eval.jsonl records under {root}", file=sys.stderr)
+        if not status:
+            print(f"no eval.jsonl records under {root}", file=sys.stderr)
         return 1
     summary = _summarize(rows)
     federation.write_atomic(root / "report.json", json.dumps(summary, indent=2) + "\n")
@@ -237,7 +246,7 @@ def cmd_report(args) -> int:
     if single:
         print(f"\nnote: single-seed results for {', '.join(sorted(set(single)))}")
     print(f"\nwrote {root / 'report.json'}")
-    return 0
+    return status
 
 
 def cmd_audit(args) -> int:
@@ -259,10 +268,14 @@ def cmd_audit(args) -> int:
     return worst
 
 
-def _log_records(path: Path) -> list[dict]:
-    """The records of a messages.log. Raises ``ValueError("line N: ...")`` at
-    the first line that is not a JSON object with string ``kind``, ``sender``
-    and ``payload`` fields."""
+_LOG_FIELDS = {"kind": str, "sender": str, "payload": str}
+_EVAL_FIELDS = {"model": str, "metric": str, "value": numbers.Real}
+
+
+def _jsonl_records(path: Path, required: dict[str, type]) -> list[dict]:
+    """The records of a JSON-lines file. Raises ``ValueError("line N: ...")``
+    at the first line that is not a JSON object holding each ``required``
+    field with a value of its type."""
     records = []
     for n, line in enumerate(path.read_bytes().splitlines(), 1):
         if not line.strip():
@@ -273,16 +286,17 @@ def _log_records(path: Path) -> list[dict]:
             raise ValueError(f"line {n}: not JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ValueError(f"line {n}: not a JSON object")
-        for key in ("kind", "sender", "payload"):
-            if not isinstance(record.get(key), str):
-                raise ValueError(f"line {n}: no string {key!r} field")
+        for key, kind in required.items():
+            if not isinstance(record.get(key), kind):
+                noun = "string" if kind is str else "number"
+                raise ValueError(f"line {n}: no {noun} {key!r} field")
         records.append(record)
     return records
 
 
 def _audit_one(run_dir: Path) -> int:
     try:
-        records = _log_records(run_dir / "messages.log")
+        records = _jsonl_records(run_dir / "messages.log", _LOG_FIELDS)
     except ValueError as exc:
         print(f"FAIL messages.log: {exc}")
         return 1

@@ -15,6 +15,7 @@ ablation runs from one base config:
 from __future__ import annotations
 
 import copy
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -108,6 +109,10 @@ class ExperimentConfig:
             if len(pair) != 2 or pair[0] < 1 or pair[1] <= 0:
                 raise ConfigError(f"lr_milestones: bad entry {pair!r} (want [round, factor])")
         self.data.validate(self.nodes)
+        per_class = (self.data.eval_per_class + 1) // 2  # labeled train images per class
+        if self.run_fine_tune and math.floor(self.fine_tune_fraction * per_class) < 1:
+            raise ConfigError(f"fine_tune_fraction: {self.fine_tune_fraction} of the {per_class} "
+                              f"labeled train images per class leaves none to fine-tune on")
         return self
 
     # -- derived objects ---------------------------------------------------

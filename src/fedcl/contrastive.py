@@ -66,124 +66,35 @@ def momentum_update(theta_d: EncoderParams, theta_q: EncoderParams, m: float) ->
     return EncoderParams(values, theta_q.shapes, theta_q.feature_dim)
 
 
-_LOW32 = 0xFFFFFFFF
-
-
-def _walk_views(count, raws, k_hs, k_ws, state):
-    """Walk ``count`` views over a block of raw outputs, given with the row
-    and column offset ranges a view starting at each position would draw
-    from. Returns each view's start and gamma position, its ``(top, left)``
-    offsets, the number of outputs used, and the generator's spare half
-    afterwards (``None`` if spent) and last stored spare. Raises
-    ``IndexError`` if the block is too short.
-    """
-    spare = state["uinteger"] if state["has_uint32"] else None
-    last = state["uinteger"]  # numpy keeps a spent spare in the state
-    starts, gammas, offsets = [], [], []
-    p = 0
-    for _ in range(count):
-        starts.append(p)
-        p += 3
-        for k in (k_hs[p - 1], k_ws[p - 1]):
-            if k == 1:
-                offsets.append(0)
-                continue
-            threshold = (1 << 32) % k
-            while True:
-                if spare is None:
-                    x = raws[p] & _LOW32
-                    spare = last = raws[p] >> 32
-                    p += 1
-                else:
-                    x, spare = spare, None
-                m = x * k
-                if m & _LOW32 >= threshold:
-                    break
-            offsets.append(m >> 32)
-        gammas.append(p)
-        p += 1
-    if p > len(raws):
-        raise IndexError("gamma draw past the end of the block")
-    return starts, gammas, offsets, p, spare, last
-
-
 def _view_draws(rng: np.random.Generator, count: int, h: int, w: int):
-    """The six draws of ``count`` views, bit-equal to calling, view by view,
-    ``random() < 0.5``, ``uniform(-15, 15)``, ``uniform(0.7, 1)``,
-    ``integers(0, h - crop_h + 1)``, ``integers(0, w - crop_w + 1)`` and
-    ``uniform(0.7, 1.4)``, and leaving ``rng`` in the state those calls would.
-
-    They are decoded from one block of raw PCG64 output with numpy's rules:
-    a double is ``(raw >> 11) * 2**-53`` and ``uniform(a, b)`` is
-    ``a + (b - a) * u``; ``integers(0, k)`` takes a 32-bit half (the low one
-    of a fresh output, whose high one the generator keeps as a spare for its
-    next 32-bit draw) and maps it by Lemire's multiply-shift, redrawing one
-    whose low product word is below ``2**32 % k`` (arXiv 1805.10941). A range
-    of one draws nothing, so each view's offset depends on the crops before
-    it, and one walk over the views finds them.
-    """
-    bits = getattr(rng, "bit_generator", None)
-    if type(bits) is not np.random.PCG64:
-        raise TypeError(f"augment decodes PCG64 output, got {type(bits).__name__}")
-    saved = bits.state
-    raw = bits.random_raw(5 * count)
-    while True:
-        u = (raw >> 11) * 2.0**-53
-        scale = 0.7 + (1.0 - 0.7) * u
-        crop_h = np.clip(np.rint(scale * h), 1, h).astype(np.int64)
-        crop_w = np.clip(np.rint(scale * w), 1, w).astype(np.int64)
-        try:
-            starts, gammas, offsets, p, spare, last = _walk_views(
-                count, raw.tolist(), (h + 1 - crop_h).tolist(), (w + 1 - crop_w).tolist(),
-                saved)
-            break
-        except IndexError:  # Lemire redraws ran past the block
-            raw = np.concatenate([raw, bits.random_raw(count)])
-
-    bits.state = saved
-    bits.advance(p)
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = int(spare is not None), last
-    bits.state = state
-
-    starts = np.array(starts)
-    offsets = np.array(offsets, dtype=np.int64).reshape(count, 2)
-    return (u[starts] < 0.5,
-            -15.0 + (15.0 - -15.0) * u[starts + 1],
-            crop_h[starts + 2],
-            crop_w[starts + 2],
-            offsets[:, 0],
-            offsets[:, 1],
-            0.7 + (1.4 - 0.7) * u[np.array(gammas)])
+    """The parameters of ``count`` views of ``(h, w)`` images: flip, angle,
+    crop height and width, top and left offset, and gamma. Each comes from
+    one vectorized draw over all the views, in this order."""
+    do_flip = rng.random(count) < 0.5
+    angle = rng.uniform(-15.0, 15.0, count)
+    scale = rng.uniform(0.7, 1.0, count)
+    crop_h = np.clip(np.rint(scale * h), 1, h).astype(np.int64)
+    crop_w = np.clip(np.rint(scale * w), 1, w).astype(np.int64)
+    top = rng.integers(0, h - crop_h + 1)
+    left = rng.integers(0, w - crop_w + 1)
+    return do_flip, angle, crop_h, crop_w, top, left, rng.uniform(0.7, 1.4, count)
 
 
 def augment(images, rng: np.random.Generator, views: int = 1) -> np.ndarray:
-    """Stochastic views: maybe horizontal flip, small nearest-neighbour
-    rotation, crop and resize back, then a monotone gamma remap. Output
-    stays within [0, 1]; an all-zero image maps to itself.
+    """Stochastic views of an ``(n, H, W)`` stack, as ``(n, views, H, W)``:
+    maybe a horizontal flip, a small nearest-neighbour rotation, a crop
+    resized back, then a monotone gamma remap. Output stays within [0, 1];
+    an all-zero image maps to itself.
 
-    An ``(n, H, W)`` stack gives ``(n, views, H, W)``. A single ``(H, W)``
-    image gives ``(H, W)`` for one view and ``(views, H, W)`` otherwise.
-
-    Each view takes six draws from ``rng`` (flip, angle, scale, top, left,
-    gamma), image by image and view by view, decoded from its raw PCG64
-    stream exactly as the scalar ``Generator`` calls would make them (see
-    ``_view_draws``); a generator over another bit generator raises
-    ``TypeError``. The draws are not fixed in number: ``integers(0, 1)``
-    consumes nothing when the crop spans the full side. So views of a stack
-    are bit-equal to calling this once per image and view, in that order,
-    with the same generator.
+    Views run image by image, then view by view (query, then key, for
+    ``views=2``); ``_view_draws`` draws each parameter for all of them with
+    one ``rng`` call, so any bit generator serves.
     """
     stack = np.asarray(images, dtype=np.float64)
-    single = stack.ndim == 2
-    if single:
-        stack = stack[None]
     if stack.ndim != 3 or views < 1:
-        raise ValueError(f"expected an (H, W) image or (n, H, W) stack and views >= 1, "
+        raise ValueError(f"expected an (n, H, W) stack and views >= 1, "
                          f"got shape {stack.shape} and views={views}")
     n, h, w = stack.shape
-    if n == 0:
-        return np.zeros((0, views, h, w))
     do_flip, angle, crop_h, crop_w, top, left, gamma = _view_draws(rng, n * views, h, w)
 
     # Crop-resize: output pixel (i, j) of a view reads its rotated image at
@@ -216,8 +127,6 @@ def augment(images, rng: np.random.Generator, views: int = 1) -> np.ndarray:
     np.clip(out, 0.0, 1.0, out=out)
     np.power(out, gamma[:, None, None], out=out)
     np.clip(out, 0.0, 1.0, out=out)
-    if single:
-        return out[0] if views == 1 else out
     return out.reshape(n, views, h, w)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,53 @@ def test_report_flags_single_seed(tmp_path, capsys):
 
 def test_report_empty_dir_fails(tmp_path):
     assert main(["report", str(tmp_path)]) == 1
+
+
+def _no_training(config):
+    raise AssertionError("a run trained before the config error")
+
+
+def test_run_refuses_a_fine_tune_without_labeled_images(tmp_path, capsys, monkeypatch):
+    """The smoke preset's 20 labeled train images per class give 3% of them
+    no image to fine-tune on: refused before any run trains or is written."""
+    monkeypatch.setattr(federation, "run_training", _no_training)
+    assert main(["run", "--preset", "smoke", "--arms", "fedmoco", "--set", "run_fine_tune=true",
+                 "--out", str(tmp_path / "runs")]) == 2
+    assert "config error: fine_tune_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_refuses_nodes_on_a_preset_with_node_counts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(federation, "run_training", _no_training)
+    assert main(["run", "--preset", "table1-desk", "--set", "nodes=2",
+                 "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --set nodes" in err and "node_counts [3, 6]" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_report_names_a_damaged_eval_file_and_summarizes_the_rest(tmp_path, capsys):
+    assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "0", "--seed", "1",
+                 "--out", str(tmp_path / "runs"), *FAST]) == 0
+    root = tmp_path / "runs" / "smoke"
+    damaged = root / "fedavg" / "seed-0" / "eval.jsonl"
+    damaged.write_bytes(damaged.read_bytes()[:50])
+    capsys.readouterr()
+    assert main(["report", str(root)]) == 1
+    out, err = capsys.readouterr()
+    assert f"error: {damaged}: line 1: not JSON" in err
+    report = json.loads((root / "report.json").read_text())
+    row = next(r for r in report if r["metric"] == "probe_accuracy")
+    want = next(r["value"] for r in read_jsonl(root / "fedavg" / "seed-1" / "eval.jsonl")
+                if r["metric"] == "probe_accuracy")
+    assert row["seeds"] == 1 and row["mean"] == want
+    assert "probe_accuracy" in out
+    # the summary at the end of a run into the same tree reads it the same way
+    assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "2",
+                 "--out", str(tmp_path / "runs"), *FAST]) == 1
+    out, err = capsys.readouterr()
+    assert f"error: {damaged}: line 1: not JSON" in err
+    assert re.search(r"fedavg +probe_accuracy +[0-9.]+ +[0-9.]+ +2\n", out)
 
 
 def test_audit_passes_on_real_run(tmp_path):

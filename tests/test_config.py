@@ -96,6 +96,16 @@ def test_validate_messages_name_the_field(tmp_path):
         load_config(path)
 
 
+def test_fine_tune_needs_one_labeled_image_per_class():
+    """``fine_tune`` takes floor(fraction * n) of the n = ceil(eval_per_class
+    / 2) labeled train images per class; a run where that is 0 is refused
+    before it trains, and only when it fine-tunes."""
+    small_config(run_fine_tune=True, data={"base_size": 12, "eval_per_class": 67}).validate()
+    small_config(data={"base_size": 12, "eval_per_class": 65}).validate()
+    with pytest.raises(ConfigError, match=r"^fine_tune_fraction: 0\.03 of the 33 labeled"):
+        small_config(run_fine_tune=True, data={"base_size": 12, "eval_per_class": 65}).validate()
+
+
 def test_lr_schedule_steps_down_at_milestones():
     cfg = small_config(lr=0.03, rounds=200, warmup_rounds=10,
                        lr_milestones=[[120, 0.1], [160, 0.01]])

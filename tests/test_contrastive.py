@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedcl.config import ExperimentConfig
-from fedcl.contrastive import (NegativeQueue, _momentum_step, augment,
+from fedcl.contrastive import (NegativeQueue, _momentum_step, _view_draws, augment,
                                local_update, momentum_update)
 from fedcl.errors import ShapeError
 from fedcl.nn import (EncoderParams, LayerShape, forward_batch, init_params,
@@ -109,23 +109,23 @@ def test_in_place_steps_match_out_of_place_formulas(size, data):
 # -- augmentation -------------------------------------------------------------
 
 def test_augment_deterministic_and_bounded():
-    img = rng_for(3, "img").random((12, 12))
-    a = augment(img, rng_for(7, "aug"))
-    b = augment(img, rng_for(7, "aug"))
+    stack = rng_for(3, "img").random((2, 12, 12))
+    a = augment(stack, rng_for(7, "aug"))
+    b = augment(stack, rng_for(7, "aug"))
     assert np.array_equal(a, b)
-    assert a.shape == img.shape
+    assert a.shape == (2, 1, 12, 12)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
 
 def test_augment_zero_image_stays_zero():
-    out = augment(np.zeros((10, 10)), rng_for(1, "aug"))
-    assert np.array_equal(out, np.zeros((10, 10)))
+    out = augment(np.zeros((2, 10, 10)), rng_for(1, "aug"), views=2)
+    assert np.array_equal(out, np.zeros((2, 2, 10, 10)))
 
 
 def test_augment_varies_with_stream():
-    img = rng_for(3, "img").random((12, 12))
+    stack = rng_for(3, "img").random((1, 12, 12))
     rng = rng_for(9, "aug")
-    views = [augment(img, rng) for _ in range(4)]
+    views = [augment(stack, rng) for _ in range(4)]
     assert any(not np.array_equal(views[0], v) for v in views[1:])
 
 
@@ -134,27 +134,19 @@ def test_augment_output_shapes():
     stack = rng_for(3, "img").random((5, 6, 7))
     assert augment(stack, rng, views=2).shape == (5, 2, 6, 7)
     assert augment(stack, rng).shape == (5, 1, 6, 7)
-    assert augment(stack[0], rng).shape == (6, 7)
-    assert augment(stack[0], rng, views=3).shape == (3, 6, 7)
     assert augment(stack[:0], rng, views=2).shape == (0, 2, 6, 7)
     with pytest.raises(ValueError):
         augment(stack, rng, views=0)
+    with pytest.raises(ValueError):
+        augment(stack[0], rng)
 
 
-def reference_view(image, rng):
-    """One view the per-image way: flip, rotate the whole image about its
-    centre (nearest neighbour, zero outside), crop, resize, gamma."""
+def reference_view(image, do_flip, angle, crop_h, crop_w, top, left, gamma):
+    """One view the per-image way, given its parameters: flip, rotate the
+    whole image about its centre (nearest neighbour, zero outside), crop,
+    resize, gamma."""
     img = np.asarray(image, dtype=np.float64)
     h, w = img.shape
-    do_flip = rng.random() < 0.5
-    angle = rng.uniform(-15.0, 15.0)
-    scale = rng.uniform(0.7, 1.0)
-    crop_h = min(h, max(1, int(round(scale * h))))
-    crop_w = min(w, max(1, int(round(scale * w))))
-    top = int(rng.integers(0, h - crop_h + 1))
-    left = int(rng.integers(0, w - crop_w + 1))
-    gamma = rng.uniform(0.7, 1.4)
-
     img = img[:, ::-1] if do_flip else img
     theta = np.deg2rad(angle)
     c, s = np.cos(theta), np.sin(theta)
@@ -173,59 +165,43 @@ def reference_view(image, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), h=st.integers(1, 12), w=st.integers(1, 12),
-       seed=st.integers(0, 2**32 - 1), zero=st.booleans(), spent=st.integers(0, 2))
-def test_augment_stack_matches_per_image_calls(n, h, w, seed, zero, spent):
-    """A stack's views equal query-then-key per-image calls drawn from the
-    same stream, both through ``augment`` and through the per-image
-    reference, and every stream ends in the same state. ``spent`` earlier
-    32-bit draws may leave the generator holding a spare half on entry."""
+       views=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+def test_augment_stack_matches_per_image_calls(n, h, w, views, seed, zero):
+    """View v of image i is the per-image reference applied with parameter
+    row ``i * views + v`` of ``_view_draws`` on a generator in the same
+    state, and both generators end in the same state."""
     stack = np.zeros((n, h, w)) if zero else rng_for(seed, "img").uniform(-0.2, 1.2, (n, h, w))
-    batched_rng, loop_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
-    for rng in (batched_rng, loop_rng, ref_rng):
-        for _ in range(spent):
-            rng.integers(0, 7)
-    batched = augment(stack, batched_rng, views=2)
+    rng, draws_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = augment(stack, rng, views=views)
+    draws = _view_draws(draws_rng, n * views, h, w)
     for i in range(n):
-        for view in (0, 1):  # query, then key
-            assert np.array_equal(batched[i, view], augment(stack[i], loop_rng))
-            assert np.array_equal(batched[i, view], reference_view(stack[i], ref_rng))
-    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
-    assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
+        for v in range(views):
+            params = [d[i * views + v] for d in draws]
+            assert np.array_equal(batched[i, v], reference_view(stack[i], *params))
+    assert rng.bit_generator.state == draws_rng.bit_generator.state
 
 
-def _before_zero_low_half(j):
-    """A PCG64 generator whose 4th raw output is ``j << 32``: XSL-RR maps a
-    state with high word 0 and low word ``j << 32`` to exactly that."""
-    rng = np.random.default_rng(0)
-    inc = rng.bit_generator.state["state"]["inc"]
-    rng.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": j << 32, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    rng.bit_generator.advance(2**128 - 4)
-    return rng
-
-
-@pytest.mark.parametrize("j", [2, 4])
-def test_augment_redraws_a_rejected_crop_offset(j):
-    """The top offset takes the zero low half of the 4th output, which
-    ``integers(0, k)`` rejects for k in {3, 5, 6} (2**32 % k > 0) and redraws
-    from the spare high half; the view then needs more than five outputs."""
-    image = rng_for(j, "img").random((16, 16))
-    probe = _before_zero_low_half(j)
-    assert probe.bit_generator.random_raw(4)[3] == j << 32
-    probe = _before_zero_low_half(j)
-    probe.random(2)  # flip and angle
-    crop = min(16, max(1, int(round(probe.uniform(0.7, 1.0) * 16))))
-    assert 16 - crop + 1 in (3, 5, 6)
-    rng, ref_rng = _before_zero_low_half(j), _before_zero_low_half(j)
-    assert np.array_equal(augment(image, rng), reference_view(image, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_augment_rejects_other_bit_generators():
-    rng = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(TypeError):
-        augment(np.zeros((4, 4)), rng)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), h=st.integers(1, 12), w=st.integers(1, 12),
+       views=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       bits=st.sampled_from([np.random.PCG64, np.random.MT19937]))
+def test_view_draws_stay_in_range(n, h, w, views, seed, bits):
+    """Every crop window lies inside the image, the crop side is the scale
+    in [0.7, 1] times the image side, and angle and gamma keep their ranges,
+    whatever the bit generator."""
+    count = n * views
+    do_flip, angle, crop_h, crop_w, top, left, gamma = _view_draws(
+        np.random.Generator(bits(seed)), count, h, w)
+    for side, crop, offset in ((h, crop_h, top), (w, crop_w, left)):
+        assert crop.shape == offset.shape == (count,)
+        assert (max(1, round(0.7 * side)) <= crop).all() and (crop <= side).all()
+        assert (offset >= 0).all() and (offset + crop <= side).all()
+    assert do_flip.dtype == bool and do_flip.shape == (count,)
+    assert ((-15.0 <= angle) & (angle <= 15.0)).all()
+    assert ((0.7 <= gamma) & (gamma <= 1.4)).all()
+    stack = rng_for(seed, "img").random((n, h, w))
+    out = augment(stack, np.random.Generator(bits(seed)), views=views)
+    assert out.shape == (n, views, h, w) and out.min() >= 0.0 and out.max() <= 1.0
 
 
 # -- local update -------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Seed-13 run digests and image digests of the three benchmark workloads,
-pinned.
+"""Seed-13 run digests, linear-probe records and image digests of the three
+benchmark workloads, pinned.
 
 Any change to the trained bits or the logged metrics of a run fails here,
-and so does any change to the rendered shards or the evaluation split.
-A change that means to alter the numerics updates ``DIGESTS`` or
-``IMAGE_DIGESTS`` and says why. The constants depend on numpy's float
-kernels and random streams, so they are stored with the numpy version they
-were made with.
+and so does any change to the linear probe's records, the rendered shards
+or the evaluation split. A change that means to alter the numerics updates
+``DIGESTS``, ``PROBES`` or ``IMAGE_DIGESTS`` and says why. The constants
+depend on numpy's float kernels and random streams, so they are stored with
+the numpy version they were made with.
 """
 
 import json
@@ -21,9 +21,21 @@ ROOT = Path(__file__).resolve().parent.parent
 
 NUMPY_VERSION = "2.4.6"
 DIGESTS = {
-    "desk": "3d262a79cf348f5ec3bf8fbb74e821adc992c1a2be0fe2725e369252d7ec1169",
-    "wide": "0106b46b9098a09b5c5b2dce531301bf8859f842b4a8f424f59ccda0414cc345",
-    "crowd": "55406071c9e8d650a9c4995ecaed3b1c999aad027aaac1fc1710ead931f422bb",
+    "desk": "d94fb67f99e7b59249f6c682133b0e33d33a1dfc3428602d59e6eb45dc7d62ad",
+    "wide": "40deea29a0ff9160769ed0d72669a4d69764d601e239a6c406c5c91d5ee9d817",
+    "crowd": "3622de5ec98a1b7b27f6be5e68c0d2d5b14faf9daa0d2a435728c87ff5847433",
+}
+# eval.jsonl's probe records of those runs
+PROBES = {
+    "desk": {"probe_accuracy": 0.9816666666666667,
+             "probe_accuracy_class_4": 0.9666666666666667,
+             "probe_accuracy_class_5": 0.9966666666666667},
+    "wide": {"probe_accuracy": 0.985,
+             "probe_accuracy_class_4": 0.98,
+             "probe_accuracy_class_5": 0.99},
+    "crowd": {"probe_accuracy": 0.7633333333333333,
+              "probe_accuracy_class_4": 0.81,
+              "probe_accuracy_class_5": 0.7166666666666667},
 }
 # sha256 over the image fingerprints (pixel bytes, then label text) of every
 # node's shard in node order, and of the evaluation split's train then test part;
@@ -52,11 +64,11 @@ spec.loader.exec_module(run)
 """
 
 # Builds each config the way bench/child.py's `fedcl run --arms fedmoco`
-# does.
+# does, and probes the trained encoder as `fedcl run` does for eval.jsonl.
 CHILD = LOAD_WORKLOADS + """
-from fedcl import federation
+from fedcl import datagen, evaluate, federation
 from fedcl.config import apply_arm, from_dict
-digests = {}
+digests, probes = {}, {}
 for name, overrides in run.WORKLOADS.items():
     config = apply_arm(from_dict(run.workload_config(overrides, seed)), "fedmoco")
     result = federation.run_training(config)
@@ -66,7 +78,12 @@ for name, overrides in run.WORKLOADS.items():
     federation.write_jsonl(federation.metrics_records(result.metrics),
                            run_dir / "metrics.jsonl")
     digests[name] = federation.run_digest(run_dir)
-print(json.dumps(digests))
+    train, test = datagen.make_eval_split(config.data, seed)
+    probe = evaluate.linear_probe(result.theta0, train, test, config.probe, seed)
+    probes[name] = {"probe_accuracy": probe.accuracy,
+                    **{f"probe_accuracy_class_{c}": acc
+                       for c, acc in sorted(probe.per_class_accuracy.items())}}
+print(json.dumps({"digests": digests, "probes": probes}))
 """
 
 
@@ -118,7 +135,8 @@ def test_benchmark_workload_images_are_pinned(tmp_path):
 
 
 def test_benchmark_workload_digests_are_pinned(tmp_path):
+    """Every workload's run digest and its eval.jsonl probe records."""
     got = run_child(CHILD, tmp_path)
-    assert got == DIGESTS, (
-        f"run digests moved (constants made with numpy {NUMPY_VERSION}, "
+    assert got == {"digests": DIGESTS, "probes": PROBES}, (
+        f"run digests or probe records moved (constants made with numpy {NUMPY_VERSION}, "
         f"running numpy {np.__version__}): {got}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -77,6 +78,7 @@ class ExperimentConfig:
             (self.aggregation_mode in ("self_adaptive", "fedavg"),
              f"aggregation_mode: unknown mode '{self.aggregation_mode}'"),
             (self.eta >= 0, "eta: must be non-negative"),
+            (self.cov_jitter >= 0, "cov_jitter: must be non-negative"),
             (self.queue_capacity >= 0, "queue_capacity: must be non-negative"),
             (self.batch_size >= 1, "batch_size: must be at least 1"),
             (0 <= self.momentum_coeff < 1, "momentum_coeff: must lie in [0, 1)"),
@@ -143,14 +145,17 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number that a float holds: neither NaN nor infinite, nor an
+    integer beyond the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # Field annotation -> (type test, what the error asks for). Float fields take
 # integers; integer fields refuse booleans, which Python counts as integers.
 _TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }

@@ -10,7 +10,6 @@ background texture frequency emulate scanner differences between sites.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,6 @@ PRETRAIN_CLASSES = (0, 1, 2, 3)
 EVAL_CLASSES = (4, 5)
 HEALTHY_CLASS = 0  # the "no findings" proxy used by the label-skew scenario
 DISEASE_CLASSES = (1, 2, 3)
-CLASS_NAMES = ("h_bars", "v_bars", "blob", "ring", "cross", "checker")
 
 _TEXTURE_AMP = 0.04
 
@@ -111,65 +109,39 @@ def node_knobs(node_id: int) -> tuple[float, float, float]:
     return 0.08 * node_id, 0.05 + 0.02 * node_id, 1.0 + node_id
 
 
-# (low, high) of the uniforms a blob or ring draws for its shape, in draw order
-_SHAPE_UNIFORMS = {
-    2: ((-2, 2), (-2, 2), (2.5, 4.5), (2.5, 4.5)),  # blob: centre shifts, radii
-    3: ((-1, 1), (-1, 1), (4.5, 6.5), (1.5, 2.5)),  # ring: centre shifts, r_out, width
-}
-# ... and of the amplitude and texture phase every image draws after them
-_AMP_PHASE = ((0.55, 0.85), (0.0, 2.0 * np.pi))
 _BLOCK_PIXELS = 1 << 14  # composed at once; bounds the scratch memory
 
 
-def _decode(u: np.ndarray, bounds) -> np.ndarray:
-    """``uniform(a, b)`` is ``a + (b - a) * random()``, column by column."""
-    lows, highs = np.array(bounds, dtype=float).T
-    return lows + (highs - lows) * u
+def _shape_params(cls: int, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
+    """The shape parameters of ``m`` images of class ``cls``, in the order
+    commented, each one vectorized draw over all ``m`` images."""
+    integers, uniform = rng.integers, rng.uniform
+    if cls in (0, 1):  # bars: period, phase, thickness
+        period = integers(3, 6, m)
+        return period, integers(0, period), integers(1, 3, m)
+    if cls == 2:  # blob: centre shifts dy and dx, radii ry and rx
+        return uniform(-2, 2, m), uniform(-2, 2, m), uniform(2.5, 4.5, m), uniform(2.5, 4.5, m)
+    if cls == 3:  # ring: dy, dx, outer radius, width
+        return uniform(-1, 1, m), uniform(-1, 1, m), uniform(4.5, 6.5, m), uniform(1.5, 2.5, m)
+    if cls == 4:  # cross: dy, dx, half width, arm length
+        return integers(-2, 3, m), integers(-2, 3, m), integers(1, 3, m), integers(5, 8, m)
+    if cls == 5:  # checkerboard: cell, row phase, column phase
+        cell = integers(2, 5, m)
+        return cell, integers(0, cell), integers(0, cell)
+    raise ConfigError(f"unknown class id {cls}")
 
 
-def _draw(rng: np.random.Generator, runs, size: int):
-    """Every draw of the images in ``runs``, (palette, count) pairs, in the
-    order of rendering them one at a time: the class (none from a one-class
-    palette, as ``integers(1)`` draws nothing), the shape's integers, its
-    uniforms and the amplitude and phase as one ``random(k)``, then the
-    image's standard normals, drawn straight into ``pixels``. Returns labels,
-    integer shape parameters ``(n, 4)``, raw uniforms ``(n, 6)`` (a blob or
-    ring fills all six, any other class the last two) and ``pixels``."""
-    n = sum(count for _, count in runs)
-    labels = np.empty(n, dtype=np.int64)
-    ints = np.zeros((n, 4), dtype=np.int64)
-    unis = np.zeros((n, 6))
-    pixels = np.empty((n, size, size))
-    integers, random, normals = rng.integers, rng.random, rng.standard_normal
-    i = 0
-    for palette, count in runs:
-        for _ in range(count):
-            cls = palette[integers(len(palette))] if len(palette) > 1 else palette[0]
-            if cls < 2:  # bars: period, phase, thickness
-                period = integers(3, 6)
-                ints[i, :3] = period, integers(0, period), integers(1, 3)
-            elif cls == 4:  # cross: centre shifts, half width, arm length
-                ints[i] = integers(-2, 3), integers(-2, 3), integers(1, 3), integers(5, 8)
-            elif cls == 5:  # checkerboard: cell, row and column phase
-                cell = integers(2, 5)
-                ints[i, :3] = cell, integers(0, cell), integers(0, cell)
-            random(out=unis[i] if cls in _SHAPE_UNIFORMS else unis[i, 4:])
-            normals(out=pixels[i])
-            labels[i] = cls
-            i += 1
-    return labels, ints, unis, pixels
-
-
-def _shape_masks(cls: int, size: int, ints: np.ndarray, unis: np.ndarray) -> np.ndarray:
-    """Masks of ``m`` images of class ``cls``, broadcastable to ``(m, size, size)``."""
+def _shape_masks(cls: int, size: int, params) -> np.ndarray:
+    """Masks of ``m`` images of class ``cls`` from their ``_shape_params``,
+    broadcastable to ``(m, size, size)``."""
     r = np.arange(size)
     rows, cols = r[None, :, None], r[None, None, :]
     if cls in (0, 1):  # horizontal or vertical bars
-        period, phase, thickness = (ints[:, j, None] for j in range(3))
+        period, phase, thickness = (p[:, None] for p in params)
         on = (r + phase) % period < thickness
         return on[:, :, None] if cls == 0 else on[:, None, :]
     if cls in (2, 3):
-        dy, dx, a, b = (unis[:, j, None, None] for j in range(4))
+        dy, dx, a, b = (p[:, None, None] for p in params)
         cy = (size - 1) / 2.0 + dy
         cx = (size - 1) / 2.0 + dx
         if cls == 2:  # filled blob, radii a and b
@@ -177,57 +149,45 @@ def _shape_masks(cls: int, size: int, ints: np.ndarray, unis: np.ndarray) -> np.
         dist = np.sqrt((rows - cy) ** 2 + (cols - cx) ** 2)  # ring, r_out a, width b
         return (dist <= a) & (dist >= a - b)
     if cls == 4:  # cross
-        dy, dx, half, arm = (ints[:, j, None] for j in range(4))
+        dy, dx, half, arm = (p[:, None] for p in params)
         near_row = np.abs(r - (size // 2 + dy))
         near_col = np.abs(r - (size // 2 + dx))
         return (((near_row <= half)[:, :, None] & (near_col <= arm)[:, None, :])
                 | ((near_row <= arm)[:, :, None] & (near_col <= half)[:, None, :]))
-    if cls == 5:  # checkerboard
-        cell, pr, pc = (ints[:, j, None] for j in range(3))
-        return ((((r + pr) // cell)[:, :, None] + ((r + pc) // cell)[:, None, :]) % 2) == 0
-    raise ConfigError(f"unknown class id {cls}")
-
-
-@functools.lru_cache(maxsize=64)
-def _texture_ramp(size: int, texture_freq: float) -> np.ndarray:
-    """Read-only ``2*pi*f*(r + c)/size`` over the canvas; each image adds its
-    own phase."""
-    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    ramp = 2.0 * np.pi * texture_freq * (rr + cc) / size
-    ramp.flags.writeable = False
-    return ramp
+    cell, pr, pc = (p[:, None] for p in params)  # checkerboard
+    return ((((r + pr) // cell)[:, :, None] + ((r + pc) // cell)[:, None, :]) % 2) == 0
 
 
 def _render(rng: np.random.Generator, runs, size: int, offset: float, noise_sigma: float,
             texture_freq: float) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and ``(n, size, size)`` pixels of the images in ``runs``.
-
-    Image by image, the pixels are ``clip(amp * shape + offset + texture +
-    normal(0, noise_sigma), 0, 1)``, summed left to right. The normals are
-    already in ``pixels``, so the sum ``((amp * shape + offset) + texture)``
-    is added to them, which is bit-equal as addition commutes. Blocks of
-    images keep the scratch arrays small."""
-    labels, ints, unis, pixels = _draw(rng, runs, size)
-    classes = sorted({cls for palette, _ in runs for cls in palette})
-    for cls, bounds in _SHAPE_UNIFORMS.items():
-        mine = labels == cls
-        unis[mine, :4] = _decode(unis[mine, :4], bounds)
-    amp, phase = _decode(unis[:, 4:], _AMP_PHASE).T
+    """Labels and ``(n, size, size)`` pixels of the images in ``runs``,
+    (palette, count) pairs. Each draw is one vectorized ``rng`` call, in this
+    order: each run's classes (none from a one-class palette), each class's
+    ``_shape_params`` in ascending id, every amplitude, every texture phase,
+    and the standard normals, straight into ``pixels``. An image is ``clip(amp
+    * shape + offset + texture + noise_sigma * normal, 0, 1)`` summed left to
+    right, composed in place block by block: adding ``((amp * shape + offset)
+    + texture)`` to the scaled normals is bit-equal, as addition commutes."""
+    labels = np.concatenate([np.asarray(palette, dtype=np.int64)[
+        rng.integers(len(palette), size=count)] for palette, count in runs])
+    members = {cls: np.flatnonzero(labels == cls) for cls in np.unique(labels).tolist()}
+    params = {cls: _shape_params(cls, rng, where.size) for cls, where in members.items()}
+    n = len(labels)
+    amp = rng.uniform(0.55, 0.85, n)
+    phase = rng.uniform(0.0, 2.0 * np.pi, n)
+    pixels = rng.standard_normal(out=np.empty((n, size, size)))
     lifted = amp + offset  # amp * 1.0 + offset; off the shape it is 0.0 + offset
-    ramp = _texture_ramp(size, texture_freq)
+    r = np.arange(size)
+    ramp = 2.0 * np.pi * texture_freq * np.add.outer(r, r) / size  # each image adds its phase
     step = max(1, _BLOCK_PIXELS // (size * size))
-    for start in range(0, len(labels), step):
+    for start in range(0, n, step):
         block = slice(start, start + step)
         noise = pixels[block]
-        # normal(0, s) is 0.0 + s * z. Without the 0.0 a noise value may be
-        # -0.0, which adds to ``image`` (never -0.0) as +0.0 does.
         noise *= noise_sigma
-        in_block = labels[block]
         shape = np.zeros(noise.shape, dtype=bool)
-        for cls in classes:
-            mine = np.flatnonzero(in_block == cls)
-            if mine.size:
-                shape[mine] = _shape_masks(cls, size, ints[block][mine], unis[block][mine])
+        for cls, where in members.items():
+            lo, hi = np.searchsorted(where, (start, start + step))
+            shape[where[lo:hi] - start] = _shape_masks(cls, size, [p[lo:hi] for p in params[cls]])
         texture = np.add(ramp, phase[block, None, None])
         np.sin(texture, out=texture)
         texture *= _TEXTURE_AMP

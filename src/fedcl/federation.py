@@ -408,10 +408,6 @@ def write_jsonl(records, path) -> None:
     write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
-def read_jsonl(path) -> list[dict]:
-    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
-
-
 def run_digest(run_dir) -> str:
     """SHA-256 over a run directory's checkpoint.bin, then its metrics.jsonl."""
     h = hashlib.sha256()

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fedcl import federation
-from fedcl.cli import main
+from fedcl.cli import _jsonl_records, main
 from fedcl.config import from_dict, save_config
 from fedcl.datagen import load_dataset
-from fedcl.federation import read_jsonl, run_digest, write_jsonl
+from fedcl.federation import run_digest, write_jsonl
 
 FAST = [
     "--set", "rounds=2", "--set", "warmup_rounds=1",
@@ -33,7 +33,7 @@ def test_run_writes_expected_layout(tmp_path):
         assert (run_dir / name).exists(), name
     audit = json.loads((run_dir / "audit.json").read_text())
     assert audit["passed"] is True
-    rows = read_jsonl(run_dir / "eval.jsonl")
+    rows = _jsonl_records(run_dir / "eval.jsonl", {})
     assert any(r["metric"] == "probe_accuracy" for r in rows)
     assert all(r["model"] == "fedavg" and r["seed"] == 3 for r in rows)
 
@@ -135,7 +135,7 @@ def test_report_names_a_damaged_eval_file_and_summarizes_the_rest(tmp_path, caps
     assert f"error: {damaged}: line 1: not JSON" in err
     report = json.loads((root / "report.json").read_text())
     row = next(r for r in report if r["metric"] == "probe_accuracy")
-    want = next(r["value"] for r in read_jsonl(root / "fedavg" / "seed-1" / "eval.jsonl")
+    want = next(r["value"] for r in _jsonl_records(root / "fedavg" / "seed-1" / "eval.jsonl", {})
                 if r["metric"] == "probe_accuracy")
     assert row["seeds"] == 1 and row["mean"] == want
     assert "probe_accuracy" in out
@@ -175,7 +175,7 @@ def test_audit_fails_on_dropped_message(tmp_path):
 def test_audit_fails_on_message_sent_the_wrong_way(tmp_path, capsys):
     assert run_smoke(tmp_path / "runs") == 0
     run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
-    records = read_jsonl(run_dir / "messages.log")
+    records = _jsonl_records(run_dir / "messages.log", {})
     i = next(i for i, r in enumerate(records) if r["kind"] == "params_up")
     records[i]["sender"] = "server"
     write_jsonl(records, run_dir / "messages.log")

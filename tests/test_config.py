@@ -57,14 +57,29 @@ def test_validate_messages_name_the_field(tmp_path):
     for overrides, needle in [
         ({"nodes": "3"}, "^nodes: expected an integer"),
         ({"nodes": True}, "^nodes: expected an integer"),
-        ({"lr": "0.1"}, "^lr: expected a number"),
+        ({"lr": "0.1"}, "^lr: expected a finite number"),
         ({"hidden_dims": 64}, "^hidden_dims: expected a list of integers"),
         ({"hidden_dims": [64.0]}, "^hidden_dims: expected a list of integers"),
         ({"lr_milestones": [5]}, "^lr_milestones: expected a list of"),
         ({"run_probe": 1}, "^run_probe: expected true or false"),
         ({"aggregation_mode": 3}, "^aggregation_mode: expected a string"),
         ({"data": {"base_size": "12"}}, "^data.base_size: expected an integer"),
-        ({"fine_tune": {"lr": "0.1"}}, "^fine_tune.lr: expected a number"),
+        ({"fine_tune": {"lr": "0.1"}}, "^fine_tune.lr: expected a finite number"),
+        ({"eta": float("inf")}, r"^eta: expected a finite number, got inf"),
+        ({"boxcox_lambda": float("nan")}, "^boxcox_lambda: expected a finite number, got nan"),
+        ({"cov_jitter": float("nan")}, "^cov_jitter: expected a finite number"),
+        ({"lr": float("inf")}, "^lr: expected a finite number"),
+        ({"temperature": float("inf")}, "^temperature: expected a finite number"),
+        ({"fine_tune_fraction": -float("inf")}, "^fine_tune_fraction: expected a finite number"),
+        ({"lr": 10 ** 400}, "^lr: expected a finite number"),
+        ({"lr_milestones": [[5, float("nan")]]}, "^lr_milestones: expected a list of"),
+        ({"data": {"eval_offset": float("nan")}}, "^data.eval_offset: expected a finite number"),
+        ({"data": {"eval_texture_freq": float("inf")}},
+         "^data.eval_texture_freq: expected a finite number"),
+        ({"probe": {"lr": float("inf")}}, "^probe.lr: expected a finite number"),
+        ({"fine_tune": {"momentum": float("nan")}},
+         "^fine_tune.momentum: expected a finite number"),
+        ({"cov_jitter": -1.0}, "^cov_jitter: must be non-negative"),
         ({"nodes": 0}, "nodes"),
         ({"rounds": 2, "warmup_rounds": 5}, "warmup_rounds"),
         ({"aggregation_mode": "mean"}, "aggregation_mode"),

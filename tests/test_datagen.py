@@ -23,70 +23,63 @@ def spec(**kw):
     return ScenarioSpec(**defaults)
 
 
-# -- the per-image renderer, kept as the reference for the batched one --------
+# -- a per-image renderer, the reference for the batched one ------------------
 
-def reference_shape(cls: int, rng: np.random.Generator, size: int) -> np.ndarray:
+def reference_shape(cls: int, params, size: int) -> np.ndarray:
+    """One image's shape canvas, given its ``_shape_params`` row."""
     canvas = np.zeros((size, size))
-    if cls == 0:  # horizontal bars
-        period = int(rng.integers(3, 6))
-        phase = int(rng.integers(0, period))
-        thickness = int(rng.integers(1, 3))
-        canvas[(np.arange(size) + phase) % period < thickness, :] = 1.0
-    elif cls == 1:  # vertical bars
-        period = int(rng.integers(3, 6))
-        phase = int(rng.integers(0, period))
-        thickness = int(rng.integers(1, 3))
-        canvas[:, (np.arange(size) + phase) % period < thickness] = 1.0
+    yy, xx = np.ogrid[:size, :size]
+    if cls in (0, 1):  # horizontal or vertical bars
+        period, phase, thickness = params
+        on = (np.arange(size) + phase) % period < thickness
+        if cls == 0:
+            canvas[on, :] = 1.0
+        else:
+            canvas[:, on] = 1.0
     elif cls == 2:  # filled blob
-        cy = (size - 1) / 2.0 + rng.uniform(-2, 2)
-        cx = (size - 1) / 2.0 + rng.uniform(-2, 2)
-        ry = rng.uniform(2.5, 4.5)
-        rx = rng.uniform(2.5, 4.5)
-        yy, xx = np.ogrid[:size, :size]
+        dy, dx, ry, rx = params
+        cy, cx = (size - 1) / 2.0 + dy, (size - 1) / 2.0 + dx
         canvas[((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0] = 1.0
     elif cls == 3:  # ring
-        cy = (size - 1) / 2.0 + rng.uniform(-1, 1)
-        cx = (size - 1) / 2.0 + rng.uniform(-1, 1)
-        r_out = rng.uniform(4.5, 6.5)
-        width = rng.uniform(1.5, 2.5)
-        yy, xx = np.ogrid[:size, :size]
+        dy, dx, r_out, width = params
+        cy, cx = (size - 1) / 2.0 + dy, (size - 1) / 2.0 + dx
         dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
         canvas[(dist <= r_out) & (dist >= r_out - width)] = 1.0
     elif cls == 4:  # cross
-        cy = size // 2 + int(rng.integers(-2, 3))
-        cx = size // 2 + int(rng.integers(-2, 3))
-        half = int(rng.integers(1, 3))
-        arm = int(rng.integers(5, 8))
+        dy, dx, half, arm = params
+        cy, cx = size // 2 + dy, size // 2 + dx
         canvas[max(0, cy - half) : cy + half + 1, max(0, cx - arm) : cx + arm + 1] = 1.0
         canvas[max(0, cy - arm) : cy + arm + 1, max(0, cx - half) : cx + half + 1] = 1.0
     elif cls == 5:  # checkerboard
-        cell = int(rng.integers(2, 5))
-        pr = int(rng.integers(0, cell))
-        pc = int(rng.integers(0, cell))
-        yy, xx = np.ogrid[:size, :size]
+        cell, pr, pc = params
         canvas[(((yy + pr) // cell) + ((xx + pc) // cell)) % 2 == 0] = 1.0
     return canvas
 
 
-def reference_compose(base, rng, offset, noise_sigma, texture_freq):
+def reference_compose(base, amp, phase, normals, offset, noise_sigma, texture_freq):
     size = base.shape[0]
-    amp = rng.uniform(0.55, 0.85)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
     rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     texture = 0.04 * np.sin(2.0 * np.pi * texture_freq * (rr + cc) / size + phase)
-    img = amp * base + offset + texture + rng.normal(0.0, noise_sigma, base.shape)
-    return np.clip(img, 0.0, 1.0)
+    return np.clip(amp * base + offset + texture + noise_sigma * normals, 0.0, 1.0)
 
 
-def reference_images(rng, palette, count, size, knobs):
-    """(label, pixels) of ``count`` images, each drawing its class from
-    ``palette`` (a one-class palette draws nothing), its shape, then its
-    composition."""
-    out = []
-    for _ in range(count):
-        cls = int(palette[rng.integers(len(palette))])
-        out.append((cls, reference_compose(reference_shape(cls, rng, size), rng, *knobs)))
-    return out
+def reference_images(rng, runs, size, knobs):
+    """(label, pixels) of each image of ``runs``, (palette, count) pairs,
+    composed one at a time from draws replayed in the documented order: each
+    run's classes, each class's ``_shape_params`` (ascending id, over its
+    images in order), the amplitudes, the texture phases, the normals."""
+    labels = [int(palette[i]) for palette, count in runs
+              for i in rng.integers(len(palette), size=count)]
+    params = {}
+    for cls in sorted(set(labels)):
+        mine = [i for i, label in enumerate(labels) if label == cls]
+        params.update(zip(mine, zip(*datagen._shape_params(cls, rng, len(mine)))))
+    n = len(labels)
+    amp, phase = rng.uniform(0.55, 0.85, n), rng.uniform(0.0, 2.0 * np.pi, n)
+    normals = rng.standard_normal((n, size, size))
+    return [(cls, reference_compose(reference_shape(cls, params[i], size), amp[i], phase[i],
+                                    normals[i], *knobs))
+            for i, cls in enumerate(labels)]
 
 
 def as_images(pairs, size):
@@ -96,20 +89,22 @@ def as_images(pairs, size):
 
 def reference_node_dataset(sp, num_nodes, node_id, seed):
     rng = rng_for(seed, "node-data", node_id)
-    return as_images(reference_images(rng, sp.node_classes(num_nodes, node_id),
-                                      sp.node_sizes(num_nodes)[node_id], sp.image_size,
-                                      node_knobs(node_id)), sp.image_size)
+    runs = [(sp.node_classes(num_nodes, node_id), sp.node_sizes(num_nodes)[node_id])]
+    return as_images(reference_images(rng, runs, sp.image_size, node_knobs(node_id)),
+                     sp.image_size)
 
 
 def reference_eval_split(sp, seed):
     rng = rng_for(seed, "eval-data")
     knobs = (sp.eval_offset, sp.eval_noise, sp.eval_texture_freq)
-    by_class = [reference_images(rng, (cls,), sp.eval_per_class, sp.image_size, knobs)
-                for cls in EVAL_CLASSES]
+    per_class = sp.eval_per_class
+    images = reference_images(rng, [((cls,), per_class) for cls in EVAL_CLASSES],
+                              sp.image_size, knobs)
     train, test = [], []
-    for members in by_class:
-        order = rng.permutation(len(members))
-        cut = (len(members) + 1) // 2
+    for j in range(len(EVAL_CLASSES)):
+        members = images[j * per_class:(j + 1) * per_class]
+        order = rng.permutation(per_class)
+        cut = (per_class + 1) // 2
         train.extend(members[i] for i in order[:cut])
         test.extend(members[i] for i in order[cut:])
     return as_images(train, sp.image_size), as_images(test, sp.image_size)
@@ -136,12 +131,11 @@ def render_jobs(draw):
 @given(render_jobs())
 def test_batched_render_matches_the_per_image_reference(job):
     """Byte-equal pixels and labels, and the generator left where the
-    per-image renderer leaves it: every draw made, in the same order."""
+    replayed draws leave it: every draw made, in the documented order."""
     runs, size, knobs, seed = job
     rng, ref_rng = rng_for(seed, "render"), rng_for(seed, "render")
     labels, pixels = datagen._render(rng, runs, size, *knobs)
-    want = [s for palette, count in runs
-            for s in reference_images(ref_rng, palette, count, size, knobs)]
+    want = reference_images(ref_rng, runs, size, knobs)
     assert labels.tolist() == [label for label, _ in want]
     assert pixels.shape == (len(want), size, size)
     assert [p.tobytes() for p in pixels] == [img.tobytes() for _, img in want]
@@ -152,12 +146,45 @@ def test_batched_render_matches_the_per_image_reference(job):
 @pytest.mark.parametrize("scenario", ["equal", "size_skew", "label_skew"])
 @pytest.mark.parametrize("seed", [0, 13])
 def test_shards_and_eval_split_match_the_per_image_reference(scenario, seed):
-    sp = spec(scenario=scenario, base_size=40, gamma=20.0, image_size=11)
+    """Large enough for several compose blocks of 135 11x11 images in the
+    full shards and the evaluation split."""
+    sp = spec(scenario=scenario, base_size=300, gamma=20.0, image_size=11, eval_per_class=150)
     for k in range(K):
         assert_same_images(generate_node_dataset(sp, K, k, seed),
                            reference_node_dataset(sp, K, k, seed))
     for got, want in zip(make_eval_split(sp, seed), reference_eval_split(sp, seed)):
         assert_same_images(got, want)
+
+
+# (low, high) of each shape parameter, both inclusive; a high given as a name
+# is the first parameter (period or cell) less one
+SHAPE_RANGES = {
+    0: [(3, 5), (0, "period"), (1, 2)],
+    1: [(3, 5), (0, "period"), (1, 2)],
+    2: [(-2.0, 2.0), (-2.0, 2.0), (2.5, 4.5), (2.5, 4.5)],
+    3: [(-1.0, 1.0), (-1.0, 1.0), (4.5, 6.5), (1.5, 2.5)],
+    4: [(-2, 2), (-2, 2), (1, 2), (5, 7)],
+    5: [(2, 4), (0, "cell"), (0, "cell")],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cls=st.integers(0, 5), m=st.integers(0, 40), seed=st.integers(0, 2**32),
+       bits=st.sampled_from([np.random.PCG64, np.random.MT19937]))
+def test_shape_params_stay_in_range(cls, m, seed, bits):
+    """Every parameter is one array of ``m`` values in its range, whatever
+    the bit generator; a phase lies below its own image's period or cell."""
+    params = datagen._shape_params(cls, np.random.Generator(bits(seed)), m)
+    assert len(params) == len(SHAPE_RANGES[cls])
+    for values, (low, high) in zip(params, SHAPE_RANGES[cls]):
+        assert values.shape == (m,)
+        if isinstance(low, float):
+            assert values.dtype == np.float64
+            assert ((low <= values) & (values <= high)).all(), values
+        else:
+            assert values.dtype == np.int64
+            top = params[0] - 1 if isinstance(high, str) else high
+            assert ((low <= values) & (values <= top)).all(), values
 
 
 def test_generation_is_deterministic():

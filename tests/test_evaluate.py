@@ -39,7 +39,6 @@ def test_probe_separates_clusters():
     result = linear_probe(encoder(), train, test, ProbeConfig(epochs=30), 0)
     assert result.accuracy == 1.0
     assert result.per_class_accuracy == {0: 1.0, 1: 1.0}
-    assert result.missing_in_train == ()
 
 
 def test_probe_is_input_order_invariant():
@@ -50,7 +49,7 @@ def test_probe_is_input_order_invariant():
     b = linear_probe(encoder(), train[rng.permutation(len(train))],
                      test[rng.permutation(len(test))], ProbeConfig(epochs=10), 3)
     assert a.accuracy == b.accuracy
-    assert a.confusion == b.confusion
+    assert a.per_class_accuracy == b.per_class_accuracy
 
 
 def test_probe_leaves_encoder_untouched():
@@ -66,16 +65,21 @@ def test_probe_reports_class_missing_from_train():
     train = train[train.labels == 0]
     test = two_cluster_samples(6, 1)
     result = linear_probe(encoder(), train, test, ProbeConfig(epochs=5), 0)
-    assert result.missing_in_train == (1,)
+    assert sorted(result.per_class_accuracy) == [0, 1]
     assert result.per_class_accuracy[1] == 0.0  # nothing to learn it from
 
 
-def test_probe_confusion_rows_sum_to_test_counts():
+def test_probe_per_class_accuracy_counts_each_class_test_images():
+    """Each class's accuracy is its right predictions over its 7 test
+    images, so the two average to the overall accuracy."""
     train = two_cluster_samples(6, 0)
     test = two_cluster_samples(7, 1)
-    result = linear_probe(encoder(), train, test, ProbeConfig(epochs=5), 0)
-    for cls in (0, 1):
-        assert sum(result.confusion[cls].values()) == 7
+    for epochs in (0, 1, 5):
+        result = linear_probe(encoder(), train, test, ProbeConfig(epochs=epochs), 0)
+        hits = {c: acc * 7 for c, acc in result.per_class_accuracy.items()}
+        assert sorted(hits) == [0, 1]
+        assert all(h == round(h) for h in hits.values()), hits
+        assert round(hits[0] + hits[1]) / 14 == result.accuracy
 
 
 def test_probe_validation():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcl.cli import _jsonl_records
 from fedcl.config import apply_arm, from_dict, preset_config
 from fedcl.datagen import Images
 from fedcl.errors import ProtocolError, ShapeError
@@ -15,7 +16,7 @@ from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
                               audit_privacy, build_nodes, contract_violation,
                               expected_counts, load_checkpoint,
                               metrics_records, payload_digest,
-                              payload_violation, read_jsonl,
+                              payload_violation,
                               run_round, run_training,
                               save_checkpoint, write_atomic, write_jsonl,
                               write_message_log)
@@ -548,7 +549,7 @@ def test_message_log_roundtrip(tmp_path):
     result = run_training(tiny_config(rounds=2))
     path = tmp_path / "messages.log"
     write_message_log(result.messages, path)
-    records = read_jsonl(path)
+    records = _jsonl_records(path, {})
     assert len(records) == len(result.messages)
     assert records[0]["kind"] == "params_down"
     assert all(set(r) == {"kind", "sender", "receiver", "round",
@@ -584,9 +585,9 @@ def test_jsonl_roundtrip(tmp_path):
     rows = [{"a": 1, "b": [1, 2]}, {"a": 2, "b": None}]
     path = tmp_path / "rows.jsonl"
     write_jsonl(rows, path)
-    assert read_jsonl(path) == rows
+    assert _jsonl_records(path, {}) == rows
     write_jsonl([], path)
-    assert read_jsonl(path) == []
+    assert _jsonl_records(path, {}) == []
 
 
 def test_training_is_reproducible():

@@ -21,32 +21,32 @@ ROOT = Path(__file__).resolve().parent.parent
 
 NUMPY_VERSION = "2.4.6"
 DIGESTS = {
-    "desk": "d94fb67f99e7b59249f6c682133b0e33d33a1dfc3428602d59e6eb45dc7d62ad",
-    "wide": "40deea29a0ff9160769ed0d72669a4d69764d601e239a6c406c5c91d5ee9d817",
-    "crowd": "3622de5ec98a1b7b27f6be5e68c0d2d5b14faf9daa0d2a435728c87ff5847433",
+    "desk": "bec005295169490b184e86e571d273d8e903e7269f85b561d6992f464c1b741b",
+    "wide": "2acc1fe001358ad0ce51242b81b269d2d22ff3c62aa105582372442eb7d1dfbe",
+    "crowd": "40326d1ed2165203386c58468fd3bc7e85e84d54891d92226ea906c54cb9f1e9",
 }
 # eval.jsonl's probe records of those runs
 PROBES = {
-    "desk": {"probe_accuracy": 0.9816666666666667,
-             "probe_accuracy_class_4": 0.9666666666666667,
-             "probe_accuracy_class_5": 0.9966666666666667},
-    "wide": {"probe_accuracy": 0.985,
+    "desk": {"probe_accuracy": 0.9583333333333334,
+             "probe_accuracy_class_4": 0.94,
+             "probe_accuracy_class_5": 0.9766666666666667},
+    "wide": {"probe_accuracy": 0.9883333333333333,
              "probe_accuracy_class_4": 0.98,
-             "probe_accuracy_class_5": 0.99},
-    "crowd": {"probe_accuracy": 0.7633333333333333,
-              "probe_accuracy_class_4": 0.81,
-              "probe_accuracy_class_5": 0.7166666666666667},
+             "probe_accuracy_class_5": 0.9966666666666667},
+    "crowd": {"probe_accuracy": 0.7766666666666666,
+              "probe_accuracy_class_4": 0.75,
+              "probe_accuracy_class_5": 0.8033333333333333},
 }
 # sha256 over the image fingerprints (pixel bytes, then label text) of every
 # node's shard in node order, and of the evaluation split's train then test part;
 # the three workloads render the same evaluation split
-EVAL_DIGEST = "123e93abc8651cb948f030badf6ac189fbd95d71503f72c899bd3ac471a60d07"
+EVAL_DIGEST = "8e41ad988091d6d47b975e2127f9380ec538ea10d2da281144978304d4c122d7"
 IMAGE_DIGESTS = {
-    "desk": {"shards": "c5715ea490186c5f5dc1c8da8239200c070d718b64c8403eb354f32480a5f49b",
+    "desk": {"shards": "36885ac0492b765bc6eac9810944d3dec53feb1d68fd6a5ba2abc7d79ef33d10",
              "eval": EVAL_DIGEST},
-    "wide": {"shards": "a327c66c5dc229ff7c33bf61d715f0354ecbe81c04bdf9067663c266fce9e0df",
+    "wide": {"shards": "c7289d9963d6d5074838d07e7d8d53dd97db2376cfe669fa718a79d18bb10fb6",
              "eval": EVAL_DIGEST},
-    "crowd": {"shards": "d7a51b3295897b32c271fb6dcf2ee4bb542474127a277fb1f322341807e8f29e",
+    "crowd": {"shards": "705b80d8f4fbaeaa2970f909e2346e83da2b22fdb4b1ea38049ffb542bd429a6",
               "eval": EVAL_DIGEST},
 }
 SEED = 13

@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from . import datagen, evaluate, federation, metadata
-from .config import (ARMS, ExperimentConfig, PRESETS, apply_arm, from_dict,
+from .config import (ARMS, ExperimentConfig, PRESETS, YamlLoader, apply_arm, from_dict,
                      load_config, preset_config, save_config, to_dict)
 from .errors import ConfigError
 
@@ -50,8 +50,8 @@ def _out_root(value: str | None) -> Path:
 
 def _apply_overrides(raw: dict, assignments: list[str]) -> dict:
     """Merge ``--set dotted.key=value`` pairs into a config dictionary.
-    Values go through YAML parsing so `10`, `0.5`, `true` and `[1,2]`
-    arrive typed."""
+    Values go through YAML parsing (``config.YamlLoader``) so `10`, `0.5`,
+    `1e-3`, `true` and `[1,2]` arrive typed."""
     for item in assignments:
         key, sep, value = item.partition("=")
         if not sep or not key:
@@ -63,7 +63,7 @@ def _apply_overrides(raw: dict, assignments: list[str]) -> dict:
             if not isinstance(target, dict):
                 raise ConfigError(f"--set {key}: {part} is not a section")
         try:
-            target[parts[-1]] = yaml.safe_load(value)
+            target[parts[-1]] = yaml.load(value, Loader=YamlLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"--set {key}: value {value!r} is not valid YAML "
                               f"({exc})") from exc
@@ -141,8 +141,7 @@ def _quota_warning(config: ExperimentConfig, label: str) -> str | None:
     floors to zero, so no peer's negatives are ever mixed in."""
     if not (config.metadata_rounds() and config.eta > 0 and config.nodes > 1):
         return None
-    per_peer, _ = metadata.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
-    if per_peer:
+    if metadata.synthetic_quota(config.queue_capacity, config.eta, config.nodes):
         return None
     return (f"warning: {label}: eta={config.eta} with queue_capacity={config.queue_capacity} "
             f"and K={config.nodes} gives floor(eta*capacity/(K-1)) = 0 synthetic negatives "

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -77,7 +78,8 @@ class ExperimentConfig:
             (0 <= self.warmup_rounds <= self.rounds, "warmup_rounds: must lie in [0, rounds]"),
             (self.aggregation_mode in ("self_adaptive", "fedavg"),
              f"aggregation_mode: unknown mode '{self.aggregation_mode}'"),
-            (self.eta >= 0, "eta: must be non-negative"),
+            (0 <= self.eta <= 1, "eta: must lie in [0, 1]"),
+            (self.boxcox_lambda > 0, "boxcox_lambda: must be positive"),
             (self.cov_jitter >= 0, "cov_jitter: must be non-negative"),
             (self.queue_capacity >= 0, "queue_capacity: must be non-negative"),
             (self.batch_size >= 1, "batch_size: must be at least 1"),
@@ -219,10 +221,20 @@ def to_dict(config: ExperimentConfig) -> dict:
     return asdict(config)
 
 
+class YamlLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as ``1e-3`` (YAML 1.1 needs a dot)."""
+
+
+YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=YamlLoader)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:

@@ -63,7 +63,7 @@ def momentum_update(theta_d: EncoderParams, theta_q: EncoderParams, m: float) ->
         raise ShapeError("momentum update needs matching layer manifests")
     values = theta_d.values.copy()
     _momentum_step(values, theta_q.values, m, np.empty_like(values))
-    return EncoderParams(values, theta_q.shapes, theta_q.feature_dim)
+    return EncoderParams(values, theta_q.shapes)
 
 
 def _view_draws(rng: np.random.Generator, count: int, h: int, w: int):

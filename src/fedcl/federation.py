@@ -39,6 +39,7 @@ class MessageKind(str, Enum):
     PARAMS_UP = "params_up"
     METADATA_DOWN = "metadata_down"
     METADATA_UP = "metadata_up"
+    __str__ = str.__str__  # prints, hashes and compares as its wire name
 
 
 SERVER = "server"
@@ -46,10 +47,10 @@ SERVER = "server"
 # The wire contract: each message kind's payload tag (see ``payload_tag``)
 # and whether the server sends it (``*_down``) or a node does (``*_up``).
 CONTRACT = {
-    "params_down": ("params", True),
-    "params_up": ("params", False),
-    "metadata_down": ("metadata_list", True),
-    "metadata_up": ("metadata", False),
+    MessageKind.PARAMS_DOWN: ("params", True),
+    MessageKind.PARAMS_UP: ("params", False),
+    MessageKind.METADATA_DOWN: ("metadata_list", True),
+    MessageKind.METADATA_UP: ("metadata", False),
 }
 
 
@@ -60,10 +61,6 @@ class Message:
     receiver: str
     round_index: int
     payload: object
-
-
-def _kind_name(kind) -> str:
-    return kind.value if isinstance(kind, MessageKind) else str(kind)
 
 
 def _is_metadata(payload) -> bool:
@@ -113,10 +110,9 @@ def payload_violation(message: Message) -> str | None:
     """
     if isinstance(message.payload, datagen.Images):
         return "image payload"
-    kind = _kind_name(message.kind)
-    problem = contract_violation(kind, message.sender, payload_tag(message.payload))
+    problem = contract_violation(message.kind, message.sender, payload_tag(message.payload))
     if problem is None and not _finite(message.payload):
-        return f"{kind} carries non-finite values"
+        return f"{message.kind} carries non-finite values"
     return problem
 
 
@@ -137,9 +133,7 @@ class MessageChannel:
     def send(self, message: Message) -> None:
         problem = payload_violation(message)
         if problem is not None:
-            raise ProtocolError(
-                f"message {len(self.messages)} ({_kind_name(message.kind)}): {problem}"
-            )
+            raise ProtocolError(f"message {len(self.messages)} ({message.kind}): {problem}")
         self.messages.append(message)
 
 
@@ -158,7 +152,7 @@ def audit_privacy(message_log) -> AuditReport:
     counts = {k.value: 0 for k in MessageKind}
     violations: list[tuple[int, str]] = []
     for i, msg in enumerate(message_log):
-        kind = _kind_name(msg.kind)
+        kind = str(msg.kind)
         counts[kind] = counts.get(kind, 0) + 1
         problem = payload_violation(msg)
         if problem is not None:
@@ -176,7 +170,7 @@ def _send(channel, kind: MessageKind, node_id: int, round_index: int, payload) -
     """Send ``payload`` between the server and node ``node_id``, in the
     direction ``CONTRACT`` fixes for ``kind``."""
     node = f"node-{node_id}"
-    sender, receiver = (SERVER, node) if CONTRACT[kind.value][1] else (node, SERVER)
+    sender, receiver = (SERVER, node) if CONTRACT[kind][1] else (node, SERVER)
     channel.send(Message(kind, sender, receiver, round_index, payload))
 
 
@@ -216,7 +210,7 @@ def run_round(server: ServerState, shards, config: ExperimentConfig, round_index
     downloads: list[list[md.NodeMetadata]] = [[] for _ in shards]
     per_peer = 0
     if meta_round:
-        per_peer, _ = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
+        per_peer = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
         for k in range(len(shards)):
             downloads[k] = [meta for j, meta in sorted(server.metadata_store.items()) if j != k]
             _send(channel, MessageKind.METADATA_DOWN, k, round_index, downloads[k])
@@ -327,7 +321,7 @@ def write_message_log(messages, path) -> None:
     """One JSON line per message: kind, sender, receiver, round, payload tag
     and digest. Payload contents themselves are not serialized."""
     write_jsonl([{
-        "kind": _kind_name(msg.kind),
+        "kind": str(msg.kind),
         "sender": msg.sender,
         "receiver": msg.receiver,
         "round": msg.round_index,
@@ -340,7 +334,7 @@ def save_checkpoint(params: nn.EncoderParams, path) -> None:
     """Binary checkpoint: one JSON header line (layer manifest, feature dim,
     value count) followed by the flat vector as little-endian float64."""
     header = {
-        "shapes": [[s.rows, s.cols, bool(s.has_bias)] for s in params.shapes],
+        "shapes": [[s.rows, s.cols, True] for s in params.shapes],
         "feature_dim": int(params.feature_dim),
         "count": int(params.values.size),
     }
@@ -354,10 +348,10 @@ def _header_fields(header) -> tuple | None:
         return None
     shapes, count, dim = header.get("shapes"), header.get("count"), header.get("feature_dim")
     if not (isinstance(shapes, list) and type(count) is int and type(dim) is int
-            and all(isinstance(s, list) and list(map(type, s)) == [int, int, bool]
+            and all(isinstance(s, list) and list(map(type, s)) == [int, int, bool] and s[2]
                     for s in shapes)):
         return None
-    return tuple(nn.LayerShape(*s) for s in shapes), count, dim
+    return tuple(nn.LayerShape(rows, cols) for rows, cols, _ in shapes), count, dim
 
 
 def load_checkpoint(path) -> nn.EncoderParams:
@@ -373,7 +367,7 @@ def load_checkpoint(path) -> nn.EncoderParams:
     fields = _header_fields(header)
     if fields is None:
         raise ShapeError(f"{path}: header is not an object with a list 'shapes' of "
-                         f"[rows, cols, bias] and integers 'count' and 'feature_dim'")
+                         f"[rows, cols, true] and integers 'count' and 'feature_dim'")
     shapes, count, feature_dim = fields
     try:
         nn.validate_shapes(shapes)
@@ -394,7 +388,7 @@ def load_checkpoint(path) -> nn.EncoderParams:
                          f"header count is {count}")
     if not np.isfinite(values).all():
         raise ShapeError(f"{path}: body holds a NaN or infinite value")
-    return nn.EncoderParams(values, shapes, feature_dim)
+    return nn.EncoderParams(values, shapes)
 
 
 def metrics_records(metrics) -> list[dict]:

@@ -29,32 +29,24 @@ class NodeMetadata:
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
 
 
-def boxcox(x, lam: float):
-    """Power transform ``(x**lam - 1) / lam``, or ``log(x)`` when lam == 0.
-
-    Requires x > 0 for the log variant and x >= 0 otherwise.
-    """
+def boxcox(x, lam: float) -> np.ndarray:
+    """Power transform ``(x**lam - 1) / lam`` of non-negative ``x``, for
+    ``lam > 0`` only: ReLU features hold exact zeros, which the log variant
+    (lam == 0) cannot take and a negative power sends to infinity."""
+    if lam <= 0:
+        raise ValueError(f"power transform needs lam > 0, got {lam}")
     arr = np.asarray(x, dtype=np.float64)
-    if lam == 0:
-        if np.any(arr <= 0):
-            raise ValueError("log-variant power transform needs strictly positive inputs")
-        out = np.log(arr)
-    else:
-        if np.any(arr < 0):
-            raise ValueError("power transform needs non-negative inputs")
-        out = (np.power(arr, lam) - 1.0) / lam
-    return out if np.ndim(x) else float(out)
+    if np.any(arr < 0):
+        raise ValueError("power transform needs non-negative inputs")
+    return (np.power(arr, lam) - 1.0) / lam
 
 
-def inv_boxcox(y, lam: float):
-    """Inverse power transform, total on the reals: the linear term is
-    clamped at zero so every input maps into the non-negative domain."""
+def inv_boxcox(y, lam: float) -> np.ndarray:
+    """Inverse power transform for ``lam > 0``, total on the reals: the
+    linear term is clamped at zero so every input maps into the
+    non-negative domain."""
     arr = np.asarray(y, dtype=np.float64)
-    if lam == 0:
-        out = np.exp(arr)
-    else:
-        out = np.power(np.maximum(lam * arr + 1.0, 0.0), 1.0 / lam)
-    return out if np.ndim(y) else float(out)
+    return np.power(np.maximum(lam * arr + 1.0, 0.0), 1.0 / lam)
 
 
 def compute_metadata(features, lam: float, jitter: float = 1e-8,
@@ -108,11 +100,11 @@ def sample_synthetic(metadata: NodeMetadata, count: int, rng: np.random.Generato
     return normalize_rows(inv_boxcox(y, lam))
 
 
-def synthetic_quota(capacity: int, eta: float, num_nodes: int) -> tuple[int, int]:
-    """(per-peer, total) synthetic negative counts for one node.
+def synthetic_quota(capacity: int, eta: float, num_nodes: int) -> int:
+    """Synthetic negatives one node draws per peer: floor(eta * capacity / (K - 1)).
 
     ``capacity`` is the negative-dictionary size, ``eta`` the interaction
-    level, ``num_nodes`` the federation size. A single node or eta == 0
+    level, ``num_nodes`` the federation size K. A single node or eta == 0
     yields no synthetics.
     """
     if num_nodes < 1:
@@ -121,7 +113,6 @@ def synthetic_quota(capacity: int, eta: float, num_nodes: int) -> tuple[int, int
         raise ValueError("eta must be non-negative")
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    if num_nodes == 1 or eta == 0:
-        return 0, 0
-    per_peer = int(math.floor(eta * capacity / (num_nodes - 1)))
-    return per_peer, (num_nodes - 1) * per_peer
+    if num_nodes == 1:
+        return 0
+    return int(math.floor(eta * capacity / (num_nodes - 1)))

@@ -20,15 +20,14 @@ from .seeding import rng_for
 
 @dataclass(frozen=True)
 class LayerShape:
-    """One dense layer: ``rows`` outputs, ``cols`` inputs, optional bias."""
+    """One dense layer: ``rows`` outputs, ``cols`` inputs and a bias per output."""
 
     rows: int
     cols: int
-    has_bias: bool = True
 
     @property
     def size(self) -> int:
-        return self.rows * self.cols + (self.rows if self.has_bias else 0)
+        return self.rows * (self.cols + 1)
 
 
 @dataclass
@@ -37,7 +36,6 @@ class EncoderParams:
 
     values: np.ndarray
     shapes: tuple[LayerShape, ...]
-    feature_dim: int
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -49,8 +47,13 @@ class EncoderParams:
                 f"manifest implies {expected}"
             )
 
+    @property
+    def feature_dim(self) -> int:
+        """Width of the feature rows: the last layer's output count."""
+        return self.shapes[-1].rows
+
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.values.copy(), self.shapes, self.feature_dim)
+        return EncoderParams(self.values.copy(), self.shapes)
 
 
 def validate_shapes(shapes) -> tuple[LayerShape, ...]:
@@ -77,20 +80,19 @@ def mlp_shapes(input_dim: int, hidden_dims, feature_dim: int) -> tuple[LayerShap
 
 
 def init_params(shapes, seed: int) -> EncoderParams:
-    """Fresh parameters, each layer uniform in [-s, s] with s = 1/sqrt(fan_in)."""
+    """Fresh parameters, each layer's weights and biases uniform in [-s, s]
+    with s = 1/sqrt(fan_in), drawn in the flat vector's order."""
     shapes = validate_shapes(shapes)
     rng = rng_for(seed, "encoder-init")
     chunks = []
     for s in shapes:
         bound = 1.0 / np.sqrt(s.cols)
-        chunks.append(rng.uniform(-bound, bound, s.rows * s.cols))
-        if s.has_bias:
-            chunks.append(rng.uniform(-bound, bound, s.rows))
-    return EncoderParams(np.concatenate(chunks), shapes, shapes[-1].rows)
+        chunks.append(rng.uniform(-bound, bound, s.size))
+    return EncoderParams(np.concatenate(chunks), shapes)
 
 
 def layer_views(params: EncoderParams, values=None):
-    """(weight, bias) array views into the flat vector; bias may be None.
+    """(weight, bias) array views into the flat vector, layer by layer.
     ``values``, a vector of the same length, is laid out by ``params``'s
     manifest in place of ``params.values`` when given."""
     values = params.values if values is None else values
@@ -98,12 +100,8 @@ def layer_views(params: EncoderParams, values=None):
     offset = 0
     for s in params.shapes:
         w = values[offset : offset + s.rows * s.cols].reshape(s.rows, s.cols)
-        offset += s.rows * s.cols
-        b = None
-        if s.has_bias:
-            b = values[offset : offset + s.rows]
-            offset += s.rows
-        out.append((w, b))
+        out.append((w, values[offset + s.rows * s.cols : offset + s.size]))
+        offset += s.size
     return out
 
 
@@ -122,7 +120,6 @@ class ForwardCache:
     """Intermediate activations kept for the backward pass."""
 
     activations: list  # A_0 .. A_L (input, then post-ReLU per layer)
-    norms: np.ndarray  # (B,) L2 norms of A_L
     features: np.ndarray  # (B, d) normalized output
 
 
@@ -144,15 +141,10 @@ def forward_cached(params: EncoderParams, images) -> ForwardCache:
     activations = [a]
     for w, b in layer_views(params):
         a = a @ w.T
-        if b is not None:
-            a += b
+        a += b
         np.maximum(a, 0.0, out=a)
         activations.append(a)
-    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-    features = np.zeros_like(a)
-    nz = norms > 0.0
-    features[nz] = a[nz] / norms[nz, None]
-    return ForwardCache(activations, norms, features)
+    return ForwardCache(activations, normalize_rows(a))
 
 
 def forward_batch(params: EncoderParams, images) -> np.ndarray:
@@ -165,8 +157,7 @@ def forward_batch(params: EncoderParams, images) -> np.ndarray:
     a = _flatten_batch(params, images)
     for w, b in layer_views(params):
         a = a @ w.T
-        if b is not None:
-            a += b
+        a += b
         np.maximum(a, 0.0, out=a)
     return normalize_rows(a)
 
@@ -190,12 +181,12 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
                          f"got {out.dtype} {out.shape}")
     d_feats = np.asarray(d_features, dtype=np.float64)
     a_last = cache.activations[-1]
+    norms = np.sqrt(np.einsum("ij,ij->i", a_last, a_last))
     da = np.zeros_like(a_last)
-    nz = cache.norms > 0.0
-    if np.any(nz):
-        z = cache.features[nz]
-        inner = np.einsum("ij,ij->i", d_feats[nz], z)
-        da[nz] = (d_feats[nz] - inner[:, None] * z) / cache.norms[nz, None]
+    nz = norms > 0.0
+    z = cache.features[nz]
+    inner = np.einsum("ij,ij->i", d_feats[nz], z)
+    da[nz] = (d_feats[nz] - inner[:, None] * z) / norms[nz, None]
 
     weights = layer_views(params)
     grads = layer_views(params, out)
@@ -203,8 +194,7 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
         dh = da * (cache.activations[i + 1] > 0.0)
         gw, gb = grads[i]
         np.matmul(dh.T, cache.activations[i], out=gw)
-        if gb is not None:
-            np.sum(dh, axis=0, out=gb)
+        np.sum(dh, axis=0, out=gb)
         if i > 0:
             da = dh @ weights[i][0]
     return out
@@ -247,12 +237,10 @@ def sgd_step(values, grad, buf, lr, momentum, weight_decay, scratch) -> None:
 
 
 def _as_key_rows(keys, d: int, name: str) -> np.ndarray:
-    """Key features as (n, d) rows; a 1-D row of width d is one key."""
+    """Key features as (n, d) rows; ``None`` or an empty array is no keys."""
     if keys is None or np.size(keys) == 0:
         return np.zeros((0, d))
     rows = np.asarray(keys, dtype=np.float64)
-    if rows.ndim == 1 and rows.size == d:
-        return rows.reshape(1, d)
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ShapeError(f"{name}: expected key rows of width {d}, got shape {rows.shape}")
     return rows

@@ -96,15 +96,11 @@ def spearman(u, v) -> float:
 
 
 def rsa_score(theta_prev: EncoderParams, theta_k: EncoderParams, probe) -> float:
-    """Rank correlation between the probe set's dissimilarity structures
-    under the pre-round and the locally updated encoder."""
-    images = np.asarray(probe, dtype=np.float64)
-    if images.shape[0] < 3:
-        raise ValueError("probe needs at least 3 samples")
-    rdm_prev = compute_rdm(forward_batch(theta_prev, images))
-    rdm_curr = compute_rdm(forward_batch(theta_k, images))
-    r = spearman(lower_triangle(rdm_prev), lower_triangle(rdm_curr))
-    return min(1.0, max(-1.0, r))
+    """Rank correlation between the probe images' dissimilarity structures
+    under the pre-round and the locally updated encoder (3 images or more)."""
+    rdm_prev = compute_rdm(forward_batch(theta_prev, probe))
+    rdm_curr = compute_rdm(forward_batch(theta_k, probe))
+    return spearman(lower_triangle(rdm_prev), lower_triangle(rdm_curr))
 
 
 def self_adaptive_weights(scores) -> np.ndarray:
@@ -148,4 +144,4 @@ def aggregate(thetas, weights) -> EncoderParams:
         if theta.shapes != first.shapes:
             raise ShapeError("cannot aggregate parameters with different manifests")
         acc += w * theta.values
-    return EncoderParams(acc, first.shapes, first.feature_dim)
+    return EncoderParams(acc, first.shapes)

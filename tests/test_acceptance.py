@@ -44,7 +44,7 @@ def test_criterion_01_gradients_match_finite_differences():
         synth = normalize_rows(rng.standard_normal((8, 8)))
 
         def loss_at(values):
-            p = EncoderParams(values, shapes, 8)
+            p = EncoderParams(values, shapes)
             return loss_and_grad(p, queries, positives, negatives, synth, 0.2)[0]
 
         _, grad = loss_and_grad(params, queries, positives, negatives, synth, 0.2)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fedcl import federation
-from fedcl.cli import _jsonl_records, main
-from fedcl.config import from_dict, save_config
+from fedcl.cli import _apply_overrides, _jsonl_records, main
+from fedcl.config import from_dict, load_config, save_config
 from fedcl.datagen import load_dataset
 from fedcl.federation import run_digest, write_jsonl
 
@@ -121,6 +121,40 @@ def test_run_refuses_nodes_on_a_preset_with_node_counts(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "config error: --set nodes" in err and "node_counts [3, 6]" in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("assignment,needle", [
+    # ReLU features hold exact zeros: lam = 0 takes their log, lam < 0 a
+    # negative power of zero, so a metadata round could not serve either
+    ("boxcox_lambda=0.0", "boxcox_lambda: must be positive"),
+    ("boxcox_lambda=-1.0", "boxcox_lambda: must be positive"),
+    ("eta=2.0", "eta: must lie in [0, 1]"),
+    ("eta=.inf", "eta: expected a finite number, got inf"),
+    ("lr=.nan", "lr: expected a finite number, got nan"),
+    ("lr=-1e-3", "lr: must be non-negative"),  # read as a number, then range-checked
+], ids=["lambda-zero", "lambda-negative", "eta-above-one", "eta-inf", "lr-nan",
+        "lr-negative-exponent"])
+def test_run_refuses_a_bad_value_by_name(tmp_path, capsys, monkeypatch, assignment, needle):
+    monkeypatch.setattr(federation, "run_training", _no_training)
+    assert main(["run", "--preset", "smoke", "--arms", "fedmoco", "--set", assignment,
+                 "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: {needle}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_set_values_and_config_files_read_yaml_12_floats(tmp_path):
+    """``1e-3`` is a float, as YAML 1.2 reads it, both in a ``--set`` value
+    and in a ``--config`` file; ``10`` stays an integer."""
+    raw = _apply_overrides({}, ["lr=1e-3", "rounds=10", "data.gamma=2E+0"])
+    assert raw == {"lr": 0.001, "rounds": 10, "data": {"gamma": 2.0}}
+    assert type(raw["rounds"]) is int and type(raw["lr"]) is float
+    path = tmp_path / "exp.yaml"
+    path.write_text("lr: 1e-3\nrounds: 10\nwarmup_rounds: 1\n")
+    cfg = load_config(path)
+    assert (cfg.lr, cfg.rounds) == (0.001, 10) and type(cfg.rounds) is int
+    assert run_smoke(tmp_path / "runs", ["--set", "lr=1e-3"]) == 0
+    run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
+    assert load_config(run_dir / "config.yaml").lr == 0.001
 
 
 def test_report_names_a_damaged_eval_file_and_summarizes_the_rest(tmp_path, capsys):

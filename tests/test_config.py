@@ -80,6 +80,10 @@ def test_validate_messages_name_the_field(tmp_path):
         ({"fine_tune": {"momentum": float("nan")}},
          "^fine_tune.momentum: expected a finite number"),
         ({"cov_jitter": -1.0}, "^cov_jitter: must be non-negative"),
+        ({"eta": 1.5}, r"^eta: must lie in \[0, 1\]"),
+        ({"eta": -0.1}, r"^eta: must lie in \[0, 1\]"),
+        ({"boxcox_lambda": 0.0}, "^boxcox_lambda: must be positive"),
+        ({"boxcox_lambda": -1.0}, "^boxcox_lambda: must be positive"),
         ({"nodes": 0}, "nodes"),
         ({"rounds": 2, "warmup_rounds": 5}, "warmup_rounds"),
         ({"aggregation_mode": "mean"}, "aggregation_mode"),
@@ -105,10 +109,16 @@ def test_validate_messages_name_the_field(tmp_path):
         with pytest.raises(ConfigError, match=f"^{section}: expected a mapping"):
             small_config(**{section: None})
     small_config(lr=1, data={"gamma": 10, "base_size": 12}).validate()  # ints fill floats
+    small_config(eta=1.0, boxcox_lambda=1e-3).validate()  # eta's top edge, a small lambda
     path = tmp_path / "config.yaml"
     path.write_text("nodes: '3'\n")
     with pytest.raises(ConfigError, match=r"config\.yaml: nodes: expected an integer, got '3'"):
         load_config(path)
+    for text, needle in [("eta: .inf\n", "eta: expected a finite number, got inf"),
+                         ("lr: .nan\n", "lr: expected a finite number, got nan")]:
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"config\.yaml: {needle}"):
+            load_config(path)
 
 
 def test_fine_tune_needs_one_labeled_image_per_class():

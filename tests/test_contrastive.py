@@ -14,8 +14,8 @@ from fedcl.seeding import rng_for
 
 
 def flat_params(values):
-    shapes = (LayerShape(1, 2, has_bias=False),)
-    return EncoderParams(np.asarray(values, dtype=np.float64), shapes, 1)
+    """One 1x1 layer: a weight, then a bias."""
+    return EncoderParams(np.asarray(values, dtype=np.float64), (LayerShape(1, 1),))
 
 
 # -- queue --------------------------------------------------------------------
@@ -75,13 +75,13 @@ def test_momentum_update_validation():
     d = flat_params([1.0, 2.0])
     with pytest.raises(ValueError):
         momentum_update(d, d, 1.0)
-    other = EncoderParams(np.zeros(2), (LayerShape(2, 1, has_bias=False),), 2)
+    other = EncoderParams(np.zeros(4), (LayerShape(2, 1),))
     with pytest.raises(ShapeError):
         momentum_update(d, other, 0.5)
 
 
 @settings(max_examples=100, deadline=None)
-@given(size=st.integers(1, 12), data=st.data())
+@given(size=st.integers(2, 13), data=st.data())
 def test_in_place_steps_match_out_of_place_formulas(size, data):
     vector = arrays(np.float64, size, elements=st.floats(-1e3, 1e3))
     unit = st.floats(0.0, 1.0)
@@ -101,8 +101,8 @@ def test_in_place_steps_match_out_of_place_formulas(size, data):
     got_d = values.copy()
     _momentum_step(got_d, theta_q, m, np.empty(size))
     assert got_d.tobytes() == want_d.tobytes()
-    shapes = (LayerShape(1, size, has_bias=False),)
-    pure = momentum_update(EncoderParams(values, shapes, 1), EncoderParams(theta_q, shapes, 1), m)
+    shapes = (LayerShape(1, size - 1),)  # size - 1 weights and a bias
+    pure = momentum_update(EncoderParams(values, shapes), EncoderParams(theta_q, shapes), m)
     assert pure.values.tobytes() == want_d.tobytes()
 
 
@@ -242,8 +242,8 @@ def test_local_update_keys_track_momentum_encoder():
     want = []
     for idx in (order[:4], order[4:]):
         pairs = augment(images[idx], rng, views=2)
-        keys = forward_batch(EncoderParams(theta_d, SHAPES, 4), pairs[:, 1])
-        loss, grad = loss_and_grad(EncoderParams(theta_q, SHAPES, 4), pairs[:, 0],
+        keys = forward_batch(EncoderParams(theta_d, SHAPES), pairs[:, 1])
+        loss, grad = loss_and_grad(EncoderParams(theta_q, SHAPES), pairs[:, 0],
                                    keys, queue, None, hp.temperature)
         sgd_step(theta_q, grad, buf, hp.lr, hp.sgd_momentum, hp.weight_decay, scratch)
         _momentum_step(theta_d, theta_q, hp.momentum_coeff, scratch)

@@ -399,7 +399,7 @@ def forge(message, forgery, data):
     elif forgery == "NaN parameter":
         values = payload.values.copy()
         values[data.draw(st.integers(0, values.size - 1), label="position")] = np.nan
-        payload = EncoderParams(values, payload.shapes, payload.feature_dim)
+        payload = EncoderParams(values, payload.shapes)
     else:
         metas = list(_metas(message))
         e = data.draw(st.integers(0, len(metas) - 1), label="entry")
@@ -499,6 +499,7 @@ _NOT_A_HEADER = r"header is not an object with a list 'shapes'"
     (_edit_header(lambda h: None), _NOT_A_HEADER),
     (_edit_header(lambda h: {**h, "count": 130.0}), _NOT_A_HEADER),
     (_edit_header(lambda h: {**h, "shapes": [[6, 16, True], [4, 6]]}), _NOT_A_HEADER),
+    (_edit_header(lambda h: {**h, "shapes": [[6, 16, True], [4, 6, False]]}), _NOT_A_HEADER),
     (_edit_header(lambda h: {**h, "shapes": h["shapes"] + [[0, 4, True]]}),
      r"layer 2 has a zero-dimensional shape 0x4"),
     (_edit_header(lambda h: {**h, "shapes": [[6, 16, True], [2, 13, True]]}),
@@ -508,7 +509,7 @@ _NOT_A_HEADER = r"header is not an object with a list 'shapes'"
     (_set_value(7, np.nan), r"body holds a NaN or infinite value"),
     (_set_value(-1, -np.inf), r"body holds a NaN or infinite value"),
 ], ids=["cut-body", "garbled-header", "miscounted-header", "empty-object", "list",
-        "string", "null", "float-count", "short-layer", "zero-size-layer",
+        "string", "null", "float-count", "short-layer", "bias-free-layer", "zero-size-layer",
         "non-chaining-layer", "negative-feature-dim", "nan-value", "infinite-value"])
 def test_checkpoint_errors_name_the_file(tmp_path, damage, message):
     params = init_params(mlp_shapes(16, [6], 4), 3)
@@ -560,7 +561,7 @@ def test_payload_digest_hashes_little_endian_float64_bytes():
     """The digest is the SHA-256 of the values' little-endian float64 bytes,
     in order, whatever the array's stride or byte order in memory."""
     values = np.arange(28, dtype=">f8")[::2]  # big-endian, strided
-    params = EncoderParams(values, mlp_shapes(3, [2], 2), 2)
+    params = EncoderParams(values, mlp_shapes(3, [2], 2))
     meta = NodeMetadata(values[:2], values[2:6].reshape(2, 2).T, 1, 2)
 
     def sha(*chunks):

@@ -15,20 +15,21 @@ def test_boxcox_known_values():
     assert boxcox(4.0, 0.5) == pytest.approx(2.0, abs=1e-15)  # 2*(sqrt(4)-1)
     assert boxcox(1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
     assert boxcox(1.0, 2.0) == pytest.approx(0.0, abs=1e-15)
-    assert boxcox(float(np.e), 0.0) == pytest.approx(1.0, rel=1e-15)
-    assert isinstance(boxcox(2.0, 0.5), float)
+    assert np.array_equal(boxcox(np.array([[4.0, 0.0]]), 0.5), [[2.0, -2.0]])
 
 
 def test_boxcox_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative inputs"):
         boxcox(-0.001, 0.5)
-    with pytest.raises(ValueError):
-        boxcox(0.0, 0.0)
+    # lam <= 0 cannot take a ReLU feature's exact zero: refused for any input
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="needs lam > 0"):
+            boxcox(np.array([1.0, 2.0]), lam)
 
 
 def test_inv_boxcox_known_values():
     assert inv_boxcox(2.0, 0.5) == pytest.approx(4.0, abs=1e-12)
-    assert inv_boxcox(1.0, 0.0) == pytest.approx(float(np.e), rel=1e-15)
+    assert inv_boxcox(1.0, 2.0) == pytest.approx(np.sqrt(3.0), rel=1e-15)
     # linear term clamped at zero: everything below -1/lam maps to 0
     assert inv_boxcox(-3.0, 0.5) == 0.0
     assert inv_boxcox(-2.0, 0.5) == 0.0
@@ -126,11 +127,11 @@ def test_sample_synthetic_deterministic_per_stream():
 # -- quota --------------------------------------------------------------------
 
 def test_synthetic_quota_table():
-    assert synthetic_quota(1024, 0.05, 5) == (12, 48)   # floor(51.2 / 4)
-    assert synthetic_quota(1024, 0.05, 2) == (51, 51)
-    assert synthetic_quota(256, 0.05, 3) == (6, 12)
-    assert synthetic_quota(1024, 0.05, 1) == (0, 0)
-    assert synthetic_quota(1024, 0.0, 7) == (0, 0)
+    assert synthetic_quota(1024, 0.05, 5) == 12   # floor(51.2 / 4) per peer
+    assert synthetic_quota(1024, 0.05, 2) == 51
+    assert synthetic_quota(256, 0.05, 3) == 6
+    assert synthetic_quota(1024, 0.05, 1) == 0
+    assert synthetic_quota(1024, 0.0, 7) == 0
 
 
 def test_synthetic_quota_validation():

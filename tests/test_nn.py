@@ -15,17 +15,19 @@ from fedcl.seeding import rng_for
 def tiny_params(values):
     """Two 2x2 layers with biases; 12 parameters total."""
     shapes = (LayerShape(2, 2), LayerShape(2, 2))
-    return EncoderParams(np.asarray(values, dtype=np.float64), shapes, 2)
+    return EncoderParams(np.asarray(values, dtype=np.float64), shapes)
 
 
 def test_layer_shape_size():
     assert LayerShape(3, 4).size == 15  # 12 weights + 3 biases
-    assert LayerShape(3, 4, has_bias=False).size == 12
+    assert LayerShape(1, 1).size == 2
 
 
 def test_params_manifest_mismatch():
     with pytest.raises(ShapeError):
-        EncoderParams(np.zeros(11), (LayerShape(2, 2), LayerShape(2, 2)), 2)
+        EncoderParams(np.zeros(11), (LayerShape(2, 2), LayerShape(2, 2)))
+    # the feature width is read off the manifest, so it cannot disagree with it
+    assert EncoderParams(np.zeros(9), (LayerShape(2, 2), LayerShape(1, 2))).feature_dim == 1
 
 
 def test_mlp_shapes_chain():
@@ -89,21 +91,18 @@ def test_features_are_unit_or_zero():
 
 @st.composite
 def nets(draw):
-    """A random MLP with per-layer bias flags, an input batch, and the
-    output gradient of a loss. Half the rows are negated: with non-negative
-    first-layer weights and non-positive biases, those rows reach the head
-    as exact zeros."""
+    """A random MLP, an input batch, and the output gradient of a loss.
+    Half the rows are negated: with non-negative first-layer weights and
+    non-positive biases, those rows reach the head as exact zeros."""
     dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
-    biases = draw(st.lists(st.booleans(), min_size=len(dims) - 1, max_size=len(dims) - 1))
-    shapes = tuple(LayerShape(r, c, has_bias=b) for c, r, b in zip(dims, dims[1:], biases))
+    shapes = tuple(LayerShape(r, c) for c, r in zip(dims, dims[1:]))
     seed, batch = draw(st.integers(0, 2**16)), draw(st.integers(1, 6))
     rng = rng_for(seed, "net")
     p = init_params(shapes, seed)
     views = layer_views(p)
     views[0][0][...] = np.abs(views[0][0])
     for _, b in views:
-        if b is not None:
-            b[...] = -np.abs(b)
+        b[...] = -np.abs(b)
     x = rng.random((batch, dims[0]))
     x[::2] *= -1.0
     return p, x, rng.standard_normal((batch, dims[-1]))
@@ -123,7 +122,7 @@ def test_forward_batch_is_bit_equal_to_the_cached_forward(net):
 @given(nets())
 def test_backward_features_fills_the_given_buffer(net):
     """The gradient lands in ``out`` itself, every value overwritten, equal
-    to a fresh allocation's; bias-free layers leave no gap."""
+    to a fresh allocation's, weights and biases alike."""
     p, x, g_out = net
     cache = forward_cached(p, x)
     fresh = backward_features(p, cache, g_out)
@@ -172,7 +171,7 @@ def test_backward_features_matches_finite_difference():
     g_out = rng.standard_normal((3, 4))
 
     def scalar_loss(values):
-        q = EncoderParams(values, p.shapes, p.feature_dim)
+        q = EncoderParams(values, p.shapes)
         return float(np.sum(forward_batch(q, x) * g_out))
 
     grad = backward_features(p, forward_cached(p, x), g_out)
@@ -193,8 +192,8 @@ def test_loss_value_hand_oracle():
     Row 0 has positive logit 2 and one negative logit 0; row 1 has both at
     2. Mean loss = (log(1 + e^-2) + log 2) / 2.
     """
-    shapes = (LayerShape(2, 2, has_bias=False),)
-    p = EncoderParams(np.array([1.0, 0.0, 0.0, 1.0]), shapes, 2)
+    shapes = (LayerShape(2, 2),)
+    p = EncoderParams(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), shapes)  # W = I, b = 0
     queries = np.array([[1.0, 0.0], [0.0, 1.0]])
     positives = queries.copy()
     negatives = np.array([[0.0, 1.0]])
@@ -228,17 +227,16 @@ def test_loss_and_grad_validation():
 @pytest.mark.parametrize("slot", ["positives", "negatives", "synthetic negatives"])
 def test_loss_and_grad_rejects_key_rows_of_the_wrong_width(slot):
     """Keys whose width is not feature_dim are refused, not reread as more
-    rows; a 1-D row of width d still stands for one key."""
+    rows, and so is a 1-D row: keys are (n, d) rows only."""
     p = init_params(mlp_shapes(6, [5], 4), 0)
     q = np.ones((4, 6))
-    keys = {"positives": np.ones((4, 4)), "negatives": None, "synthetic negatives": None}
-    keys[slot] = np.ones((2, 8))  # 16 values: four 4-wide rows if reshaped
-    with pytest.raises(ShapeError, match=f"{slot}: expected key rows of width 4"):
-        loss_and_grad(p, q, keys["positives"], keys["negatives"],
-                      keys["synthetic negatives"], 0.2)
-    one = loss_and_grad(p, q[:1], np.ones(4), np.ones(4), None, 0.2)
-    rows = loss_and_grad(p, q[:1], np.ones((1, 4)), np.ones((1, 4)), None, 0.2)
-    assert one[0] == rows[0] and np.array_equal(one[1], rows[1])
+    # (2, 8) holds four 4-wide rows' worth of values, (4,) one row's
+    for bad in (np.ones((2, 8)), np.ones(4)):
+        keys = {"positives": np.ones((4, 4)), "negatives": None, "synthetic negatives": None}
+        keys[slot] = bad
+        with pytest.raises(ShapeError, match=f"{slot}: expected key rows of width 4"):
+            loss_and_grad(p, q, keys["positives"], keys["negatives"],
+                          keys["synthetic negatives"], 0.2)
 
 
 def test_loss_grad_matches_finite_difference():
@@ -250,7 +248,7 @@ def test_loss_grad_matches_finite_difference():
     synth = normalize_rows(rng.standard_normal((4, 4)))
 
     def loss_at(values):
-        q = EncoderParams(values, p.shapes, p.feature_dim)
+        q = EncoderParams(values, p.shapes)
         return loss_and_grad(q, queries, positives, negatives, synth, 0.2)[0]
 
     _, grad = loss_and_grad(p, queries, positives, negatives, synth, 0.2)

@@ -173,16 +173,16 @@ def test_fedavg_weight_validation():
 
 def test_aggregate_weighted_sum():
     shapes = mlp_shapes(3, [], 2)
-    a = EncoderParams(np.arange(8.0), shapes, 2)
-    b = EncoderParams(np.ones(8), shapes, 2)
+    a = EncoderParams(np.arange(8.0), shapes)
+    b = EncoderParams(np.ones(8), shapes)
     out = aggregate([a, b], [0.25, 0.75])
     assert np.array_equal(out.values, 0.25 * np.arange(8.0) + 0.75)
 
 
 def test_aggregate_validation():
     shapes = mlp_shapes(3, [], 2)
-    a = EncoderParams(np.zeros(8), shapes, 2)
-    other = EncoderParams(np.zeros(9), mlp_shapes(2, [2], 1), 1)
+    a = EncoderParams(np.zeros(8), shapes)
+    other = EncoderParams(np.zeros(9), mlp_shapes(2, [2], 1))
     with pytest.raises(ShapeError):
         aggregate([a, other], np.array([0.5, 0.5]))
     with pytest.raises(ValueError):

@@ -7,12 +7,12 @@
     fedcl export-data --preset desk --out data/
 
 `run` executes every requested (arm, node-count, seed) combination and lays
-the results out under an output root (``--out``, else $FEDCL_OUT, else
-./runs). Each run directory gets the resolved config, the final encoder
-checkpoint, per-round metrics and wall times, the message log with its audit
-verdict, evaluation scores, and a digest of the checkpoint and metrics.
-Every file goes through ``federation.write_atomic``, so an interrupted run
-never leaves a half-written artifact behind.
+the results out under an output root (``--out``, else ./runs). Each run
+directory gets the resolved config, the final encoder checkpoint, per-round
+metrics and wall times, the message log with its audit verdict, evaluation
+scores, and a digest of the checkpoint and metrics. Every file goes through
+``federation.write_atomic``, so an interrupted run never leaves a
+half-written artifact behind.
 
 `audit` checks each logged message against ``federation.CONTRACT`` (kind,
 direction, payload tag), the message counts against
@@ -28,7 +28,6 @@ import argparse
 import dataclasses
 import json
 import numbers
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -40,12 +39,6 @@ from . import datagen, evaluate, federation, metadata
 from .config import (ARMS, ExperimentConfig, PRESETS, YamlLoader, apply_arm, from_dict,
                      load_config, preset_config, save_config, to_dict)
 from .errors import ConfigError
-
-OUT_ENV = "FEDCL_OUT"
-
-
-def _out_root(value: str | None) -> Path:
-    return Path(value or os.environ.get(OUT_ENV) or "./runs")
 
 
 def _apply_overrides(raw: dict, assignments: list[str]) -> dict:
@@ -112,25 +105,16 @@ def _write_run_dir(run_dir: Path, config: ExperimentConfig, result,
 
 def _load_base_config(args) -> tuple[ExperimentConfig, tuple[str, ...],
                                      tuple[int, ...], str]:
-    """Resolve (config, arms, node_counts, run name) from --preset/--config."""
+    """Resolve (config, arms, node_counts, name) of --preset or --config, with
+    the --set overrides applied; the name is the preset's or the file's stem."""
     if bool(args.preset) == bool(args.config):
         raise ConfigError("exactly one of --preset or --config is required")
     if args.preset:
         config, preset = preset_config(args.preset)
-        arms = preset.arms
-        node_counts = preset.node_counts
-        name = args.name or args.preset
+        arms, node_counts, name = preset.arms, preset.node_counts, args.preset
     else:
         config = load_config(args.config)
-        arms = ("fedmoco",)
-        node_counts = ()
-        name = args.name or Path(args.config).stem
-    if args.arms:
-        unknown = [a for a in args.arms if a not in ARMS]
-        if unknown:
-            raise ConfigError(f"unknown arm(s): {', '.join(unknown)}; "
-                              f"choose from {', '.join(sorted(ARMS))}")
-        arms = tuple(args.arms)
+        arms, node_counts, name = ("fedmoco",), (), Path(args.config).stem
     if args.set:
         config = from_dict(_apply_overrides(to_dict(config), args.set))
     return config, arms, node_counts, name
@@ -150,15 +134,17 @@ def _quota_warning(config: ExperimentConfig, label: str) -> str | None:
 
 def cmd_run(args) -> int:
     config, arms, node_counts, name = _load_base_config(args)
+    arms = tuple(args.arms or arms)
     if node_counts and any(item.partition("=")[0] == "nodes" for item in args.set):
         raise ConfigError(f"--set nodes: preset '{args.preset}' runs node_counts "
                           f"{list(node_counts)}, which replace nodes")
     seeds = tuple(args.seed) if args.seed else (config.seed,)
     counts: tuple[int | None, ...] = tuple(node_counts) if node_counts else (None,)
-    out_dir = _out_root(args.out) / name
+    out_dir = Path(args.out or "./runs") / (args.name or name)
 
     planned = [(arm, k, s) for arm in arms for k in counts for s in seeds]
-    # apply_arm copies and validates each config: all are checked before the first run trains
+    # apply_arm copies and validates each config and refuses an unknown arm:
+    # all are checked before the first run trains
     run_cfgs = [apply_arm(dataclasses.replace(config, seed=s, nodes=k or config.nodes), arm)
                 for arm, k, s in planned]
     print(f"{len(planned)} run(s) -> {out_dir}")
@@ -365,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"override arm list ({', '.join(sorted(ARMS))})")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config field, e.g. --set data.base_size=500")
-    run.add_argument("--out", help=f"output root (default $({OUT_ENV}) or ./runs)")
+    run.add_argument("--out", help="output root (default ./runs)")
     run.add_argument("--name", help="run collection name (default: preset/config name)")
     run.set_defaults(func=cmd_run)
 
@@ -381,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--preset", choices=sorted(PRESETS))
     export.add_argument("--config")
     export.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    export.add_argument("--arms", nargs="+", help=argparse.SUPPRESS)
-    export.add_argument("--name", help=argparse.SUPPRESS)
     export.add_argument("--out", help="destination directory")
     export.set_defaults(func=cmd_export_data)
 

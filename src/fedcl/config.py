@@ -55,7 +55,6 @@ class ExperimentConfig:
     feature_dim: int = 32
     # distribution metadata
     boxcox_lambda: float = 0.5
-    cov_jitter: float = 1e-8
     # aggregation scoring
     probe_size: int = 100
     # data and seeds
@@ -80,7 +79,6 @@ class ExperimentConfig:
              f"aggregation_mode: unknown mode '{self.aggregation_mode}'"),
             (0 <= self.eta <= 1, "eta: must lie in [0, 1]"),
             (self.boxcox_lambda > 0, "boxcox_lambda: must be positive"),
-            (self.cov_jitter >= 0, "cov_jitter: must be non-negative"),
             (self.queue_capacity >= 0, "queue_capacity: must be non-negative"),
             (self.batch_size >= 1, "batch_size: must be at least 1"),
             (0 <= self.momentum_coeff < 1, "momentum_coeff: must lie in [0, 1)"),
@@ -94,17 +92,8 @@ class ExperimentConfig:
             (self.probe_size >= 3, "probe_size: must be at least 3"),
             (self.seed >= 0, "seed: must be non-negative"),
             (0 < self.fine_tune_fraction <= 1, "fine_tune_fraction: must lie in (0, 1]"),
-        ]
-        for section in ("probe", "fine_tune"):
-            sub = getattr(self, section)
-            checks += [
-                (sub.epochs >= 1, f"{section}.epochs: must be at least 1"),
-                (sub.batch_size >= 1, f"{section}.batch_size: must be at least 1"),
-                (sub.lr >= 0, f"{section}.lr: must be non-negative"),
-            ]
-        checks += [
-            (0 <= self.fine_tune.momentum < 1, "fine_tune.momentum: must lie in [0, 1)"),
-            (self.fine_tune.weight_decay >= 0, "fine_tune.weight_decay: must be non-negative"),
+            (self.probe.epochs >= 1, "probe.epochs: must be at least 1"),
+            (self.fine_tune.epochs >= 1, "fine_tune.epochs: must be at least 1"),
         ]
         for ok, message in checks:
             if not ok:
@@ -211,10 +200,11 @@ def _build(dc_cls, data: dict, prefix: str):
     return dc_cls(**kwargs)
 
 
-def from_dict(data: dict) -> ExperimentConfig:
+def from_dict(data: dict | None) -> ExperimentConfig:
     """Build a config from a (possibly partial) nested mapping; unknown keys
-    are reported by their dotted path."""
-    return _build(ExperimentConfig, data or {}, "")
+    are reported by their dotted path. ``None`` (an empty YAML file) is the
+    empty mapping; any other non-mapping is refused."""
+    return _build(ExperimentConfig, {} if data is None else data, "")
 
 
 def to_dict(config: ExperimentConfig) -> dict:
@@ -239,8 +229,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
-    if raw is None:
-        raw = {}
     try:
         cfg = from_dict(raw)
         cfg.validate()

@@ -25,6 +25,8 @@ HEALTHY_CLASS = 0  # the "no findings" proxy used by the label-skew scenario
 DISEASE_CLASSES = (1, 2, 3)
 
 _TEXTURE_AMP = 0.04
+_EVAL_OFFSET = 0.08  # the evaluation split's site-neutral intensity offset
+_EVAL_TEXTURE_FREQ = 1.5  # and background texture frequency
 
 
 @dataclass(eq=False)
@@ -70,9 +72,7 @@ class ScenarioSpec:
     gamma: float = 10.0
     image_size: int = 16
     eval_per_class: int = 600
-    eval_offset: float = 0.08
     eval_noise: float = 0.15
-    eval_texture_freq: float = 1.5
 
     def validate(self, num_nodes: int) -> "ScenarioSpec":
         checks = [
@@ -217,7 +217,7 @@ def make_eval_split(spec: ScenarioSpec, seed: int) -> tuple[Images, Images]:
     rng = rng_for(seed, "eval-data")
     per_class = spec.eval_per_class
     labels, pixels = _render(rng, [((cls,), per_class) for cls in EVAL_CLASSES], spec.image_size,
-                             spec.eval_offset, spec.eval_noise, spec.eval_texture_freq)
+                             _EVAL_OFFSET, spec.eval_noise, _EVAL_TEXTURE_FREQ)
     rendered = Images(pixels, labels)
     cut = (per_class + 1) // 2
     orders = [j * per_class + rng.permutation(per_class) for j in range(len(EVAL_CLASSES))]

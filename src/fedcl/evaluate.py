@@ -19,20 +19,20 @@ from .datagen import Images
 from .seeding import rng_for
 
 
+# Optimizer settings of the probe (learning rate, batch size) and of the
+# fine-tune (learning rate, batch size, SGD momentum, weight decay).
+_PROBE_LR, _PROBE_BATCH = 0.1, 64
+_FT_LR, _FT_BATCH, _FT_MOMENTUM, _FT_WEIGHT_DECAY = 0.01, 32, 0.9, 1e-4
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     epochs: int = 50
-    lr: float = 0.1
-    batch_size: int = 64
 
 
 @dataclass(frozen=True)
 class FineTuneConfig:
     epochs: int = 100
-    lr: float = 0.01
-    batch_size: int = 32
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
 
 
 @dataclass
@@ -92,14 +92,14 @@ def linear_probe(encoder: nn.EncoderParams, train: Images, test: Images,
     n = len(train)
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, n, _PROBE_BATCH):
+            idx = order[start : start + _PROBE_BATCH]
             zb, yb = z_train[idx], y_train[idx]
             p = _softmax(zb @ w.T + b)
             p[np.arange(idx.size), yb] -= 1.0
             p /= idx.size
-            w -= config.lr * (p.T @ zb)
-            b -= config.lr * p.sum(axis=0)
+            w -= _PROBE_LR * (p.T @ zb)
+            b -= _PROBE_LR * p.sum(axis=0)
 
     pred = np.argmax(z_test @ w.T + b, axis=1)
     hit = pred == y_test
@@ -162,15 +162,14 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
     scratch_w = np.empty_like(w)
 
     def step_p(v, g, m):
-        nn.sgd_step(v, g, m, config.lr, config.momentum, config.weight_decay,
-                    scratch_p[: v.size])
+        nn.sgd_step(v, g, m, _FT_LR, _FT_MOMENTUM, _FT_WEIGHT_DECAY, scratch_p[: v.size])
 
     best, best_epoch, final = -1.0, 0, 0.0
     n = len(chosen)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, n, _FT_BATCH):
+            idx = order[start : start + _FT_BATCH]
             cache = nn.forward_cached(params, x[idx])
             z = cache.features
             p = _softmax(z @ w.T + b)
@@ -179,10 +178,10 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
             gw = p.T @ z
             gb = p.sum(axis=0)
             nn.backward_features(params, cache, p @ w, out=grad_p)
-            nn.sgd_step(w, gw, buf_w, config.lr, config.momentum, config.weight_decay, scratch_w)
-            buf_b *= config.momentum
+            nn.sgd_step(w, gw, buf_w, _FT_LR, _FT_MOMENTUM, _FT_WEIGHT_DECAY, scratch_w)
+            buf_b *= _FT_MOMENTUM
             buf_b += gb
-            b -= config.lr * buf_b
+            b -= _FT_LR * buf_b
             nn.blockwise(step_p, params.values, grad_p, buf_p)
         acc = _test_accuracy(params, w, b, x_test, y_test)
         final = acc

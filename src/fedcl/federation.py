@@ -229,9 +229,9 @@ def run_round(server: ServerState, shards, config: ExperimentConfig, round_index
         rows.append({"round": round_index, "node": k, "lr": config.lr_at(round_index),
                      "loss": loss, "synthetic_count": int(synth.shape[0])})
         if meta_round:
-            uploads.append(md.compute_metadata(
-                nn.forward_batch(theta, shard), config.boxcox_lambda,
-                config.cov_jitter, k, round_index))
+            uploads.append(md.compute_metadata(nn.forward_batch(theta, shard),
+                                               config.boxcox_lambda, node_id=k,
+                                               round_index=round_index))
 
     for k, upload in enumerate(uploads):
         _send(channel, MessageKind.METADATA_UP, k, round_index, upload)

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fedcl import federation
 from fedcl.cli import _apply_overrides, _jsonl_records, main
-from fedcl.config import from_dict, load_config, save_config
+from fedcl.config import ExperimentConfig, from_dict, load_config, save_config
 from fedcl.datagen import load_dataset
 from fedcl.federation import run_digest, write_jsonl
 
@@ -68,8 +69,66 @@ def test_bad_set_key_is_a_config_error():
     assert main(["run", "--preset", "smoke", "--set", "garbage"]) == 2
 
 
-def test_unknown_arm_is_a_config_error():
-    assert main(["run", "--preset", "smoke", "--arms", "bogus"]) == 2
+def test_unknown_arm_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setattr(federation, "run_training", _no_training)
+    assert main(["run", "--preset", "smoke", "--arms", "fedavg", "bogus"]) == 2
+    assert "config error: arms: unknown arm 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--arms", "x"], ["--name", "x"]])
+def test_export_data_takes_no_run_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-data", "--preset", "smoke", "--out", str(tmp_path / "data"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_runs_go_under_out_or_the_working_directory(tmp_path, monkeypatch):
+    """Without ``--out`` a run lands in ./runs; no environment variable moves it."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FEDCL_OUT", str(tmp_path / "env"))
+    assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "3", *FAST]) == 0
+    assert (tmp_path / "runs" / "smoke" / "fedavg" / "seed-3" / "digest.txt").exists()
+    assert not (tmp_path / "env").exists()
+
+
+REMOVED = ["cov_jitter=1.0e-8", "data.eval_offset=0.08", "data.eval_texture_freq=1.5",
+           "probe.lr=0.1", "probe.batch_size=64", "fine_tune.lr=0.01",
+           "fine_tune.batch_size=32", "fine_tune.momentum=0.9", "fine_tune.weight_decay=1.0e-4"]
+
+
+@pytest.mark.parametrize("assignment", REMOVED, ids=[a.partition("=")[0] for a in REMOVED])
+def test_run_refuses_a_removed_setting_by_name(tmp_path, capsys, monkeypatch, assignment):
+    """Settings no run varied are constants now; setting one, even to its old
+    value, is refused through ``--set`` and in a ``--config`` file."""
+    monkeypatch.setattr(federation, "run_training", _no_training)
+    key = assignment.partition("=")[0]
+    assert main(["run", "--preset", "smoke", "--set", assignment,
+                 "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: {key}: unknown field" in capsys.readouterr().err
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(_apply_overrides({}, [assignment])))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: {path}: {key}: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("document", ["[]", "false", "0", "''"])
+def test_run_refuses_a_config_document_that_is_not_a_mapping(tmp_path, capsys, monkeypatch,
+                                                             document):
+    monkeypatch.setattr(federation, "run_training", _no_training)
+    path = tmp_path / "bad.yaml"
+    path.write_text(document + "\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: {path}: config: expected a mapping" in capsys.readouterr().err
+
+
+def test_an_empty_config_file_or_mapping_is_the_default_config(tmp_path):
+    path = tmp_path / "empty.yaml"
+    for text in ("", "{}\n"):
+        path.write_text(text)
+        assert load_config(path) == ExperimentConfig()
 
 
 def test_report_aggregates_by_unbiased_std(tmp_path, capsys):

@@ -1,13 +1,22 @@
 import copy
 import dataclasses
+import io
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedcl.cli import _jsonl_records, main
 from fedcl.config import (ARMS, ExperimentConfig, PRESETS, apply_arm,
                           from_dict, load_config, preset_config, save_config,
                           to_dict)
+from fedcl.datagen import make_eval_split
 from fedcl.errors import ConfigError
 from fedcl.nn import LayerShape
 from fedcl.seeding import seed_for
@@ -64,22 +73,24 @@ def test_validate_messages_name_the_field(tmp_path):
         ({"run_probe": 1}, "^run_probe: expected true or false"),
         ({"aggregation_mode": 3}, "^aggregation_mode: expected a string"),
         ({"data": {"base_size": "12"}}, "^data.base_size: expected an integer"),
-        ({"fine_tune": {"lr": "0.1"}}, "^fine_tune.lr: expected a finite number"),
+        ({"fine_tune": {"epochs": "3"}}, "^fine_tune.epochs: expected an integer"),
         ({"eta": float("inf")}, r"^eta: expected a finite number, got inf"),
         ({"boxcox_lambda": float("nan")}, "^boxcox_lambda: expected a finite number, got nan"),
-        ({"cov_jitter": float("nan")}, "^cov_jitter: expected a finite number"),
         ({"lr": float("inf")}, "^lr: expected a finite number"),
         ({"temperature": float("inf")}, "^temperature: expected a finite number"),
         ({"fine_tune_fraction": -float("inf")}, "^fine_tune_fraction: expected a finite number"),
         ({"lr": 10 ** 400}, "^lr: expected a finite number"),
         ({"lr_milestones": [[5, float("nan")]]}, "^lr_milestones: expected a list of"),
-        ({"data": {"eval_offset": float("nan")}}, "^data.eval_offset: expected a finite number"),
-        ({"data": {"eval_texture_freq": float("inf")}},
-         "^data.eval_texture_freq: expected a finite number"),
-        ({"probe": {"lr": float("inf")}}, "^probe.lr: expected a finite number"),
-        ({"fine_tune": {"momentum": float("nan")}},
-         "^fine_tune.momentum: expected a finite number"),
-        ({"cov_jitter": -1.0}, "^cov_jitter: must be non-negative"),
+        # settings no run varied, now constants: a config that sets one is refused
+        ({"cov_jitter": 1e-8}, "^cov_jitter: unknown field"),
+        ({"data": {"eval_offset": 0.08}}, "^data.eval_offset: unknown field"),
+        ({"data": {"eval_texture_freq": 1.5}}, "^data.eval_texture_freq: unknown field"),
+        ({"probe": {"lr": 0.1}}, "^probe.lr: unknown field"),
+        ({"probe": {"batch_size": 64}}, "^probe.batch_size: unknown field"),
+        ({"fine_tune": {"lr": 0.01}}, "^fine_tune.lr: unknown field"),
+        ({"fine_tune": {"batch_size": 32}}, "^fine_tune.batch_size: unknown field"),
+        ({"fine_tune": {"momentum": 0.9}}, "^fine_tune.momentum: unknown field"),
+        ({"fine_tune": {"weight_decay": 1e-4}}, "^fine_tune.weight_decay: unknown field"),
         ({"eta": 1.5}, r"^eta: must lie in \[0, 1\]"),
         ({"eta": -0.1}, r"^eta: must lie in \[0, 1\]"),
         ({"boxcox_lambda": 0.0}, "^boxcox_lambda: must be positive"),
@@ -91,14 +102,7 @@ def test_validate_messages_name_the_field(tmp_path):
         ({"momentum_coeff": 1.0}, "momentum_coeff"),
         ({"fine_tune_fraction": 0.0}, "fine_tune_fraction"),
         ({"probe": {"epochs": 0}}, "probe.epochs"),
-        ({"probe": {"batch_size": 0}}, "probe.batch_size"),
-        ({"probe": {"lr": -0.1}}, "probe.lr"),
         ({"fine_tune": {"epochs": 0}}, "fine_tune.epochs"),
-        ({"fine_tune": {"batch_size": 0}}, "fine_tune.batch_size"),
-        ({"fine_tune": {"lr": -0.1}}, "fine_tune.lr"),
-        ({"fine_tune": {"momentum": 1.0}}, "fine_tune.momentum"),
-        ({"fine_tune": {"momentum": -0.1}}, "fine_tune.momentum"),
-        ({"fine_tune": {"weight_decay": -1e-4}}, "fine_tune.weight_decay"),
         ({"data": {"scenario": "mystery"}}, "data.scenario"),
     ]:
         with pytest.raises(ConfigError, match=needle):
@@ -236,3 +240,103 @@ def test_full_scale_defaults_match_documented_protocol():
     assert (cfg.queue_capacity, cfg.momentum_coeff, cfg.temperature) == (1024, 0.999, 0.2)
     assert (cfg.eta, cfg.boxcox_lambda) == (0.05, 0.5)
     assert (cfg.lr, cfg.sgd_momentum, cfg.weight_decay) == (0.03, 0.9, 1e-4)
+
+
+def _dotted(mapping, prefix=""):
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _dotted(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+# Every value a config can set. A new setting is added here in the same
+# change, where a reviewer sees the config grow.
+SETTABLE = frozenset({
+    "nodes", "rounds", "warmup_rounds", "aggregation_mode", "metadata_enabled", "eta",
+    "queue_capacity", "batch_size", "momentum_coeff", "temperature", "epochs_per_round",
+    "lr", "lr_milestones", "sgd_momentum", "weight_decay", "hidden_dims", "feature_dim",
+    "boxcox_lambda", "probe_size", "seed", "run_probe", "run_fine_tune",
+    "fine_tune_fraction", "data.scenario", "data.base_size", "data.gamma",
+    "data.image_size", "data.eval_per_class", "data.eval_noise", "probe.epochs",
+    "fine_tune.epochs",
+})
+
+
+def test_settable_values_are_pinned():
+    assert len(SETTABLE) == 31
+    assert set(_dotted(to_dict(ExperimentConfig()))) == SETTABLE
+
+
+# A field and a value just outside its bound.
+OUTSIDE = [("nodes", 0), ("rounds", -1), ("warmup_rounds", -1), ("queue_capacity", -1),
+           ("batch_size", 0), ("probe_size", 2), ("feature_dim", 1), ("hidden_dims", [0]),
+           ("eta", -0.1), ("eta", 1.1), ("fine_tune_fraction", 0.0),
+           ("fine_tune_fraction", 1.1), ("data.scenario", "uniform"), ("data.base_size", 2),
+           ("data.gamma", 0.0), ("data.gamma", 100.5), ("data.image_size", 7),
+           ("data.eval_per_class", 1)]
+
+
+@st.composite
+def tiny_configs(draw):
+    """A tiny config whose structural fields are drawn at and around their
+    bounds; three draws in four put one field just outside. Optimizer values
+    keep their defaults: a huge learning rate or a tiny temperature diverges
+    numerically, which no bound here refuses."""
+    rounds = draw(st.integers(0, 3))
+    raw = {
+        "nodes": draw(st.integers(1, 4)),
+        "rounds": rounds,
+        "warmup_rounds": draw(st.integers(0, rounds)),
+        "queue_capacity": draw(st.integers(0, 5)),
+        "batch_size": draw(st.integers(1, 9)),
+        "probe_size": draw(st.integers(3, 9)),
+        "feature_dim": draw(st.integers(2, 4)),
+        "hidden_dims": draw(st.lists(st.integers(1, 5), max_size=2)),
+        "eta": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "fine_tune_fraction": draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True)),
+        "run_fine_tune": draw(st.booleans()),
+        "probe": {"epochs": 2},
+        "fine_tune": {"epochs": 2},
+        "data": {
+            "scenario": draw(st.sampled_from(["equal", "size_skew", "label_skew"])),
+            "base_size": draw(st.integers(3, 8)),
+            "gamma": draw(st.just(100.0) | st.floats(0.0, 100.0, exclude_min=True)),
+            "image_size": draw(st.sampled_from([8, 9, 16])),
+            "eval_per_class": draw(st.integers(2, 8)),
+        },
+    }
+    if draw(st.integers(0, 3)):
+        key, value = draw(st.sampled_from(OUTSIDE))
+        section, _, name = key.rpartition(".")
+        (raw[section] if section else raw)[name] = value
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=tiny_configs(), arm=st.sampled_from(sorted(ARMS)))
+def test_every_accepted_config_runs_or_is_refused_by_name(raw, arm):
+    """``fedcl run`` either refuses the config with a ``ConfigError`` naming
+    one of its fields (exit 2), or trains and evaluates it into a run that
+    passes ``fedcl audit`` with finite losses and scores and an evaluation
+    split that is not constant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--arms", arm, "--out", tmp])
+        if code == 2:
+            message = err.getvalue().removeprefix("config error: ").removeprefix(f"{path}: ")
+            assert message.partition(":")[0] in SETTABLE, err.getvalue()
+            return
+        assert code == 0, err.getvalue()
+        run_dir = Path(tmp) / "tiny" / arm / "seed-0"
+        with redirect_stdout(io.StringIO()):
+            assert main(["audit", str(run_dir)]) == 0
+        losses = [rec["loss"] for rec in _jsonl_records(run_dir / "metrics.jsonl", {})]
+        scores = [rec["value"] for rec in _jsonl_records(run_dir / "eval.jsonl", {})]
+        assert np.isfinite(losses).all() and np.isfinite(scores).all()
+        config = load_config(run_dir / "config.yaml")
+        for split in make_eval_split(config.data, config.seed):
+            assert np.ptp(split.pixels) > 0

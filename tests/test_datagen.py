@@ -96,7 +96,7 @@ def reference_node_dataset(sp, num_nodes, node_id, seed):
 
 def reference_eval_split(sp, seed):
     rng = rng_for(seed, "eval-data")
-    knobs = (sp.eval_offset, sp.eval_noise, sp.eval_texture_freq)
+    knobs = (datagen._EVAL_OFFSET, sp.eval_noise, datagen._EVAL_TEXTURE_FREQ)
     per_class = sp.eval_per_class
     images = reference_images(rng, [((cls,), per_class) for cls in EVAL_CLASSES],
                               sp.image_size, knobs)

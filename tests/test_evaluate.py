@@ -124,8 +124,7 @@ def test_canonical_order_is_the_sha256_of_pixel_bytes_and_label_text():
 def test_fine_tune_reports_best_and_final():
     train = two_cluster_samples(20, seed=0)
     test = two_cluster_samples(10, seed=1)
-    result = fine_tune(encoder(), 0.5, train, test,
-                       FineTuneConfig(epochs=30, lr=0.05), 0)
+    result = fine_tune(encoder(), 0.5, train, test, FineTuneConfig(epochs=30), 0)
     assert result.train_size == 20  # floor(0.5 * 20) per class, both classes
     assert 1 <= result.best_epoch <= 30
     assert result.best_accuracy >= result.final_accuracy

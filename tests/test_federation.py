@@ -142,7 +142,7 @@ def test_metadata_summarizes_the_broadcast_encoder():
     for m in uploads:
         k = node_id_of(m)
         want = compute_metadata(forward_batch(params[(m.round_index, k)], shards[k]),
-                                cfg.boxcox_lambda, cfg.cov_jitter, k, m.round_index)
+                                cfg.boxcox_lambda, node_id=k, round_index=m.round_index)
         assert np.array_equal(m.payload.mu, want.mu)
         assert np.array_equal(m.payload.sigma, want.sigma)
 

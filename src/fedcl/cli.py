@@ -12,7 +12,9 @@ directory gets the resolved config, the final encoder checkpoint, per-round
 metrics and wall times, the message log with its audit verdict, evaluation
 scores, and a digest of the checkpoint and metrics. Every file goes through
 ``federation.write_atomic``, so an interrupted run never leaves a
-half-written artifact behind.
+half-written artifact behind. A run that diverges (a non-finite payload or
+loss) stops the command with an ``error:`` line and exit 1; the run
+directories finished before it stay.
 
 `audit` checks each logged message against ``federation.CONTRACT`` (kind,
 direction, payload tag), the message counts against
@@ -38,7 +40,7 @@ import yaml
 from . import datagen, evaluate, federation, metadata
 from .config import (ARMS, ExperimentConfig, PRESETS, YamlLoader, apply_arm, from_dict,
                      load_config, preset_config, save_config, to_dict)
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 
 
 def _apply_overrides(raw: dict, assignments: list[str]) -> dict:
@@ -157,7 +159,14 @@ def cmd_run(args) -> int:
             print(warning, file=sys.stderr)
         run_dir = out_dir / label / f"seed-{seed}"
         print(f"  {label} seed={seed} ... ", end="", flush=True)
-        result = federation.run_training(run_cfg)
+        try:
+            result = federation.run_training(run_cfg)
+        except (ProtocolError, FloatingPointError) as exc:
+            # the run diverged: the channel refused a non-finite payload, or
+            # a node's loss was not finite
+            print("failed", flush=True)
+            print(f"error: {label} seed={seed}: {exc}", file=sys.stderr)
+            return 1
         eval_records = [{"model": label, "seed": seed, **rec}
                         for rec in _evaluate_run(run_cfg, result, seed)]
         _write_run_dir(run_dir, run_cfg, result, eval_records)

@@ -178,7 +178,10 @@ def _render(rng: np.random.Generator, runs, size: int, offset: float, noise_sigm
     pixels = rng.standard_normal(out=np.empty((n, size, size)))
     lifted = amp + offset  # amp * 1.0 + offset; off the shape it is 0.0 + offset
     r = np.arange(size)
-    ramp = 2.0 * np.pi * texture_freq * np.add.outer(r, r) / size  # each image adds its phase
+    # the texture ramp 2π·f·(r + c)/size takes only 2·size - 1 values: each
+    # image's sine is taken on those and gathered by r + c
+    diagonals = 2.0 * np.pi * texture_freq * np.arange(2 * size - 1) / size
+    diagonal_of = np.add.outer(r, r)
     step = max(1, _BLOCK_PIXELS // (size * size))
     for start in range(0, n, step):
         block = slice(start, start + step)
@@ -188,11 +191,11 @@ def _render(rng: np.random.Generator, runs, size: int, offset: float, noise_sigm
         for cls, where in members.items():
             lo, hi = np.searchsorted(where, (start, start + step))
             shape[where[lo:hi] - start] = _shape_masks(cls, size, [p[lo:hi] for p in params[cls]])
-        texture = np.add(ramp, phase[block, None, None])
-        np.sin(texture, out=texture)
-        texture *= _TEXTURE_AMP
+        wave = np.add(diagonals, phase[block, None])
+        np.sin(wave, out=wave)
+        wave *= _TEXTURE_AMP
         image = np.where(shape, lifted[block, None, None], 0.0 + offset)
-        image += texture
+        image += wave[:, diagonal_of]
         noise += image
         np.clip(noise, 0.0, 1.0, out=noise)
     return labels, pixels

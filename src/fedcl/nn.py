@@ -147,19 +147,50 @@ def forward_cached(params: EncoderParams, images) -> ForwardCache:
     return ForwardCache(activations, normalize_rows(a))
 
 
+# Bytes of one layer's rows in a ``forward_batch`` block: inference holds at
+# most this much of any layer, whatever its row count. The smallest size
+# tried that does not slow the wide benchmark workload's fine-tune (256-3072-128
+# encoder, 170 rows a block; median of 4, one BLAS thread): 4.61 s here,
+# 4.83 s unblocked, 5.01 s at 2 MiB, 5.49 s at 1 MiB, 9.33 s at 256 KiB.
+FORWARD_BLOCK_BYTES = 4 << 20
+
+
 def forward_batch(params: EncoderParams, images) -> np.ndarray:
     """(B, d) feature rows for a stack of images or flat input rows.
 
     Bit-equal to ``forward_cached(params, images).features``, but keeps no
-    activations for a backward pass, so each layer's rows exist only while
-    the next layer reads them.
+    activations for a backward pass: the rows run through the layers in
+    place, in the fewest near-equal blocks of at most ``FORWARD_BLOCK_BYTES``
+    per layer, and only the (B, d) features are kept whole. A row's sums do
+    not depend on the other rows of its block while the product takes BLAS's
+    general matrix path, but a product of one or a few rows can take a
+    matrix-vector or small-matrix path whose sums differ in the last bits:
+    hence near-equal blocks, not full blocks and a short last one.
     """
-    a = _flatten_batch(params, images)
-    for w, b in layer_views(params):
-        a = a @ w.T
+    x = _flatten_batch(params, images)
+    n = x.shape[0]
+    block_rows = max(1, FORWARD_BLOCK_BYTES // (8 * max(s.rows for s in params.shapes)))
+    blocks = -(-n // block_rows)
+    layers = layer_views(params)
+    if blocks <= 1:  # the whole batch: the last layer's array is the features
+        return normalize_rows(_dense_relu_layers(x, layers))
+    features = np.empty((n, params.feature_dim))
+    for i in range(blocks):
+        rows = slice(n * i // blocks, n * (i + 1) // blocks)
+        _dense_relu_layers(x[rows], layers, features[rows])
+    return normalize_rows(features)
+
+
+def _dense_relu_layers(a, layers, out=None) -> np.ndarray:
+    """Rows ``a`` through every (weight, bias) layer and its ReLU, each built
+    in place, the last one into ``out`` when given; returns the last layer.
+    No hidden layer outlives the call."""
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        a = np.matmul(a, w.T, out=out if i == last else None)
         a += b
         np.maximum(a, 0.0, out=a)
-    return normalize_rows(a)
+    return a
 
 
 def backward_features(params: EncoderParams, cache: ForwardCache, d_features,

@@ -48,9 +48,11 @@ def lower_triangle(matrix) -> np.ndarray:
 
 def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, bool]:
     """1-based ranks, tied entries sharing the mean of their positions, and
-    whether ``x`` has no ties at all."""
+    whether ``x`` has no ties at all. Every entry of a tie group gets the
+    same mean in any order the sort leaves the group, so an unstable sort
+    gives the same ranks for finite ``x``."""
     n = x.size
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     xs = x[order]
     ranks = np.empty(n, dtype=np.float64)
     change = xs[1:] != xs[:-1]
@@ -69,7 +71,7 @@ def spearman(u, v) -> float:
     Without ties this evaluates the closed form 1 - 6*sum(d^2)/(n(n^2-1));
     with ties it is the linear correlation of the rank vectors. A fully tied
     side carries no ordering information: two such sides agree (1.0), one
-    such side scores 0.0.
+    such side scores 0.0. NaN or infinite entries are a ``ValueError``.
     """
     a = np.asarray(u, dtype=np.float64)
     b = np.asarray(v, dtype=np.float64)
@@ -78,6 +80,8 @@ def spearman(u, v) -> float:
     n = a.size
     if n < 2:
         raise ValueError("need at least two entries")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("inputs must be finite")
     ra, untied_a = _average_ranks(a)
     rb, untied_b = _average_ranks(b)
     if untied_a and untied_b:

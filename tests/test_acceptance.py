@@ -243,6 +243,10 @@ def test_criterion_09_label_skew_arms_beat_or_match_baseline():
     base, preset = preset_config("ablation-desk")
     assert (base.nodes, base.rounds) == (3, 40)
     assert base.data.scenario == "label_skew"
+    # the noisier evaluation rendering of finetune-desk and the benchmark:
+    # at the default 0.15 every arm probes at 1.0, and each gate compares 1.0
+    # with 1.0. eval_noise renders only the evaluation split, not the shards.
+    base = dataclasses.replace(base, data=dataclasses.replace(base.data, eval_noise=0.55))
     means = {}
     per_seed = {}
     for arm in preset.arms:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -426,3 +429,28 @@ def test_run_does_not_warn_with_a_nonzero_quota_or_no_metadata(tmp_path, capsys)
     assert main(["run", "--preset", "smoke", "--arms", "fedmoco", "--seed", "3",
                  "--out", str(tmp_path / "zero"), *FAST, "--set", "eta=0"]) == 0
     assert "warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment,failure", [
+    ("lr=1e300", "fedavg seed=0: message 3 (params_up): params_up carries non-finite values"),
+    ("temperature=1e-300",
+     "fedmoco seed=0: message 12 (metadata_up): metadata_up carries non-finite values"),
+    ("boxcox_lambda=1e-300",
+     "fedmoco seed=0: message 12 (metadata_up): metadata_up carries non-finite values"),
+], ids=["huge-lr", "tiny-temperature", "tiny-lambda"])
+def test_a_diverged_run_is_an_error_line_not_a_traceback(tmp_path, assignment, failure):
+    """These values pass validation but overflow; the channel refuses the
+    first non-finite payload. fedavg sends no metadata, so the two metadata
+    failures leave its finished run directory in place."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedcl.cli", "run", "--preset", "smoke",
+         "--arms", "fedavg", "fedmoco", "--set", assignment, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(federation.__file__).parents[1])})
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: {failure}\n" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    finished = sorted(p.parents[1].name for p in tmp_path.glob("smoke/*/seed-0/digest.txt"))
+    assert finished == ([] if failure.startswith("fedavg") else ["fedavg"])
+    if finished:
+        assert main(["audit", str(tmp_path / "smoke" / "fedavg" / "seed-0")]) == 0

@@ -2,8 +2,8 @@
 
 numpy reports every array buffer it allocates to tracemalloc, so these
 peaks are exact byte counts, not samples: a change that brings back a
-parameter-sized copy per step, or a second hidden-layer array per forward
-pass, fails here on any machine.
+parameter-sized copy per step, or a whole hidden layer per inference pass,
+fails here on any machine.
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ from fedcl.config import from_dict
 from fedcl.contrastive import local_update
 from fedcl.datagen import ScenarioSpec, generate_node_dataset
 from fedcl.federation import build_nodes
-from fedcl.nn import forward_batch, init_params, loss_and_grad, mlp_shapes
+from fedcl.nn import FORWARD_BLOCK_BYTES, forward_batch, init_params, loss_and_grad, mlp_shapes
 from fedcl.seeding import rng_for
 
 THETA = init_params(mlp_shapes(256, [2048], 64), 0)
@@ -46,13 +46,25 @@ def test_local_update_keeps_four_parameter_vectors():
 
 
 def test_forward_batch_keeps_one_hidden_layer():
-    """Inference builds each layer in place and keeps no pre-activations;
-    through a ``forward_cached`` that kept them, the same pass peaked at 2.2
-    hidden arrays."""
+    """Inference builds each layer in place, one block of rows at a time, and
+    keeps no activations for a backward pass. This peaked at 0.37 hidden
+    arrays, the whole-batch pass at 1.03, and ``forward_cached``, which keeps
+    every layer, at 1.13."""
     rows = rng_for(2, "memory").random((600, 256))
     hidden = np.empty((600, 2048)).nbytes
     peak = peak_bytes(lambda: forward_batch(THETA, rows))
     assert peak < 1.5 * hidden, peak / hidden
+
+
+def test_forward_batch_peak_does_not_grow_with_the_hidden_rows():
+    """6,000 rows through the 2,048-wide layer hold one block of it, not the
+    98 MB whole layer, beside the (n, d) feature rows and the copies that
+    normalizing them makes. The whole-batch pass peaked at 33 feature arrays
+    here."""
+    rows = rng_for(6, "memory").random((6000, 256))
+    features = np.empty((6000, THETA.feature_dim)).nbytes
+    peak = peak_bytes(lambda: forward_batch(THETA, rows))
+    assert peak < FORWARD_BLOCK_BYTES + 4 * features, peak / features
 
 
 def test_loss_and_grad_keeps_no_pre_activations():

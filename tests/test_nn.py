@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from fedcl.contrastive import _momentum_step
 from fedcl.errors import ConfigError, ShapeError
-from fedcl.nn import (BLOCK, EncoderParams, LayerShape, backward_features,
-                      blockwise, forward_batch, forward_cached, init_params,
+from fedcl.nn import (BLOCK, FORWARD_BLOCK_BYTES, EncoderParams, LayerShape,
+                      backward_features, blockwise, forward_batch, forward_cached, init_params,
                       layer_views, loss_and_grad, mlp_shapes, normalize_rows,
                       sgd_step, validate_shapes)
 from fedcl.seeding import rng_for
@@ -116,6 +116,18 @@ def test_forward_batch_is_bit_equal_to_the_cached_forward(net):
     cached = forward_cached(p, x)
     assert got.tobytes() == cached.features.tobytes()
     assert not np.any(got[::2])  # the negated rows are all zero
+
+
+@pytest.mark.parametrize("rows", [600, 511, 341])
+def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(rows):
+    """The wide workload's 256-3072-128 encoder runs ``FORWARD_BLOCK_BYTES //
+    (8 * 3072)`` = 170 rows per block: 600 rows are four blocks of 150, and
+    511 and 341 would leave a one-row last block after full ones, whose
+    matrix-vector product sums differently."""
+    p = init_params(mlp_shapes(256, [3072], 128), 7)
+    assert FORWARD_BLOCK_BYTES // (8 * 3072) == 170
+    x = rng_for(8, "blocks").random((rows, 256))
+    assert forward_batch(p, x).tobytes() == forward_cached(p, x).features.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -105,6 +105,12 @@ def test_spearman_validation():
         spearman([1.0], [2.0])
     with pytest.raises(ValueError):
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+    # NaN ties with nothing, so its rank would depend on the sort order
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            spearman([0.0, bad, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            spearman([1.0, 2.0, 3.0], [0.0, 1.0, bad])
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,6 +130,29 @@ def test_average_ranks_match_counting(values):
     ranks, untied = _average_ranks(x)
     assert np.array_equal(ranks, counting_ranks(x))
     assert untied == (len(set(values)) == len(values))
+
+
+def stable_sort_ranks(x):
+    """Average ranks by a stable sort, tie groups in input order."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    return ranks
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]), min_size=2, max_size=400))
+def test_average_ranks_equal_a_stable_sort_on_heavy_ties(values):
+    """The default sort may leave a tie group (-0.0 and 0.0 among them) in
+    any order; the ranks, all ``spearman`` reads of its inputs besides their
+    ties, are bit-equal all the same."""
+    x = np.array(values)
+    ranks, untied = _average_ranks(x)
+    assert ranks.tobytes() == stable_sort_ranks(x).tobytes()
+    assert untied == (np.unique(x).size == x.size)
 
 
 # -- scores and weights -------------------------------------------------------

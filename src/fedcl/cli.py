@@ -159,16 +159,20 @@ def cmd_run(args) -> int:
             print(warning, file=sys.stderr)
         run_dir = out_dir / label / f"seed-{seed}"
         print(f"  {label} seed={seed} ... ", end="", flush=True)
-        try:
-            result = federation.run_training(run_cfg)
-        except (ProtocolError, FloatingPointError) as exc:
-            # the run diverged: the channel refused a non-finite payload, or
-            # a node's loss was not finite
-            print("failed", flush=True)
-            print(f"error: {label} seed={seed}: {exc}", file=sys.stderr)
-            return 1
-        eval_records = [{"model": label, "seed": seed, **rec}
-                        for rec in _evaluate_run(run_cfg, result, seed)]
+        # A diverging encoder overflows in training, which then ends at the
+        # error line below, or in a finished run's evaluation; neither needs
+        # numpy's warnings on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                result = federation.run_training(run_cfg)
+            except (ProtocolError, FloatingPointError) as exc:
+                # the run diverged: the channel refused a non-finite payload,
+                # or a node's loss was not finite
+                print("failed", flush=True)
+                print(f"error: {label} seed={seed}: {exc}", file=sys.stderr)
+                return 1
+            eval_records = [{"model": label, "seed": seed, **rec}
+                            for rec in _evaluate_run(run_cfg, result, seed)]
         _write_run_dir(run_dir, run_cfg, result, eval_records)
         headline = next((r for r in eval_records if r["metric"] == "probe_accuracy"), None)
         if headline is None:

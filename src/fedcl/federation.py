@@ -301,7 +301,12 @@ def write_atomic(path, *chunks) -> None:
     os.replace(tmp, path)
 
 
-def payload_digest(payload) -> str:
+def payload_digest(payload, memo=None) -> str:
+    """16 hex digits of SHA-256 over a payload's little-endian values. With
+    ``memo``, a dict by object id, an object already in it is not hashed
+    again; the caller keeps every object it holds alive."""
+    if memo is not None and id(payload) in memo:
+        return memo[id(payload)]
     h = hashlib.sha256()
     if isinstance(payload, nn.EncoderParams):
         h.update(np.ascontiguousarray(payload.values, dtype="<f8"))
@@ -311,22 +316,28 @@ def payload_digest(payload) -> str:
         h.update(np.array([payload.node_id, payload.round_index], dtype="<i8").tobytes())
     elif isinstance(payload, list):
         for item in payload:
-            h.update(payload_digest(item).encode("utf-8"))
+            h.update(payload_digest(item, memo).encode("utf-8"))
     else:
         h.update(repr(type(payload)).encode("utf-8"))
-    return h.hexdigest()[:16]
+    digest = h.hexdigest()[:16]
+    if memo is not None:
+        memo[id(payload)] = digest
+    return digest
 
 
 def write_message_log(messages, path) -> None:
     """One JSON line per message: kind, sender, receiver, round, payload tag
-    and digest. Payload contents themselves are not serialized."""
+    and digest. Payload contents themselves are not serialized. A payload
+    sent more than once, such as a round's θ to every node or a node's
+    metadata to each peer, is hashed once: ``messages`` keeps it alive."""
+    memo: dict[int, str] = {}
     write_jsonl([{
         "kind": str(msg.kind),
         "sender": msg.sender,
         "receiver": msg.receiver,
         "round": msg.round_index,
         "payload": payload_tag(msg.payload),
-        "digest": payload_digest(msg.payload),
+        "digest": payload_digest(msg.payload, memo),
     } for msg in messages], path)
 
 

@@ -10,6 +10,9 @@ gradient through that point is taken to be zero.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +108,16 @@ def layer_views(params: EncoderParams, values=None):
     return out
 
 
-def normalize_rows(a: np.ndarray) -> np.ndarray:
-    """L2-normalize rows; all-zero rows stay exactly zero."""
-    a = np.asarray(a, dtype=np.float64)
+def normalize_rows(a: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """L2-normalize rows; all-zero rows stay exactly zero, and so does a row
+    whose norm is NaN. ``in_place`` divides a float64 ``a`` itself, with no
+    temporary of its shape; else ``a`` is left as it is."""
+    a = np.asarray(a, dtype=np.float64) if in_place else np.array(a, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-    out = np.zeros_like(a)
     nz = norms > 0.0
-    out[nz] = a[nz] / norms[nz, None]
-    return out
+    np.divide(a, norms[:, None], out=a, where=nz[:, None])
+    a[~nz] = 0.0
+    return a
 
 
 @dataclass
@@ -147,11 +152,15 @@ def forward_cached(params: EncoderParams, images) -> ForwardCache:
     return ForwardCache(activations, normalize_rows(a))
 
 
-# Bytes of one layer's rows in a ``forward_batch`` block: inference holds at
-# most this much of any layer, whatever its row count. The smallest size
-# tried that does not slow the wide benchmark workload's fine-tune (256-3072-128
-# encoder, 170 rows a block; median of 4, one BLAS thread): 4.61 s here,
-# 4.83 s unblocked, 5.01 s at 2 MiB, 5.49 s at 1 MiB, 9.33 s at 256 KiB.
+# Bytes of one layer's rows in flight in ``forward_batch``, shared by its
+# two halves: inference holds at most this much of any layer, whatever its
+# row count. On one core, 4 MiB blocks were the smallest size tried that did
+# not slow the wide benchmark workload's fine-tune (256-3072-128 encoder;
+# median of 4, one BLAS thread): 4.61 s with 170-row blocks, 4.83 s
+# unblocked, 5.01 s at 2 MiB, 5.49 s at 1 MiB, 9.33 s at 256 KiB. Split
+# into 85-row blocks, two at a time on a 2-core machine: 3.53 s, against
+# 4.57 s with 170-row blocks on one core and 4.95 s with 85-row blocks
+# (median of 4, alternating).
 FORWARD_BLOCK_BYTES = 4 << 20
 
 
@@ -160,37 +169,86 @@ def forward_batch(params: EncoderParams, images) -> np.ndarray:
 
     Bit-equal to ``forward_cached(params, images).features``, but keeps no
     activations for a backward pass: the rows run through the layers in
-    place, in the fewest near-equal blocks of at most ``FORWARD_BLOCK_BYTES``
-    per layer, and only the (B, d) features are kept whole. A row's sums do
-    not depend on the other rows of its block while the product takes BLAS's
-    general matrix path, but a product of one or a few rows can take a
-    matrix-vector or small-matrix path whose sums differ in the last bits:
-    hence near-equal blocks, not full blocks and a short last one.
+    place, in the fewest near-equal blocks, an even number of them, of at
+    most ``FORWARD_BLOCK_BYTES / 2`` per layer, and only the (B, d) features
+    are kept whole, and normalized in place. One block runs here. Of more,
+    the first half runs on a helper thread and the second half here, each
+    through layer buffers allocated here (a thread that allocates its own
+    gets a second malloc arena, and the process more resident memory) into
+    its own rows of the features. The partition depends on neither the
+    scheduling nor the CPU count, so neither do the bits.
+
+    A row's sums do not depend on the other rows of its block while the
+    product takes BLAS's general matrix path, but a product of one or a few
+    rows can take a matrix-vector or small-matrix path whose sums differ in
+    the last bits: hence near-equal blocks, not full blocks and a short
+    last one.
     """
     x = _flatten_batch(params, images)
     n = x.shape[0]
-    block_rows = max(1, FORWARD_BLOCK_BYTES // (8 * max(s.rows for s in params.shapes)))
+    block_rows = max(1, FORWARD_BLOCK_BYTES // (16 * max(s.rows for s in params.shapes)))
     blocks = -(-n // block_rows)
     layers = layer_views(params)
     if blocks <= 1:  # the whole batch: the last layer's array is the features
-        return normalize_rows(_dense_relu_layers(x, layers))
+        return normalize_rows(_dense_relu_layers(x, layers), in_place=True)
+    blocks += blocks % 2
     features = np.empty((n, params.feature_dim))
-    for i in range(blocks):
-        rows = slice(n * i // blocks, n * (i + 1) // blocks)
-        _dense_relu_layers(x[rows], layers, features[rows])
-    return normalize_rows(features)
+    hidden = [[np.empty((-(-n // blocks), s.rows)) for s in params.shapes[:-1]]
+              for _ in range(2)]
+
+    def run(half: int) -> None:
+        for i in range(half * blocks // 2, (half + 1) * blocks // 2):
+            lo, hi = n * i // blocks, n * (i + 1) // blocks
+            _dense_relu_layers(x[lo:hi], layers,
+                               [h[: hi - lo] for h in hidden[half]] + [features[lo:hi]])
+
+    _in_two_threads(lambda: run(0), lambda: run(1))
+    return normalize_rows(features, in_place=True)
 
 
-def _dense_relu_layers(a, layers, out=None) -> np.ndarray:
+def _dense_relu_layers(a, layers, outs=None) -> np.ndarray:
     """Rows ``a`` through every (weight, bias) layer and its ReLU, each built
-    in place, the last one into ``out`` when given; returns the last layer.
-    No hidden layer outlives the call."""
-    last = len(layers) - 1
+    in place, layer i into ``outs[i]`` when given; returns the last layer."""
     for i, (w, b) in enumerate(layers):
-        a = np.matmul(a, w.T, out=out if i == last else None)
+        a = np.matmul(a, w.T, out=None if outs is None else outs[i])
         a += b
         np.maximum(a, 0.0, out=a)
     return a
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_two_threads(first, second) -> None:
+    """``first()`` on a helper thread and ``second()`` in this one, joined
+    before return; both here, in order, on a single CPU. The helper runs in
+    a copy of this thread's context, where numpy keeps its ``errstate``, and
+    what it raises is raised here."""
+    if _usable_cpus() < 2:
+        first()
+        second()
+        return
+    raised = []
+
+    def helper() -> None:
+        try:
+            first()
+        except BaseException as exc:  # re-raised in the calling thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        second()
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
 
 
 def backward_features(params: EncoderParams, cache: ForwardCache, d_features,

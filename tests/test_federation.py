@@ -2,12 +2,14 @@ import copy
 import functools
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcl import federation
 from fedcl.cli import _jsonl_records
 from fedcl.config import apply_arm, from_dict, preset_config
 from fedcl.datagen import Images
@@ -555,6 +557,31 @@ def test_message_log_roundtrip(tmp_path):
     assert records[0]["kind"] == "params_down"
     assert all(set(r) == {"kind", "sender", "receiver", "round",
                           "payload", "digest"} for r in records)
+
+
+def test_message_log_hashes_each_payload_once(tmp_path, monkeypatch):
+    """A round's θ goes to every node and a node's metadata to each peer, in
+    one object each: the log hashes every object once, and its bytes equal
+    a log that digests each message on its own."""
+    result = run_training(tiny_config(rounds=3))
+    reference = tmp_path / "reference.log"
+    write_jsonl([{"kind": str(m.kind), "sender": m.sender, "receiver": m.receiver,
+                  "round": m.round_index, "payload": federation.payload_tag(m.payload),
+                  "digest": payload_digest(m.payload)} for m in result.messages], reference)
+    hashed = []
+
+    def counting_sha256():
+        hashed.append(None)
+        return hashlib.sha256()
+
+    monkeypatch.setattr(federation, "hashlib", SimpleNamespace(sha256=counting_sha256))
+    path = tmp_path / "messages.log"
+    write_message_log(result.messages, path)
+    assert path.read_bytes() == reference.read_bytes()
+    payloads = {id(m.payload): m.payload for m in result.messages}
+    items = {id(item) for p in payloads.values() if isinstance(p, list) for item in p}
+    assert len(hashed) == len(payloads) + len(items - payloads.keys())
+    assert len(hashed) < len(result.messages)
 
 
 def test_payload_digest_hashes_little_endian_float64_bytes():

@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcl import nn
 from fedcl.contrastive import _momentum_step
 from fedcl.errors import ConfigError, ShapeError
 from fedcl.nn import (BLOCK, FORWARD_BLOCK_BYTES, EncoderParams, LayerShape,
@@ -121,13 +125,88 @@ def test_forward_batch_is_bit_equal_to_the_cached_forward(net):
 @pytest.mark.parametrize("rows", [600, 511, 341])
 def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(rows):
     """The wide workload's 256-3072-128 encoder runs ``FORWARD_BLOCK_BYTES //
-    (8 * 3072)`` = 170 rows per block: 600 rows are four blocks of 150, and
-    511 and 341 would leave a one-row last block after full ones, whose
-    matrix-vector product sums differently."""
+    (16 * 3072)`` = 85 rows per block, two blocks in flight: 600 rows are
+    eight blocks of 75, and 511 and 341 would leave a one-row last block
+    after full ones, whose matrix-vector product sums differently."""
     p = init_params(mlp_shapes(256, [3072], 128), 7)
-    assert FORWARD_BLOCK_BYTES // (8 * 3072) == 170
+    assert FORWARD_BLOCK_BYTES // (16 * 3072) == 85
     x = rng_for(8, "blocks").random((rows, 256))
     assert forward_batch(p, x).tobytes() == forward_cached(p, x).features.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(256, [3072], 128), (64, [2048, 256], 32)],
+                         ids=["256-3072-128", "64-2048-256-32"])
+def test_forward_batch_is_bit_equal_to_the_cached_forward_at_every_row_count(dims):
+    """One block up to 85 rows (128 on the 2,048-wide encoder), then two,
+    four, six and more, each half on its own thread: every row count from 1
+    to 400, and three larger ones."""
+    p = init_params(mlp_shapes(*dims), 9)
+    x = rng_for(10, "blocks").random((6000, dims[0]))
+    for n in [*range(1, 401), 600, 1000, 6000]:
+        got = forward_batch(p, x[:n])
+        assert got.tobytes() == forward_cached(p, x[:n]).features.tobytes(), n
+
+
+def test_forward_batch_bits_do_not_depend_on_the_helper_thread(monkeypatch):
+    """On one CPU both halves run in the calling thread, in the same blocks."""
+    p = init_params(mlp_shapes(256, [3072], 128), 11)
+    x = rng_for(12, "blocks").random((600, 256))
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    threaded = forward_batch(p, x)
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    assert forward_batch(p, x).tobytes() == threaded.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_forward_batch_raises_what_either_half_raises(monkeypatch, cpus):
+    """The helper runs under the caller's ``np.errstate``: an overflow in
+    the first half's rows alone, which the helper computes, raises here."""
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
+    p = init_params(mlp_shapes(256, [3072], 128), 13)
+    layer_views(p)[0][0][...] *= 1e10
+    x = rng_for(14, "blocks").random((600, 256))
+    x[:10] = 1e300
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        forward_batch(p, x)
+    with np.errstate(over="raise"):
+        assert np.isfinite(forward_batch(p, x[300:])).all()
+
+
+def test_concurrent_forward_batches_keep_their_bits(monkeypatch):
+    """Four callers at once, each with its own helper, and a short switch
+    interval: every call gives its serial bytes."""
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    p = init_params(mlp_shapes(256, [3072], 128), 16)
+    inputs = [rng_for(k, "concurrent").random((300 + 50 * k, 256)) for k in range(4)]
+    want = [forward_batch(p, x).tobytes() for x in inputs]
+    got = [None] * 4
+
+    def call(k):
+        for _ in range(5):
+            got[k] = forward_batch(p, inputs[k]).tobytes()
+            assert got[k] == want[k]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
+
+
+def test_forward_batch_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    p = init_params(mlp_shapes(256, [3072], 128), 14)
+    x = rng_for(15, "blocks").random((600, 256))
+    before = threading.active_count()
+    forward_batch(p, x)
+    assert threading.active_count() == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,6 +253,40 @@ def test_blockwise_steps_equal_whole_vector_steps(size):
 def test_normalize_rows_zero_rule():
     out = normalize_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))
     assert np.array_equal(out, np.array([[0.6, 0.8], [0.0, 0.0]]))
+
+
+def normalize_rows_by_copies(a):
+    """``normalize_rows`` as it was, through three temporaries of ``a``'s shape."""
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    out = np.zeros_like(a)
+    nz = norms > 0.0
+    out[nz] = a[nz] / norms[nz, None]
+    return out
+
+
+ODD_VALUES = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-160,
+                              1e-300, 1e154, 1e200, 1.0, -2.5])
+
+
+def odd_rows(d):
+    values = st.one_of(ODD_VALUES, st.floats(allow_nan=True, allow_infinity=True))
+    return st.lists(st.lists(values, min_size=d, max_size=d), max_size=8).map(
+        lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(odd_rows))
+def test_normalize_rows_in_place_matches_the_copying_form(a):
+    """Zero, NaN, ±inf, subnormal and overflowing rows: both forms give the
+    old function's bytes, NaN rows included as zeros; only ``in_place``
+    writes into its argument."""
+    kept = a.copy()
+    with np.errstate(all="ignore"):
+        want = normalize_rows_by_copies(a).tobytes()
+        assert normalize_rows(a).tobytes() == want
+        assert a.tobytes() == kept.tobytes()
+        assert normalize_rows(a, in_place=True) is a
+    assert a.tobytes() == want
 
 
 def test_backward_features_matches_finite_difference():

@@ -153,14 +153,14 @@ def forward_cached(params: EncoderParams, images) -> ForwardCache:
 
 
 # Bytes of one layer's rows in flight in ``forward_batch``, shared by its
-# two halves: inference holds at most this much of any layer, whatever its
-# row count. On one core, 4 MiB blocks were the smallest size tried that did
-# not slow the wide benchmark workload's fine-tune (256-3072-128 encoder;
-# median of 4, one BLAS thread): 4.61 s with 170-row blocks, 4.83 s
-# unblocked, 5.01 s at 2 MiB, 5.49 s at 1 MiB, 9.33 s at 256 KiB. Split
-# into 85-row blocks, two at a time on a 2-core machine: 3.53 s, against
-# 4.57 s with 170-row blocks on one core and 4.95 s with 85-row blocks
-# (median of 4, alternating).
+# two halves on two or more CPUs: inference holds at most this much of any
+# layer, whatever its row count. On one core, 4 MiB blocks were the smallest
+# size tried that did not slow the wide benchmark workload's fine-tune
+# (256-3072-128 encoder; median of 4, one BLAS thread): 4.61 s with 170-row
+# blocks, 4.83 s unblocked, 5.01 s at 2 MiB, 5.49 s at 1 MiB, 9.33 s at
+# 256 KiB. Split into 85-row blocks, two at a time on a 2-core machine:
+# 3.53 s, against 4.57 s with 170-row blocks on one core and 4.95 s with
+# 85-row blocks (median of 4, alternating); hence one CPU keeps whole ones.
 FORWARD_BLOCK_BYTES = 4 << 20
 
 
@@ -169,40 +169,46 @@ def forward_batch(params: EncoderParams, images) -> np.ndarray:
 
     Bit-equal to ``forward_cached(params, images).features``, but keeps no
     activations for a backward pass: the rows run through the layers in
-    place, in the fewest near-equal blocks, an even number of them, of at
-    most ``FORWARD_BLOCK_BYTES / 2`` per layer, and only the (B, d) features
-    are kept whole, and normalized in place. One block runs here. Of more,
-    the first half runs on a helper thread and the second half here, each
-    through layer buffers allocated here (a thread that allocates its own
-    gets a second malloc arena, and the process more resident memory) into
-    its own rows of the features. The partition depends on neither the
-    scheduling nor the CPU count, so neither do the bits.
+    place, in blocks, and only the (B, d) features are kept whole, and
+    normalized in place. One block runs here. On one CPU, more run here one
+    at a time, the fewest near-equal blocks of at most
+    ``FORWARD_BLOCK_BYTES`` per layer. On more CPUs they are the fewest of at
+    most half that, an even number of them, and the first half of them runs
+    on a helper thread while the second half runs here, each through layer
+    buffers allocated here (a thread that allocates its own gets a second
+    malloc arena, and the process more resident memory) into its own rows
+    of the features.
 
     A row's sums do not depend on the other rows of its block while the
-    product takes BLAS's general matrix path, but a product of one or a few
-    rows can take a matrix-vector or small-matrix path whose sums differ in
-    the last bits: hence near-equal blocks, not full blocks and a short
-    last one.
+    product takes BLAS's general matrix path, so the bits depend on neither
+    the partition nor the scheduling. A product of one or a few rows can
+    take a matrix-vector or small-matrix path whose sums differ in the last
+    bits: hence near-equal blocks, not full blocks and a short last one.
     """
     x = _flatten_batch(params, images)
     n = x.shape[0]
-    block_rows = max(1, FORWARD_BLOCK_BYTES // (16 * max(s.rows for s in params.shapes)))
+    halves = min(2, _usable_cpus())
+    widest = max(s.rows for s in params.shapes)
+    block_rows = max(1, FORWARD_BLOCK_BYTES // (8 * halves * widest))
     blocks = -(-n // block_rows)
     layers = layer_views(params)
     if blocks <= 1:  # the whole batch: the last layer's array is the features
         return normalize_rows(_dense_relu_layers(x, layers), in_place=True)
-    blocks += blocks % 2
+    blocks += -blocks % halves
     features = np.empty((n, params.feature_dim))
     hidden = [[np.empty((-(-n // blocks), s.rows)) for s in params.shapes[:-1]]
-              for _ in range(2)]
+              for _ in range(halves)]
 
     def run(half: int) -> None:
-        for i in range(half * blocks // 2, (half + 1) * blocks // 2):
+        for i in range(half * blocks // halves, (half + 1) * blocks // halves):
             lo, hi = n * i // blocks, n * (i + 1) // blocks
             _dense_relu_layers(x[lo:hi], layers,
                                [h[: hi - lo] for h in hidden[half]] + [features[lo:hi]])
 
-    _in_two_threads(lambda: run(0), lambda: run(1))
+    if halves == 1:
+        run(0)
+    else:
+        _in_two_threads(lambda: run(0), lambda: run(1))
     return normalize_rows(features, in_place=True)
 
 
@@ -226,13 +232,8 @@ def _usable_cpus() -> int:
 
 def _in_two_threads(first, second) -> None:
     """``first()`` on a helper thread and ``second()`` in this one, joined
-    before return; both here, in order, on a single CPU. The helper runs in
-    a copy of this thread's context, where numpy keeps its ``errstate``, and
-    what it raises is raised here."""
-    if _usable_cpus() < 2:
-        first()
-        second()
-        return
+    before return. The helper runs in a copy of this thread's context, where
+    numpy keeps its ``errstate``, and what it raises is raised here."""
     raised = []
 
     def helper() -> None:

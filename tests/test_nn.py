@@ -122,46 +122,46 @@ def test_forward_batch_is_bit_equal_to_the_cached_forward(net):
     assert not np.any(got[::2])  # the negated rows are all zero
 
 
-@pytest.mark.parametrize("rows", [600, 511, 341])
-def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(rows):
+# Row counts at the block partition's edges: one block, the first two, the
+# last two-block count, the first four-block one, and so on.
+WIDE_ROWS = [600, 511, 341, 1, 2, 85, 86, 170, 171, 255, 256, 1000, 6000]
+DEEP_ROWS = [1, 2, 128, 129, 256, 257, 512, 513, 600, 1000, 6000]
+
+
+@pytest.mark.parametrize("dims, rows", [
+    *[pytest.param((256, [3072], 128), n, id=str(n)) for n in WIDE_ROWS],
+    *[pytest.param((64, [2048, 256], 32), n, id=f"64-2048-256-32-{n}") for n in DEEP_ROWS],
+])
+def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(monkeypatch, dims, rows):
     """The wide workload's 256-3072-128 encoder runs ``FORWARD_BLOCK_BYTES //
-    (16 * 3072)`` = 85 rows per block, two blocks in flight: 600 rows are
-    eight blocks of 75, and 511 and 341 would leave a one-row last block
-    after full ones, whose matrix-vector product sums differently."""
-    p = init_params(mlp_shapes(256, [3072], 128), 7)
+    (16 * 3072)`` = 85 rows per block, two blocks in flight (128 on the
+    2,048-wide one), in an even number of blocks whose first half runs on the
+    helper thread: 600 rows are eight blocks of 75, and 511 and 341 would
+    leave a one-row last block after full ones, whose matrix-vector product
+    sums differently."""
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    p = init_params(mlp_shapes(*dims), 7)
     assert FORWARD_BLOCK_BYTES // (16 * 3072) == 85
+    x = rng_for(8, "blocks").random((rows, dims[0]))
+    assert forward_batch(p, x).tobytes() == forward_cached(p, x).features.tobytes()
+
+
+@pytest.mark.parametrize("rows", [170, 171, 341, 511, 600, 1000])
+def test_one_cpu_forward_batch_runs_its_blocks_here(monkeypatch, rows):
+    """On one CPU no helper starts and a block holds the whole
+    ``FORWARD_BLOCK_BYTES`` of a layer, 170 rows on the 256-3072-128
+    encoder: the bits are the same."""
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(nn, "_in_two_threads", None)
+    p = init_params(mlp_shapes(256, [3072], 128), 7)
     x = rng_for(8, "blocks").random((rows, 256))
     assert forward_batch(p, x).tobytes() == forward_cached(p, x).features.tobytes()
 
 
-@pytest.mark.parametrize("dims", [(256, [3072], 128), (64, [2048, 256], 32)],
-                         ids=["256-3072-128", "64-2048-256-32"])
-def test_forward_batch_is_bit_equal_to_the_cached_forward_at_every_row_count(dims):
-    """One block up to 85 rows (128 on the 2,048-wide encoder), then two,
-    four, six and more, each half on its own thread: every row count from 1
-    to 400, and three larger ones."""
-    p = init_params(mlp_shapes(*dims), 9)
-    x = rng_for(10, "blocks").random((6000, dims[0]))
-    for n in [*range(1, 401), 600, 1000, 6000]:
-        got = forward_batch(p, x[:n])
-        assert got.tobytes() == forward_cached(p, x[:n]).features.tobytes(), n
-
-
-def test_forward_batch_bits_do_not_depend_on_the_helper_thread(monkeypatch):
-    """On one CPU both halves run in the calling thread, in the same blocks."""
-    p = init_params(mlp_shapes(256, [3072], 128), 11)
-    x = rng_for(12, "blocks").random((600, 256))
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    threaded = forward_batch(p, x)
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
-    assert forward_batch(p, x).tobytes() == threaded.tobytes()
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_forward_batch_raises_what_either_half_raises(monkeypatch, cpus):
+def test_forward_batch_raises_what_either_half_raises(monkeypatch):
     """The helper runs under the caller's ``np.errstate``: an overflow in
     the first half's rows alone, which the helper computes, raises here."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
     p = init_params(mlp_shapes(256, [3072], 128), 13)
     layer_views(p)[0][0][...] *= 1e10
     x = rng_for(14, "blocks").random((600, 256))
@@ -174,7 +174,7 @@ def test_forward_batch_raises_what_either_half_raises(monkeypatch, cpus):
 
 def test_concurrent_forward_batches_keep_their_bits(monkeypatch):
     """Four callers at once, each with its own helper, and a short switch
-    interval: every call gives its serial bytes."""
+    interval: every call gives the bytes of a lone call."""
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
     p = init_params(mlp_shapes(256, [3072], 128), 16)
     inputs = [rng_for(k, "concurrent").random((300 + 50 * k, 256)) for k in range(4)]

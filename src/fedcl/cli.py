@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import datagen, evaluate, federation, metadata
+from . import datagen, evaluate, federation, metadata, nn
 from .config import (ARMS, ExperimentConfig, PRESETS, YamlLoader, apply_arm, from_dict,
                      load_config, preset_config, save_config, to_dict)
 from .errors import ConfigError, ProtocolError
@@ -70,19 +70,22 @@ def _model_label(arm: str, node_count: int | None) -> str:
 
 
 def _evaluate_run(config: ExperimentConfig, result, seed: int) -> list[dict]:
+    """The run's eval.jsonl records, with BLAS held at one thread as in
+    training, so they do not depend on its thread count."""
     records: list[dict] = []
     train, test = datagen.make_eval_split(config.data, seed)
-    if config.run_probe:
-        probe = evaluate.linear_probe(result.theta0, train, test, config.probe, seed)
-        records.append({"metric": "probe_accuracy", "value": probe.accuracy})
-        for cls, acc in sorted(probe.per_class_accuracy.items()):
-            records.append({"metric": f"probe_accuracy_class_{cls}", "value": acc})
-    if config.run_fine_tune:
-        ft = evaluate.fine_tune(result.theta0, config.fine_tune_fraction, train, test,
-                                config.fine_tune, seed)
-        records.append({"metric": "finetune_final_accuracy", "value": ft.final_accuracy})
-        records.append({"metric": "finetune_best_accuracy", "value": ft.best_accuracy})
-        records.append({"metric": "finetune_best_epoch", "value": float(ft.best_epoch)})
+    with nn.one_blas_thread():
+        if config.run_probe:
+            probe = evaluate.linear_probe(result.theta0, train, test, config.probe, seed)
+            records.append({"metric": "probe_accuracy", "value": probe.accuracy})
+            for cls, acc in sorted(probe.per_class_accuracy.items()):
+                records.append({"metric": f"probe_accuracy_class_{cls}", "value": acc})
+        if config.run_fine_tune:
+            ft = evaluate.fine_tune(result.theta0, config.fine_tune_fraction, train, test,
+                                    config.fine_tune, seed)
+            records.append({"metric": "finetune_final_accuracy", "value": ft.final_accuracy})
+            records.append({"metric": "finetune_best_accuracy", "value": ft.best_accuracy})
+            records.append({"metric": "finetune_best_epoch", "value": float(ft.best_epoch)})
     return records
 
 

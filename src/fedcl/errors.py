@@ -11,3 +11,7 @@ class ShapeError(ValueError):
 
 class ProtocolError(RuntimeError):
     """Malformed message on the server/node channel."""
+
+
+class HelperError(RuntimeError):
+    """The helper process that trains half of a round's nodes stopped."""

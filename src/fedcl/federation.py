@@ -1,9 +1,8 @@
 """Round orchestration between the parameter server and its data nodes.
 
-The simulation runs in one process, but every exchange goes through an
-append-only message log whose total order is fixed by (round, phase, node);
-that log is the auditable protocol surface. A node is its shard: node k's
-id is its index, and every per-node step of a round runs in node order.
+Every exchange goes through an append-only message log whose total order
+is fixed by (round, phase, node); that log is the auditable protocol
+surface. A node is its shard: node k's id is its index.
 
 Per round: parameters go down and every node trains from them afresh (key
 encoder equal to the query encoder, empty key queue, zero optimizer
@@ -12,11 +11,25 @@ any local update and back up after it, so a node only ever consumes
 statistics its peers uploaded in the previous round. An upload summarizes
 the node's features under the broadcast encoder.
 
+Nodes train independently from the broadcast, each through one function
+(``_train_node``: the local update with synthetic negatives drawn from its
+peers' metadata, the upload, the RSA score). ``run_training`` forks one
+helper process (see ``helper``) after ``build_nodes``, so it inherits every
+shard; each round it trains the even-indexed nodes and this process the odd
+ones, each process factoring every peer covariance it samples once. This process still sends
+every message and aggregates, in node order, so a run's bytes do not depend
+on which process trained a node. For the span of the run numpy's bundled
+OpenBLAS is held at one thread and each process keeps one CPU, so the two do
+not oversubscribe two cores; this process gets its CPUs back before
+evaluation. With one node or one usable CPU, no ``fork``, BLAS that cannot
+be held or another thread alive, every node trains here, in node order.
+
 The wire contract (``CONTRACT``) and the run artifacts are defined here too.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -31,6 +44,7 @@ from . import contrastive, datagen, nn, rsa
 from . import metadata as md
 from .config import ExperimentConfig
 from .errors import ConfigError, ProtocolError, ShapeError
+from .helper import forked
 from .seeding import rng_for
 
 
@@ -174,14 +188,29 @@ def _send(channel, kind: MessageKind, node_id: int, round_index: int, payload) -
     channel.send(Message(kind, sender, receiver, round_index, payload))
 
 
-def _peer_negatives(peers, per_peer: int, config: ExperimentConfig,
-                    round_index: int, node_id: int) -> np.ndarray:
+def _synthetic_negatives(store, nodes, config: ExperimentConfig,
+                         round_index: int) -> dict[int, np.ndarray]:
+    """Each node of ``nodes``'s synthetic negatives this round, by node id:
+    its quota of draws from every peer's metadata in ``store``, in peer
+    order, from the node's own stream. The loop runs over peers outside, so
+    each covariance is factored once and one factor is held at a time."""
     d = config.feature_dim
-    if per_peer <= 0 or not peers:
-        return np.zeros((0, d))
-    rng = rng_for(config.seed, "synthetic", round_index, node_id)
-    rows = [md.sample_synthetic(meta, per_peer, rng, config.boxcox_lambda) for meta in peers]
-    return np.vstack(rows)
+    per_peer = 0
+    if round_index in config.metadata_rounds():
+        per_peer = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
+    out = {k: np.zeros((per_peer * sum(j != k for j in store), d)) for k in nodes}
+    rngs = {k: rng_for(config.seed, "synthetic", round_index, k) for k in nodes if len(out[k])}
+    filled = dict.fromkeys(rngs, 0)
+    for j, meta in sorted(store.items()):
+        receivers = [k for k in rngs if k != j]
+        if not receivers:
+            continue
+        factor = md.psd_factor(meta.sigma)
+        for k in receivers:
+            out[k][filled[k] : filled[k] + per_peer] = md.sample_synthetic(
+                meta, per_peer, rngs[k], config.boxcox_lambda, factor)
+            filled[k] += per_peer
+    return out
 
 
 def _probe_images(shard: np.ndarray, node_id: int, config: ExperimentConfig,
@@ -192,64 +221,98 @@ def _probe_images(shard: np.ndarray, node_id: int, config: ExperimentConfig,
     return shard[np.sort(idx)]
 
 
+def _train_node(theta: nn.EncoderParams, shard: np.ndarray, k: int, config: ExperimentConfig,
+                round_index: int, synth: np.ndarray) -> tuple:
+    """Node k's part of a round, in whichever process trains it: the local
+    update from the broadcast ``theta`` with its synthetic negatives
+    ``synth``, in a metadata round the upload that summarizes its features
+    under ``theta``, and its RSA score. Returns ``(trained θ, mean loss,
+    synthetic row count, upload or None, score)``."""
+    theta_k, batch_losses = contrastive.local_update(
+        theta, shard, synth, config, round_index, config.node_seed(k))
+    loss = float(np.mean(batch_losses))
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"node {k}, round {round_index}: local loss is {loss}")
+    upload = None
+    if round_index in config.metadata_rounds():
+        upload = md.compute_metadata(nn.forward_batch(theta, shard), config.boxcox_lambda,
+                                     node_id=k, round_index=round_index)
+    score = rsa.rsa_score(theta, theta_k, _probe_images(shard, k, config, round_index))
+    return theta_k, loss, int(synth.shape[0]), upload, score
+
+
+def _node_results(shards, nodes, config: ExperimentConfig, theta, round_index: int, store):
+    """``_train_node``'s result for each of ``nodes`` in turn: one process's
+    part of a round."""
+    synth = _synthetic_negatives(store, nodes, config, round_index)
+    for k in nodes:
+        yield _train_node(theta, shards[k], k, config, round_index, synth.pop(k))
+
+
+def _train_nodes(theta, shards, config: ExperimentConfig, round_index: int, store,
+                 helper) -> list[tuple]:
+    """Every node's ``_train_node`` result, in node order. With a ``helper``
+    it trains the even-indexed nodes while this process trains the odd ones,
+    each of ours before the helper's result for the node below it is read. An
+    error raised by a node, here or in the helper, is raised here; if several
+    nodes raise, the first in node order wins, as when one process trains
+    them all."""
+    own = range(len(shards)) if helper is None else range(1, len(shards), 2)
+    mine = _node_results(shards, own, config, theta, round_index, store)
+    results: list[tuple] = []
+    for k in own:
+        try:
+            result = next(mine)
+        finally:
+            while len(results) < k:
+                results.append(helper.receive(len(results), round_index))
+        results.append(result)
+    while len(results) < len(shards):
+        results.append(helper.receive(len(results), round_index))
+    return results
+
+
 def run_round(server: ServerState, shards, config: ExperimentConfig, round_index: int,
-              channel: MessageChannel) -> list[dict]:
+              channel: MessageChannel, helper=None) -> list[dict]:
     """Advance one synchronization round. Node k trains on ``shards[k]`` from
-    the seed ``config.node_seed(k)``. Mutates ``server`` in place and returns
-    the round's ``metrics.jsonl`` records, one per node in node order; nodes
-    carry no state between rounds.
+    the seed ``config.node_seed(k)``, here or, for even k, in ``helper``
+    (a ``helper.Helper`` that ``run_training`` forked).
+    Mutates ``server`` in place and returns the round's ``metrics.jsonl``
+    records, one per node in node order; nodes carry no state between rounds.
     """
     if not 1 <= round_index <= config.rounds:
         raise ValueError(f"round {round_index} outside [1, {config.rounds}]")
-    meta_round = round_index in config.metadata_rounds()
     theta = server.theta0
-
     for k in range(len(shards)):
         _send(channel, MessageKind.PARAMS_DOWN, k, round_index, theta)
 
-    downloads: list[list[md.NodeMetadata]] = [[] for _ in shards]
-    per_peer = 0
-    if meta_round:
-        per_peer = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
+    store: dict[int, md.NodeMetadata] = {}
+    if round_index in config.metadata_rounds():
+        store = server.metadata_store
         for k in range(len(shards)):
-            downloads[k] = [meta for j, meta in sorted(server.metadata_store.items()) if j != k]
-            _send(channel, MessageKind.METADATA_DOWN, k, round_index, downloads[k])
+            _send(channel, MessageKind.METADATA_DOWN, k, round_index,
+                  [meta for j, meta in sorted(store.items()) if j != k])
 
-    trained: list[nn.EncoderParams] = []
-    uploads: list[md.NodeMetadata] = []
-    rows: list[dict] = []
-    for k, shard in enumerate(shards):
-        synth = _peer_negatives(downloads[k], per_peer, config, round_index, k)
-        theta_k, batch_losses = contrastive.local_update(
-            theta, shard, synth, config, round_index, config.node_seed(k))
-        loss = float(np.mean(batch_losses))
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"node {k}, round {round_index}: local loss is {loss}")
-        trained.append(theta_k)
-        rows.append({"round": round_index, "node": k, "lr": config.lr_at(round_index),
-                     "loss": loss, "synthetic_count": int(synth.shape[0])})
-        if meta_round:
-            uploads.append(md.compute_metadata(nn.forward_batch(theta, shard),
-                                               config.boxcox_lambda, node_id=k,
-                                               round_index=round_index))
+    if helper is not None:
+        helper.start(round_index, theta, store)
+    trained, losses, counts, uploads, scores = zip(
+        *_train_nodes(theta, shards, config, round_index, store, helper))
 
-    for k, upload in enumerate(uploads):
-        _send(channel, MessageKind.METADATA_UP, k, round_index, upload)
-    server.metadata_store.update(enumerate(uploads))
+    if round_index in config.metadata_rounds():
+        for k, upload in enumerate(uploads):
+            _send(channel, MessageKind.METADATA_UP, k, round_index, upload)
+        server.metadata_store.update(enumerate(uploads))
     for k, theta_k in enumerate(trained):
         _send(channel, MessageKind.PARAMS_UP, k, round_index, theta_k)
 
-    scores = [rsa.rsa_score(theta, theta_k, _probe_images(shard, k, config, round_index))
-              for k, (shard, theta_k) in enumerate(zip(shards, trained))]
     if config.aggregation_mode == "self_adaptive":
         weights = rsa.self_adaptive_weights(scores)
     else:
         weights = rsa.fedavg_weights([len(shard) for shard in shards])
-
     server.theta0 = rsa.aggregate(trained, weights)
-    for row, score, weight in zip(rows, scores, weights):
-        row.update(rsa=score, weight=float(weight))
-    return rows
+    return [{"round": round_index, "node": k, "lr": config.lr_at(round_index), "loss": loss,
+             "synthetic_count": count, "rsa": score, "weight": float(weight)}
+            for k, (loss, count, score, weight) in enumerate(zip(losses, counts, scores, weights))]
 
 
 @dataclass
@@ -281,10 +344,13 @@ def run_training(config: ExperimentConfig) -> RunResult:
     channel = MessageChannel()
     metrics: list[list[dict]] = []
     wall_times: list[float] = []
-    for t in range(1, config.rounds + 1):
-        started = time.perf_counter()
-        metrics.append(run_round(server, shards, config, t, channel))
-        wall_times.append(time.perf_counter() - started)
+    with (nn.one_blas_thread() as held,
+          forked(functools.partial(_node_results, shards, range(0, len(shards), 2), config),
+                 config, len(shards) >= 2 and held) as helper):
+        for t in range(1, config.rounds + 1):
+            started = time.perf_counter()
+            metrics.append(run_round(server, shards, config, t, channel, helper))
+            wall_times.append(time.perf_counter() - started)
     return RunResult(server.theta0, metrics, channel.messages, wall_times, config)
 
 

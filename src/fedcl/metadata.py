@@ -72,7 +72,9 @@ def compute_metadata(features, lam: float, jitter: float = 1e-8,
     return NodeMetadata(mu, sigma, node_id, round_index)
 
 
-def _psd_factor(sigma: np.ndarray) -> np.ndarray:
+def psd_factor(sigma: np.ndarray) -> np.ndarray:
+    """A factor ``L`` with ``L @ L.T == sigma``: the Cholesky factor, or an
+    eigen factor where ``sigma`` is singular."""
     try:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -81,22 +83,25 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def sample_gaussian(metadata: NodeMetadata, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` draws from N(mu, sigma) in transform space, shape (count, d)."""
+def sample_gaussian(metadata: NodeMetadata, count: int, rng: np.random.Generator,
+                    factor=None) -> np.ndarray:
+    """``count`` draws from N(mu, sigma) in transform space, shape (count, d).
+    ``factor`` is ``psd_factor(metadata.sigma)``, computed here when None."""
     if count < 0:
         raise ValueError("sample count must be non-negative")
     d = metadata.mu.shape[0]
     normals = rng.standard_normal((count, d))
-    factor = _psd_factor(metadata.sigma)
+    if factor is None:
+        factor = psd_factor(metadata.sigma)
     return metadata.mu + normals @ factor.T
 
 
 def sample_synthetic(metadata: NodeMetadata, count: int, rng: np.random.Generator,
-                     lam: float) -> np.ndarray:
-    """Synthetic negative feature rows: Gaussian draws in transform space,
-    mapped back through the inverse transform and re-normalized onto the
-    unit sphere (all-zero rows stay zero)."""
-    y = sample_gaussian(metadata, count, rng)
+                     lam: float, factor=None) -> np.ndarray:
+    """Synthetic negative feature rows: Gaussian draws in transform space
+    (see ``sample_gaussian``), mapped back through the inverse transform and
+    re-normalized onto the unit sphere (all-zero rows stay zero)."""
+    y = sample_gaussian(metadata, count, rng, factor)
     return normalize_rows(inv_boxcox(y, lam))
 
 

@@ -10,10 +10,14 @@ gradient through that point is taken to be zero.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
+import functools
 import os
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -228,6 +232,48 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    bundles (``numpy.libs/libscipy_openblas64_-*.so``; loading it again by
+    path returns the copy numpy already uses), or None where numpy links
+    another BLAS."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob(
+            "libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread over the block, then give
+    it back its thread count; yields whether the hold took.
+
+    On one thread every product sums in the same order whatever
+    ``OPENBLAS_NUM_THREADS`` says, and two processes, or ``forward_batch``'s
+    two halves, share two cores without each starting BLAS threads of its
+    own."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get_threads, set_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(before)
 
 
 def _in_two_threads(first, second) -> None:

@@ -14,4 +14,4 @@ class ProtocolError(RuntimeError):
 
 
 class HelperError(RuntimeError):
-    """The helper process that trains half of a round's nodes stopped."""
+    """A worker process that trains a round's nodes stopped."""

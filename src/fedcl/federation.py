@@ -13,16 +13,16 @@ the node's features under the broadcast encoder.
 
 Nodes train independently from the broadcast, each through one function
 (``_train_node``: the local update with synthetic negatives drawn from its
-peers' metadata, the upload, the RSA score). ``run_training`` forks one
-helper process (see ``helper``) after ``build_nodes``, so it inherits every
-shard; each round it trains the even-indexed nodes and this process the odd
-ones, each process factoring every peer covariance it samples once. This process still sends
-every message and aggregates, in node order, so a run's bytes do not depend
-on which process trained a node. For the span of the run numpy's bundled
-OpenBLAS is held at one thread and each process keeps one CPU, so the two do
-not oversubscribe two cores; this process gets its CPUs back before
-evaluation. With one node or one usable CPU, no ``fork``, BLAS that cannot
-be held or another thread alive, every node trains here, in node order.
+peers' metadata, the upload, the RSA score). ``run_training`` forks the
+workers of ``helper`` after ``build_nodes``, so they inherit every shard;
+with them, this process is one of ``helper.worker_count`` that share each
+round's nodes (three for three nodes on two CPUs). Each process factors
+every peer covariance it samples once. This process still sends every
+message and aggregates, in node order, so a run's bytes do not depend on
+which process trained a node. For the span of the run numpy's bundled
+OpenBLAS is held at one thread. With one node or one usable CPU, no
+``fork``, BLAS that cannot be held or another thread alive, every node
+trains here, in node order.
 
 The wire contract (``CONTRACT``) and the run artifacts are defined here too.
 """
@@ -139,13 +139,16 @@ def expected_counts(config: ExperimentConfig) -> dict[str, int]:
 
 
 class MessageChannel:
-    """Append-only log; sending a malformed message aborts the run."""
+    """Append-only log; a malformed or round-reversing message aborts the run."""
 
     def __init__(self) -> None:
         self.messages: list[Message] = []
 
     def send(self, message: Message) -> None:
         problem = payload_violation(message)
+        last = self.messages[-1].round_index if self.messages else message.round_index
+        if problem is None and message.round_index < last:
+            problem = f"round {message.round_index} after round {last}"
         if problem is not None:
             raise ProtocolError(f"message {len(self.messages)} ({message.kind}): {problem}")
         self.messages.append(message)
@@ -241,7 +244,7 @@ def _train_node(theta: nn.EncoderParams, shard: np.ndarray, k: int, config: Expe
     return theta_k, loss, int(synth.shape[0]), upload, score
 
 
-def _node_results(shards, nodes, config: ExperimentConfig, theta, round_index: int, store):
+def _node_results(shards, config: ExperimentConfig, nodes, theta, round_index: int, store):
     """``_train_node``'s result for each of ``nodes`` in turn: one process's
     part of a round."""
     synth = _synthetic_negatives(store, nodes, config, round_index)
@@ -250,33 +253,34 @@ def _node_results(shards, nodes, config: ExperimentConfig, theta, round_index: i
 
 
 def _train_nodes(theta, shards, config: ExperimentConfig, round_index: int, store,
-                 helper) -> list[tuple]:
-    """Every node's ``_train_node`` result, in node order. With a ``helper``
-    it trains the even-indexed nodes while this process trains the odd ones,
-    each of ours before the helper's result for the node below it is read. An
-    error raised by a node, here or in the helper, is raised here; if several
-    nodes raise, the first in node order wins, as when one process trains
-    them all."""
-    own = range(len(shards)) if helper is None else range(1, len(shards), 2)
-    mine = _node_results(shards, own, config, theta, round_index, store)
+                 workers) -> list[tuple]:
+    """Every node's ``_train_node`` result, in node order. With W - 1
+    ``workers``, node k trains in ``workers[k % W]``, or here when
+    k % W = W - 1, each of ours before the workers' results for the nodes
+    below it are read. An error raised by a node, here or in a worker, is
+    raised here; if several nodes raise, the first in node order wins, as
+    when one process trains them all."""
+    w = len(workers) + 1
+    own = range(w - 1, len(shards), w)
+    mine = _node_results(shards, config, own, theta, round_index, store)
     results: list[tuple] = []
     for k in own:
         try:
             result = next(mine)
         finally:
             while len(results) < k:
-                results.append(helper.receive(len(results), round_index))
+                results.append(workers[len(results) % w].receive(len(results), round_index))
         results.append(result)
     while len(results) < len(shards):
-        results.append(helper.receive(len(results), round_index))
+        results.append(workers[len(results) % w].receive(len(results), round_index))
     return results
 
 
 def run_round(server: ServerState, shards, config: ExperimentConfig, round_index: int,
-              channel: MessageChannel, helper=None) -> list[dict]:
+              channel: MessageChannel, workers=()) -> list[dict]:
     """Advance one synchronization round. Node k trains on ``shards[k]`` from
-    the seed ``config.node_seed(k)``, here or, for even k, in ``helper``
-    (a ``helper.Helper`` that ``run_training`` forked).
+    the seed ``config.node_seed(k)``, here or in one of ``workers`` (the
+    ``helper.Worker``s that ``run_training`` forked; see ``_train_nodes``).
     Mutates ``server`` in place and returns the round's ``metrics.jsonl``
     records, one per node in node order; nodes carry no state between rounds.
     """
@@ -293,10 +297,10 @@ def run_round(server: ServerState, shards, config: ExperimentConfig, round_index
             _send(channel, MessageKind.METADATA_DOWN, k, round_index,
                   [meta for j, meta in sorted(store.items()) if j != k])
 
-    if helper is not None:
-        helper.start(round_index, theta, store)
+    for worker in workers:
+        worker.start(round_index, theta, store)
     trained, losses, counts, uploads, scores = zip(
-        *_train_nodes(theta, shards, config, round_index, store, helper))
+        *_train_nodes(theta, shards, config, round_index, store, workers))
 
     if round_index in config.metadata_rounds():
         for k, upload in enumerate(uploads):
@@ -345,11 +349,10 @@ def run_training(config: ExperimentConfig) -> RunResult:
     metrics: list[list[dict]] = []
     wall_times: list[float] = []
     with (nn.one_blas_thread() as held,
-          forked(functools.partial(_node_results, shards, range(0, len(shards), 2), config),
-                 config, len(shards) >= 2 and held) as helper):
+          forked(functools.partial(_node_results, shards, config), config, held) as workers):
         for t in range(1, config.rounds + 1):
             started = time.perf_counter()
-            metrics.append(run_round(server, shards, config, t, channel, helper))
+            metrics.append(run_round(server, shards, config, t, channel, workers))
             wall_times.append(time.perf_counter() - started)
     return RunResult(server.theta0, metrics, channel.messages, wall_times, config)
 

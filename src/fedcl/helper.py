@@ -1,21 +1,23 @@
-"""The helper process that trains half of every round's nodes.
+"""The worker processes that train a round's nodes beside this one.
 
-``federation.run_training`` forks it after ``build_nodes``, so it inherits
-every shard. Each round, ``Helper.start`` sends it the round index, the
-broadcast θ and the metadata store; it trains its nodes with the ``train``
-function it was forked with and answers with one message per node, which
-``Helper.receive`` reads. Parameter vectors and metadata cross the pipes as
-raw float64 bytes, read into arrays allocated for them; only small headers
-are pickled, an error a node raised among them.
+``federation.run_training`` forks them after ``build_nodes``, so each
+inherits every shard. Of W = ``worker_count`` processes, worker i trains
+nodes i, i + W, ... and the parent nodes W - 1, 2W - 1, ... Each round,
+``Worker.start`` sends a worker the round index, the broadcast θ and the
+metadata store; it trains its nodes with the ``train`` function it was
+forked with and answers with one message per node, which ``Worker.receive``
+reads. Parameter vectors and metadata cross the pipes as raw float64 bytes;
+only small headers are pickled, an error a node raised among them.
 
 A node's result is ``(trained θ, mean loss, synthetic row count, upload or
-None, RSA score)``. A helper whose parent dies without closing it meets the
-end of its input, or a broken pipe, at its next read or write and exits.
+None, RSA score)``. A worker holds only its own pipe ends, so one whose
+parent dies meets the end of its input, or a broken pipe, and exits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pickle
 import signal
@@ -77,11 +79,12 @@ def _picklable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-class Helper:
-    """A forked process that runs ``train(theta, round_index, store)``, an
-    iterator over its nodes' results, once per round."""
+class Worker:
+    """A forked process on ``cpus`` that runs ``train(theta, round_index,
+    store)``, an iterator over its nodes' results, once per round; it first
+    closes the ``inherited`` fds, the parent's ends of earlier workers."""
 
-    def __init__(self, train, config: ExperimentConfig, cpu: int) -> None:
+    def __init__(self, train, config: ExperimentConfig, cpus, inherited) -> None:
         self._shapes = config.encoder_shapes()
         self._size = sum(s.size for s in self._shapes)
         self._d = config.feature_dim
@@ -93,12 +96,12 @@ class Helper:
             for fd in (down_r, self._down, self._up, up_w):
                 os.close(fd)
             raise
-        if self.pid == 0:  # the helper: never returns into the caller's stack
+        if self.pid == 0:  # the worker: never returns into the caller's stack
             code = 1
             try:
-                os.close(self._down)
-                os.close(self._up)
-                os.sched_setaffinity(0, {cpu})
+                for fd in (self._down, self._up, *inherited):
+                    os.close(fd)
+                os.sched_setaffinity(0, cpus)
                 self._serve(down_r, up_w, train)
                 code = 0
             finally:
@@ -133,7 +136,7 @@ class Helper:
             _write_frame(self._down, (round_index, [(m.node_id, m.round_index) for m in metas]),
                          theta.values, *(a for m in metas for a in (m.mu, m.sigma)))
         except BrokenPipeError as exc:
-            raise HelperError(f"helper process {self.pid} exited before round "
+            raise HelperError(f"worker process {self.pid} exited before round "
                               f"{round_index}") from exc
 
     def receive(self, k: int, round_index: int) -> tuple:
@@ -150,35 +153,49 @@ class Helper:
                                          _read_array(self._up, (self._d, self._d)),
                                          k, round_index)
         except EOFError as exc:
-            raise HelperError(f"helper process {self.pid} exited before sending node {k}'s "
+            raise HelperError(f"worker process {self.pid} exited before sending node {k}'s "
                               f"round {round_index} result") from exc
         return theta_k, loss, count, upload, score
 
     def close(self) -> None:
-        """Stop the helper wherever it is and reap it."""
+        """Stop the worker wherever it is and reap it."""
         os.close(self._down)
         os.close(self._up)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
 
 
+def worker_count(nodes: int, cpus: int) -> int:
+    """Processes to train ``nodes`` nodes on ``cpus`` CPUs, or 0 for one: the
+    fewest, at least one per CPU, none given more than a CPU's even share."""
+    c = min(cpus, nodes)
+    return 0 if c < 2 else next(w for w in range(c, nodes + 1) if -(-nodes // w) * c <= nodes)
+
+
 @contextlib.contextmanager
 def forked(train, config: ExperimentConfig, wanted: bool):
-    """A ``Helper`` for the block, with it and this process kept on one CPU
-    each, or None: when not ``wanted``, with one usable CPU, with no ``fork``
-    or affinity call, or with another thread alive, which a fork would leave
-    holding its locks. This process's CPUs are given back on exit, and the
-    helper is reaped."""
-    if not (wanted and nn._usable_cpus() >= 2 and hasattr(os, "fork")
-            and hasattr(os, "sched_setaffinity") and threading.active_count() == 1):
-        yield None
+    """W - 1 ``Worker``s, W = ``worker_count``, worker i running ``train(range(i,
+    nodes, W), theta, round_index, store)`` each round, or none: when not
+    ``wanted``, with one node or one usable CPU, no ``fork`` or affinity call,
+    or another thread alive, which a fork would leave holding its locks. If
+    W ≤ the usable CPUs, process i (this one being W - 1) runs on this one's
+    i-th CPU, cyclically, till exit; workers are reaped on exit or a failed fork."""
+    count = worker_count(config.nodes, usable := nn._usable_cpus())
+    if not (wanted and count and hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+            and threading.active_count() == 1):
+        yield []
         return
     cpus = os.sched_getaffinity(0)
-    ordered = sorted(cpus)
-    helper = Helper(train, config, ordered[-1])
+    places = [{sorted(cpus)[i % len(cpus)]} if count <= usable else cpus for i in range(count)]
+    workers: list[Worker] = []
     try:
-        os.sched_setaffinity(0, {ordered[0]})
-        yield helper
+        for i in range(count - 1):
+            inherited = [fd for w in workers for fd in (w._down, w._up)]
+            workers.append(Worker(functools.partial(train, range(i, config.nodes, count)),
+                                  config, places[i], inherited))
+        os.sched_setaffinity(0, places[-1])
+        yield workers
     finally:
-        helper.close()
+        for worker in workers:
+            worker.close()
         os.sched_setaffinity(0, cpus)

@@ -230,6 +230,16 @@ def test_channel_rejects_image_payload():
     assert channel.messages == []
 
 
+def test_channel_refuses_a_round_lower_than_the_last_message_s():
+    channel = MessageChannel()
+    theta = init_params(mlp_shapes(4, [3], 2), 0)
+    for round_index in (1, 2, 2):
+        channel.send(Message(MessageKind.PARAMS_DOWN, "server", "node-0", round_index, theta))
+    with pytest.raises(ProtocolError, match=r"^message 3 \(params_up\): round 1 after round 2$"):
+        channel.send(Message(MessageKind.PARAMS_UP, "node-0", "server", 1, theta))
+    assert [m.round_index for m in channel.messages] == [1, 2, 2]
+
+
 def test_channel_rejects_wrong_payload_types():
     channel = MessageChannel()
     with pytest.raises(ProtocolError):

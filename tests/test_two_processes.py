@@ -1,9 +1,11 @@
-"""Rounds trained in two processes: ``run_training`` forks one helper that
-trains the even-indexed nodes while the parent trains the odd ones.
+"""Rounds trained in several processes: of W = ``helper.worker_count``,
+``run_training`` forks W - 1 workers, worker i training nodes i, i + W, ...,
+while the parent trains the last share, receives in node order and
+aggregates.
 
-``nn._usable_cpus`` is patched to 2 to force the helper (it then shares the
-one CPU on a one-CPU machine) and to 1 to force the serial path. Every test
-that forks checks that no child is left behind.
+``nn._usable_cpus`` is patched to 2 to force the workers (they then share
+the one CPU on a one-CPU machine) and to 1 to force the serial path. Every
+test that forks checks that no child is left behind.
 """
 
 import faulthandler
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcl import contrastive, federation, nn
+from fedcl import contrastive, federation, helper, nn
 from fedcl.cli import main
 from fedcl.config import from_dict
 from fedcl.errors import HelperError, ShapeError
@@ -29,7 +31,7 @@ TINY = {
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The helper path forced; the list of fork calls made."""
+    """The worker path forced; the list of fork calls made."""
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
     calls = []
     real = os.fork
@@ -65,27 +67,27 @@ def run_files(out: Path) -> dict[str, bytes]:
             if p.is_file() and p.name != "timing.jsonl"}
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(["--preset", "smoke"], id="smoke"),
+@pytest.mark.parametrize("args, nodes", [
+    pytest.param(["--preset", "smoke"], 3, id="smoke"),
     *[pytest.param(["--preset", "smoke", "--arms", "fedmoco", "--set", f"nodes={k}",
                     "--set", "data.scenario=label_skew", "--set", "eta=0.2",
                     "--set", "rounds=3", "--set", "data.base_size=24",
                     "--set", "data.eval_per_class=8", "--set", "probe.epochs=3"],
-                   id=f"label-skew-{k}") for k in (3, 4)],
+                   k, id=f"label-skew-{k}") for k in (3, 4)],
 ])
-def test_serial_and_two_process_runs_write_the_same_bytes(tmp_path, monkeypatch, args):
+def test_serial_and_two_process_runs_write_the_same_bytes(tmp_path, monkeypatch, args, nodes):
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
     assert main(["run", *args, "--out", str(tmp_path / "serial")]) == 0
     forks = []
     real = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    assert main(["run", *args, "--out", str(tmp_path / "helper")]) == 0
-    runs = len(list((tmp_path / "helper").rglob("digest.txt")))
-    assert runs and len(forks) == runs
-    serial, helper = run_files(tmp_path / "serial"), run_files(tmp_path / "helper")
-    assert serial.keys() == helper.keys()
-    assert [name for name in serial if serial[name] != helper[name]] == []
+    assert main(["run", *args, "--out", str(tmp_path / "workers")]) == 0
+    runs = len(list((tmp_path / "workers").rglob("digest.txt")))
+    assert runs and len(forks) == runs * (helper.worker_count(nodes, 2) - 1)
+    serial, workers = run_files(tmp_path / "serial"), run_files(tmp_path / "workers")
+    assert serial.keys() == workers.keys()
+    assert [name for name in serial if serial[name] != workers[name]] == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -119,7 +121,7 @@ def test_an_unpicklable_helper_error_keeps_its_type_name_and_message(forks, monk
 
 @pytest.mark.parametrize("nodes, first", [({0, 1}, 0), ({1, 2}, 1), ({3}, 3)])
 def test_the_first_failing_node_in_node_order_raises(forks, monkeypatch, nodes, first):
-    """Nodes 0 and 2 train in the helper, 1 and 3 here; as on one process,
+    """Nodes 0 and 2 train in the worker, 1 and 3 here; as on one process,
     the error of the lowest-indexed failing node is the one raised."""
     failing_on(monkeypatch, nodes, lambda k: ValueError(f"node {k} failed"))
     with pytest.raises(ValueError, match=f"^node {first} failed$"):
@@ -153,3 +155,60 @@ def test_a_non_finite_loss_in_a_helper_node_is_an_error_line(tmp_path, forks, mo
     assert capsys.readouterr().err == "error: fedavg seed=3: node 0, round 1: local loss is nan\n"
     assert not list(tmp_path.rglob("digest.txt"))
 
+
+@pytest.mark.parametrize("nodes, cpus, processes", [
+    (2, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 3), (16, 2, 2), (101, 2, 3), (3, 4, 3), (6, 4, 6),
+    (1, 1, 0), (1, 2, 0), (1, 4, 0), (3, 1, 0),
+])
+def test_worker_count(nodes, cpus, processes):
+    assert helper.worker_count(nodes, cpus) == processes
+
+
+def echo(nodes, theta, round_index, store):
+    for _ in nodes:
+        yield theta, 0.0, 0, None, 0.0
+
+
+def fd_target(pid, fd) -> str:
+    return os.readlink(f"/proc/{pid}/fd/{fd}")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd")
+@pytest.mark.parametrize("nodes", [3, 4])
+def test_each_worker_holds_its_own_pipe_ends_and_one_cpu_when_pinned(forks, nodes):
+    """Three processes on two CPUs share both; two keep one each, taken in
+    turn from the parent's CPUs, so they share CPU 0 under ``taskset -c 0``."""
+    config = from_dict({**TINY, "nodes": nodes})
+    theta = nn.init_params(config.encoder_shapes(), 0)
+    cpus = os.sched_getaffinity(0)
+    count = helper.worker_count(nodes, 2)
+    with helper.forked(echo, config, True) as workers:
+        assert len(workers) == len(forks) == count - 1
+        for worker in workers:  # a round trip: each worker has closed its fds
+            worker.start(1, theta, {})
+        results = [workers[k % count].receive(k, 1) for k in range(nodes) if k % count < count - 1]
+        assert [r[0].values.tobytes() for r in results] == [theta.values.tobytes()] * len(results)
+        own = {w.pid: sorted(fd_target("self", fd) for fd in (w._down, w._up)) for w in workers}
+        pipes = {end for ends in own.values() for end in ends}
+        ordered = sorted(cpus)
+        for i, worker in enumerate(workers):
+            held = [fd_target(worker.pid, fd) for fd in os.listdir(f"/proc/{worker.pid}/fd")]
+            assert sorted(end for end in held if end in pipes) == own[worker.pid]
+            pinned = {ordered[i % len(ordered)]} if count <= 2 else cpus
+            assert os.sched_getaffinity(worker.pid) == pinned
+        assert os.sched_getaffinity(0) == ({ordered[1 % len(ordered)]} if count <= 2 else cpus)
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_a_failed_fork_reaps_the_workers_already_forked(forks, monkeypatch):
+    counting = os.fork
+
+    def second_fails():
+        if forks:
+            raise BlockingIOError("fork refused")
+        return counting()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        federation.run_training(from_dict({**TINY, "nodes": 3}))
+    assert forks == [PARENT]

@@ -84,8 +84,8 @@ def _evaluate_run(config: ExperimentConfig, result, seed: int) -> list[dict]:
             ft = evaluate.fine_tune(result.theta0, config.fine_tune_fraction, train, test,
                                     config.fine_tune, seed)
             records.append({"metric": "finetune_final_accuracy", "value": ft.final_accuracy})
-            records.append({"metric": "finetune_best_accuracy", "value": ft.best_accuracy})
-            records.append({"metric": "finetune_best_epoch", "value": float(ft.best_epoch)})
+            # kept, equal to the final accuracy, only because bench/checks.py reads it
+            records.append({"metric": "finetune_best_accuracy", "value": ft.final_accuracy})
     return records
 
 
@@ -138,6 +138,11 @@ def _quota_warning(config: ExperimentConfig, label: str) -> str | None:
 
 
 def cmd_run(args) -> int:
+    for flag, values in (("--seed", args.seed), ("--arms", args.arms)):
+        repeated = [value for value, n in Counter(values or ()).items() if n > 1]
+        if repeated:
+            # each would train again into the same run directory
+            raise ConfigError(f"{flag}: {repeated[0]} given more than once")
     config, arms, node_counts, name = _load_base_config(args)
     arms = tuple(args.arms or arms)
     if node_counts and any(item.partition("=")[0] == "nodes" for item in args.set):

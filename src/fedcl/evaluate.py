@@ -44,8 +44,6 @@ class ProbeResult:
 @dataclass
 class FineTuneResult:
     final_accuracy: float
-    best_accuracy: float
-    best_epoch: int
     train_size: int
 
 
@@ -108,19 +106,13 @@ def linear_probe(encoder: nn.EncoderParams, train: Images, test: Images,
     return ProbeResult(float(np.mean(hit)), per_class)
 
 
-def _test_accuracy(params, w, b, x_test, y_test) -> float:
-    z = nn.forward_batch(params, x_test)
-    pred = np.argmax(z @ w.T + b, axis=1)
-    return float(np.mean(pred == y_test))
-
-
 def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
               test: Images, config: FineTuneConfig, seed: int) -> FineTuneResult:
     """Unfreeze the encoder, attach a linear head, and train both on a
     stratified ``train_fraction`` of the labeled split.
 
-    Test accuracy is tracked every epoch; the result reports final-epoch and
-    best-epoch accuracy separately. The input encoder is left untouched.
+    The test split is scored once, after the last epoch, so no epoch is
+    chosen by its test accuracy. The input encoder is left untouched.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ValueError("train_fraction must lie in (0, 1]")
@@ -146,8 +138,6 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
 
     x = chosen.pixels
     y = np.searchsorted(classes, chosen.labels)
-    x_test = test.pixels
-    y_test = np.searchsorted(classes, test.labels)
 
     params = encoder.copy()
     n_classes, d = len(classes), encoder.feature_dim
@@ -164,9 +154,8 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
     def step_p(v, g, m):
         nn.sgd_step(v, g, m, _FT_LR, _FT_MOMENTUM, _FT_WEIGHT_DECAY, scratch_p[: v.size])
 
-    best, best_epoch, final = -1.0, 0, 0.0
     n = len(chosen)
-    for epoch in range(1, config.epochs + 1):
+    for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, _FT_BATCH):
             idx = order[start : start + _FT_BATCH]
@@ -183,8 +172,7 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
             buf_b += gb
             b -= _FT_LR * buf_b
             nn.blockwise(step_p, params.values, grad_p, buf_p)
-        acc = _test_accuracy(params, w, b, x_test, y_test)
-        final = acc
-        if acc > best:
-            best, best_epoch = acc, epoch
-    return FineTuneResult(final, best, best_epoch, n)
+
+    pred = np.argmax(nn.forward_batch(params, test.pixels) @ w.T + b, axis=1)
+    hit = pred == np.searchsorted(classes, test.labels)
+    return FineTuneResult(float(np.mean(hit)), n)

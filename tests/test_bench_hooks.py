@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fedcl import federation
-from fedcl.config import apply_arm, from_dict, save_config
+from fedcl import cli, evaluate, federation
+from fedcl.config import apply_arm, from_dict, preset_config, save_config, to_dict
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -84,3 +84,30 @@ def test_bench_checks_read_every_workload_config(workload, bench_modules, tmp_pa
     assert all(isinstance(checks.expected_synthetic_count(cfg, r), int)
                for r in range(1, cfg["rounds"] + 1))
     assert checks.expected_fine_tune_size(cfg) >= 0
+
+
+def test_bench_eval_check_accepts_the_eval_records_fedcl_writes(bench_modules, tmp_path,
+                                                               monkeypatch):
+    """bench/checks.py reads eval.jsonl by metric name; a record it needs
+    that `fedcl run` stops writing must fail here."""
+    _, checks = bench_modules
+    config, _ = preset_config("smoke")
+    raw = to_dict(config)
+    raw.update(run_fine_tune=True, fine_tune_fraction=0.25)
+    raw["fine_tune"]["epochs"] = 2
+    config = apply_arm(from_dict(raw), "fedmoco")
+    fine_tunes = []
+    real = evaluate.fine_tune
+
+    def capturing(*args, **kwargs):
+        fine_tunes.append(real(*args, **kwargs))
+        return fine_tunes[-1]
+
+    monkeypatch.setattr(evaluate, "fine_tune", capturing)
+    records = cli._evaluate_run(config, federation.run_training(config), config.seed)
+    federation.write_jsonl(records, tmp_path / "eval.jsonl")
+    save_config(config, tmp_path / "config.yaml")
+
+    [ft] = fine_tunes
+    cfg = checks.run_config(tmp_path)
+    assert checks._check_eval(tmp_path, cfg, {"fine_tune_train_size": ft.train_size}) == []

@@ -78,6 +78,18 @@ def test_unknown_arm_is_a_config_error(capsys, monkeypatch):
     assert "config error: arms: unknown arm 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--seed", "1", "--seed", "2", "--seed", "1"], "--seed: 1"),
+    (["--arms", "fedavg", "fedmoco", "fedavg"], "--arms: fedavg"),
+])
+def test_run_refuses_a_repeated_seed_or_arm(tmp_path, capsys, monkeypatch, flags, needle):
+    """Both copies would train into one run directory."""
+    monkeypatch.setattr(federation, "run_training", _no_training)
+    assert main(["run", "--preset", "smoke", "--out", str(tmp_path), *flags]) == 2
+    assert f"config error: {needle} given more than once" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag", [["--arms", "x"], ["--name", "x"]])
 def test_export_data_takes_no_run_flags(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,12 @@
-"""Seed-13 run digests, linear-probe records and image digests of the three
-benchmark workloads, pinned.
+"""Seed-13 run digests, linear-probe and fine-tune records and image digests
+of the three benchmark workloads, pinned.
 
 Any change to the trained bits or the logged metrics of a run fails here,
-and so does any change to the linear probe's records, the rendered shards
-or the evaluation split. A change that means to alter the numerics updates
-``DIGESTS``, ``PROBES`` or ``IMAGE_DIGESTS`` and says why. The constants
-depend on numpy's float kernels and random streams, so they are stored with
-the numpy version they were made with.
+and so does any change to the linear probe's or the fine-tune's records, the
+rendered shards or the evaluation split. A change that means to alter the
+numerics updates ``DIGESTS``, ``PROBES``, ``FINE_TUNES`` or ``IMAGE_DIGESTS``
+and says why. The constants depend on numpy's float kernels and random
+streams, so they are stored with the numpy version they were made with.
 """
 
 import json
@@ -37,6 +37,8 @@ PROBES = {
               "probe_accuracy_class_4": 0.75,
               "probe_accuracy_class_5": 0.8033333333333333},
 }
+# eval.jsonl's fine-tune record of the workloads that set run_fine_tune
+FINE_TUNES = {"wide": {"finetune_final_accuracy": 0.965}}
 # sha256 over the image fingerprints (pixel bytes, then label text) of every
 # node's shard in node order, and of the evaluation split's train then test part;
 # the three workloads render the same evaluation split
@@ -64,11 +66,12 @@ spec.loader.exec_module(run)
 """
 
 # Builds each config the way bench/child.py's `fedcl run --arms fedmoco`
-# does, and probes the trained encoder as `fedcl run` does for eval.jsonl.
+# does, and probes and fine-tunes the trained encoder as `fedcl run` does for
+# eval.jsonl.
 CHILD = LOAD_WORKLOADS + """
-from fedcl import datagen, evaluate, federation
+from fedcl import datagen, evaluate, federation, nn
 from fedcl.config import apply_arm, from_dict
-digests, probes = {}, {}
+digests, probes, fine_tunes = {}, {}, {}
 for name, overrides in run.WORKLOADS.items():
     config = apply_arm(from_dict(run.workload_config(overrides, seed)), "fedmoco")
     result = federation.run_training(config)
@@ -83,7 +86,12 @@ for name, overrides in run.WORKLOADS.items():
     probes[name] = {"probe_accuracy": probe.accuracy,
                     **{f"probe_accuracy_class_{c}": acc
                        for c, acc in sorted(probe.per_class_accuracy.items())}}
-print(json.dumps({"digests": digests, "probes": probes}))
+    if config.run_fine_tune:
+        with nn.one_blas_thread():
+            ft = evaluate.fine_tune(result.theta0, config.fine_tune_fraction, train, test,
+                                    config.fine_tune, seed)
+        fine_tunes[name] = {"finetune_final_accuracy": ft.final_accuracy}
+print(json.dumps({"digests": digests, "probes": probes, "fine_tunes": fine_tunes}))
 """
 
 
@@ -135,8 +143,9 @@ def test_benchmark_workload_images_are_pinned(tmp_path):
 
 
 def test_benchmark_workload_digests_are_pinned(tmp_path):
-    """Every workload's run digest and its eval.jsonl probe records."""
+    """Every workload's run digest and its eval.jsonl probe and fine-tune
+    records."""
     got = run_child(CHILD, tmp_path)
-    assert got == {"digests": DIGESTS, "probes": PROBES}, (
-        f"run digests or probe records moved (constants made with numpy {NUMPY_VERSION}, "
-        f"running numpy {np.__version__}): {got}")
+    assert got == {"digests": DIGESTS, "probes": PROBES, "fine_tunes": FINE_TUNES}, (
+        f"run digests, probe or fine-tune records moved (constants made with numpy "
+        f"{NUMPY_VERSION}, running numpy {np.__version__}): {got}")

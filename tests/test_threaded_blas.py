@@ -1,11 +1,12 @@
 """The golden-digest child at two OpenBLAS threads.
 
 ``federation.run_training`` holds numpy's bundled OpenBLAS at one thread for
-the span of a run, so every workload's seed-13 run, wide's included, must
-give its pinned digest and its pinned probe records at two threads too. A
-change that makes a trained bit depend on the BLAS thread count, on how
-``nn.forward_batch``'s helper thread is scheduled beside a threaded BLAS, or
-on which process trains a node, fails here.
+the span of a run, and ``cli._evaluate_run`` for its evaluation, so every
+workload's seed-13 run, wide's included, must give its pinned digest and its
+pinned probe and fine-tune records at two threads too. A change that makes a
+trained bit depend on the BLAS thread count, on how ``nn.forward_batch``'s
+helper thread is scheduled beside a threaded BLAS, or on which process
+trains a node, fails here.
 """
 
 import json
@@ -15,7 +16,8 @@ import sys
 
 import numpy as np
 
-from test_golden_digests import CHILD, DIGESTS, NUMPY_VERSION, PROBES, ROOT, SEED
+from test_golden_digests import (CHILD, DIGESTS, FINE_TUNES, NUMPY_VERSION, PROBES, ROOT,
+                                 SEED)
 
 
 def test_two_blas_threads_keep_the_pinned_digests(tmp_path):
@@ -27,6 +29,6 @@ def test_two_blas_threads_keep_the_pinned_digests(tmp_path):
         env=env, capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"digests": DIGESTS, "probes": PROBES}, (
-        f"run digests or probe records at two BLAS threads moved (constants made with numpy "
-        f"{NUMPY_VERSION}, running numpy {np.__version__}): {got}")
+    assert got == {"digests": DIGESTS, "probes": PROBES, "fine_tunes": FINE_TUNES}, (
+        f"run digests, probe or fine-tune records at two BLAS threads moved (constants "
+        f"made with numpy {NUMPY_VERSION}, running numpy {np.__version__}): {got}")

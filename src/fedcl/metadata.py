@@ -49,13 +49,15 @@ def inv_boxcox(y, lam: float) -> np.ndarray:
     return np.power(np.maximum(lam * arr + 1.0, 0.0), 1.0 / lam)
 
 
-def compute_metadata(features, lam: float, jitter: float = 1e-8,
-                     node_id: int = 0, round_index: int = 0) -> NodeMetadata:
-    """Mean and unbiased covariance of the power-transformed feature rows.
+# Added to the covariance's diagonal so it stays factorizable even when the
+# sample covariance is singular.
+COV_JITTER = 1e-8
 
-    ``jitter * I`` is added to the covariance so it stays factorizable even
-    when the sample covariance is singular. Needs at least two rows.
-    """
+
+def compute_metadata(features, lam: float, node_id: int = 0,
+                     round_index: int = 0) -> NodeMetadata:
+    """Mean and unbiased covariance, plus ``COV_JITTER * I``, of the
+    power-transformed feature rows. Needs at least two rows."""
     rows = np.asarray(features, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError(f"expected (n, d) feature rows, got shape {rows.shape}")
@@ -67,8 +69,7 @@ def compute_metadata(features, lam: float, jitter: float = 1e-8,
     centered = y - mu
     sigma = centered.T @ centered / (n - 1)
     sigma = 0.5 * (sigma + sigma.T)
-    if jitter:
-        sigma = sigma + jitter * np.eye(sigma.shape[0])
+    sigma = sigma + COV_JITTER * np.eye(sigma.shape[0])
     return NodeMetadata(mu, sigma, node_id, round_index)
 
 

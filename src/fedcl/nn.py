@@ -11,11 +11,9 @@ gradient through that point is taken to be zero.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import functools
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,15 +154,12 @@ def forward_cached(params: EncoderParams, images) -> ForwardCache:
     return ForwardCache(activations, normalize_rows(a))
 
 
-# Bytes of one layer's rows in flight in ``forward_batch``, shared by its
-# two halves on two or more CPUs: inference holds at most this much of any
-# layer, whatever its row count. On one core, 4 MiB blocks were the smallest
-# size tried that did not slow the wide benchmark workload's fine-tune
-# (256-3072-128 encoder; median of 4, one BLAS thread): 4.61 s with 170-row
-# blocks, 4.83 s unblocked, 5.01 s at 2 MiB, 5.49 s at 1 MiB, 9.33 s at
-# 256 KiB. Split into 85-row blocks, two at a time on a 2-core machine:
-# 3.53 s, against 4.57 s with 170-row blocks on one core and 4.95 s with
-# 85-row blocks (median of 4, alternating); hence one CPU keeps whole ones.
+# Bytes of one layer's rows in flight in ``forward_batch``: inference holds
+# at most this much of any layer, whatever its row count. 4 MiB blocks were
+# the smallest size tried that did not slow the wide benchmark workload's
+# fine-tune (256-3072-128 encoder; median of 4, one core, one BLAS thread):
+# 4.61 s with 170-row blocks, 4.83 s unblocked, 5.01 s at 2 MiB, 5.49 s at
+# 1 MiB, 9.33 s at 256 KiB.
 FORWARD_BLOCK_BYTES = 4 << 20
 
 
@@ -173,46 +168,29 @@ def forward_batch(params: EncoderParams, images) -> np.ndarray:
 
     Bit-equal to ``forward_cached(params, images).features``, but keeps no
     activations for a backward pass: the rows run through the layers in
-    place, in blocks, and only the (B, d) features are kept whole, and
-    normalized in place. One block runs here. On one CPU, more run here one
-    at a time, the fewest near-equal blocks of at most
-    ``FORWARD_BLOCK_BYTES`` per layer. On more CPUs they are the fewest of at
-    most half that, an even number of them, and the first half of them runs
-    on a helper thread while the second half runs here, each through layer
-    buffers allocated here (a thread that allocates its own gets a second
-    malloc arena, and the process more resident memory) into its own rows
-    of the features.
+    place, in the fewest near-equal blocks of at most ``FORWARD_BLOCK_BYTES``
+    per layer, one after another through one set of layer buffers, each
+    block into its own rows of the features. Only the (B, d) features are
+    kept whole, and normalized in place.
 
     A row's sums do not depend on the other rows of its block while the
-    product takes BLAS's general matrix path, so the bits depend on neither
-    the partition nor the scheduling. A product of one or a few rows can
-    take a matrix-vector or small-matrix path whose sums differ in the last
-    bits: hence near-equal blocks, not full blocks and a short last one.
+    product takes BLAS's general matrix path, so the bits do not depend on
+    the partition. A product of one or a few rows can take a matrix-vector
+    or small-matrix path whose sums differ in the last bits: hence
+    near-equal blocks, not full blocks and a short last one.
     """
     x = _flatten_batch(params, images)
     n = x.shape[0]
-    halves = min(2, _usable_cpus())
     widest = max(s.rows for s in params.shapes)
-    block_rows = max(1, FORWARD_BLOCK_BYTES // (8 * halves * widest))
-    blocks = -(-n // block_rows)
+    blocks = -(-n // max(1, FORWARD_BLOCK_BYTES // (8 * widest)))
     layers = layer_views(params)
     if blocks <= 1:  # the whole batch: the last layer's array is the features
         return normalize_rows(_dense_relu_layers(x, layers), in_place=True)
-    blocks += -blocks % halves
     features = np.empty((n, params.feature_dim))
-    hidden = [[np.empty((-(-n // blocks), s.rows)) for s in params.shapes[:-1]]
-              for _ in range(halves)]
-
-    def run(half: int) -> None:
-        for i in range(half * blocks // halves, (half + 1) * blocks // halves):
-            lo, hi = n * i // blocks, n * (i + 1) // blocks
-            _dense_relu_layers(x[lo:hi], layers,
-                               [h[: hi - lo] for h in hidden[half]] + [features[lo:hi]])
-
-    if halves == 1:
-        run(0)
-    else:
-        _in_two_threads(lambda: run(0), lambda: run(1))
+    hidden = [np.empty((-(-n // blocks), s.rows)) for s in params.shapes[:-1]]
+    for i in range(blocks):
+        lo, hi = n * i // blocks, n * (i + 1) // blocks
+        _dense_relu_layers(x[lo:hi], layers, [h[: hi - lo] for h in hidden] + [features[lo:hi]])
     return normalize_rows(features, in_place=True)
 
 
@@ -260,9 +238,8 @@ def one_blas_thread():
     it back its thread count; yields whether the hold took.
 
     On one thread every product sums in the same order whatever
-    ``OPENBLAS_NUM_THREADS`` says, and two processes, or ``forward_batch``'s
-    two halves, share two cores without each starting BLAS threads of its
-    own."""
+    ``OPENBLAS_NUM_THREADS`` says, and two processes share two cores without
+    each starting BLAS threads of its own."""
     calls = _openblas_thread_calls()
     if calls is None:
         yield False
@@ -274,28 +251,6 @@ def one_blas_thread():
         yield True
     finally:
         set_threads(before)
-
-
-def _in_two_threads(first, second) -> None:
-    """``first()`` on a helper thread and ``second()`` in this one, joined
-    before return. The helper runs in a copy of this thread's context, where
-    numpy keeps its ``errstate``, and what it raises is raised here."""
-    raised = []
-
-    def helper() -> None:
-        try:
-            first()
-        except BaseException as exc:  # re-raised in the calling thread
-            raised.append(exc)
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-    thread.start()
-    try:
-        second()
-    finally:
-        thread.join()
-    if raised:
-        raise raised[0]
 
 
 def backward_features(params: EncoderParams, cache: ForwardCache, d_features,

@@ -57,8 +57,8 @@ def test_forward_batch_keeps_one_hidden_layer():
 
 
 def test_forward_batch_peak_does_not_grow_with_the_hidden_rows():
-    """6,000 rows through the 2,048-wide layer hold one block of it per half,
-    not the 98 MB whole layer, beside the (n, d) feature rows. This peaked at
+    """6,000 rows through the 2,048-wide layer hold one block of it, not the
+    98 MB whole layer, beside the (n, d) feature rows. This peaked at
     2.4 feature arrays, with normalizing by copies at 4.1, and the
     whole-batch pass at 33."""
     rows = rng_for(6, "memory").random((6000, 256))
@@ -68,9 +68,9 @@ def test_forward_batch_peak_does_not_grow_with_the_hidden_rows():
 
 
 def test_forward_batch_normalizes_its_features_in_place():
-    """20,000 rows hold the two halves' blocks of the 2,048-wide layer and
-    the (n, d) feature rows, which are normalized where they are. Building
-    the normalized rows beside them took 3.63 feature arrays more."""
+    """20,000 rows hold one block of the 2,048-wide layer and the (n, d)
+    feature rows, which are normalized where they are. Building the
+    normalized rows beside them took 3.63 feature arrays more."""
     rows = rng_for(7, "memory").random((20000, 256))
     features = np.empty((20000, THETA.feature_dim)).nbytes
     peak = peak_bytes(lambda: forward_batch(THETA, rows))

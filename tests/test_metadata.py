@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcl.metadata import (NodeMetadata, boxcox, compute_metadata,
+from fedcl.metadata import (COV_JITTER, NodeMetadata, boxcox, compute_metadata,
                             inv_boxcox, sample_gaussian, sample_synthetic,
                             synthetic_quota)
 from fedcl.seeding import rng_for
@@ -54,19 +54,22 @@ def test_roundtrip_property(x, lam):
 
 def test_compute_metadata_hand_oracle():
     """lam=1 makes the transform x - 1, so the statistics are just a shift:
-    mean and unbiased covariance computed by hand for three 2-d rows."""
+    mean and unbiased covariance, plus ``COV_JITTER`` on the diagonal,
+    computed by hand for three 2-d rows."""
     rows = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    meta = compute_metadata(rows, lam=1.0, jitter=0.0)
+    meta = compute_metadata(rows, lam=1.0)
     assert np.allclose(meta.mu, [-1.0 / 3.0, -1.0 / 3.0], atol=1e-15)
     expected = np.array([[1.0 / 3.0, -1.0 / 6.0], [-1.0 / 6.0, 1.0 / 3.0]])
+    expected += COV_JITTER * np.eye(2)
     assert np.allclose(meta.sigma, expected, atol=1e-15)
 
 
 def test_compute_metadata_jitter_on_diagonal():
+    """The sample covariance plus ``COV_JITTER`` on the diagonal alone."""
     rows = rng_for(0, "feats").random((20, 4))
-    bare = compute_metadata(rows, 0.5, jitter=0.0)
-    jittered = compute_metadata(rows, 0.5, jitter=1e-8)
-    assert np.allclose(jittered.sigma - bare.sigma, 1e-8 * np.eye(4), atol=1e-20)
+    bare = np.cov(boxcox(rows, 0.5), rowvar=False)
+    sigma = compute_metadata(rows, 0.5).sigma
+    assert np.allclose(sigma - bare, COV_JITTER * np.eye(4), atol=1e-20)
 
 
 def test_compute_metadata_tags_carried():

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,9 +120,10 @@ def test_forward_batch_is_bit_equal_to_the_cached_forward(net):
 
 
 # Row counts at the block partition's edges: one block, the first two, the
-# last two-block count, the first four-block one, and so on.
-WIDE_ROWS = [600, 511, 341, 1, 2, 85, 86, 170, 171, 255, 256, 1000, 6000]
-DEEP_ROWS = [1, 2, 128, 129, 256, 257, 512, 513, 600, 1000, 6000]
+# last two-block count, the first three-block one, and so on; 85, 86, 255
+# and 256 fall inside a partition.
+WIDE_ROWS = [1, 2, 85, 86, 170, 171, 255, 256, 340, 341, 510, 511, 600, 1000, 6000]
+DEEP_ROWS = [1, 2, 128, 129, 256, 257, 512, 513, 600, 768, 769, 1000, 6000]
 
 
 @pytest.mark.parametrize("dims, rows", [
@@ -134,79 +132,18 @@ DEEP_ROWS = [1, 2, 128, 129, 256, 257, 512, 513, 600, 1000, 6000]
 ])
 def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(monkeypatch, dims, rows):
     """The wide workload's 256-3072-128 encoder runs ``FORWARD_BLOCK_BYTES //
-    (16 * 3072)`` = 85 rows per block, two blocks in flight (128 on the
-    2,048-wide one), in an even number of blocks whose first half runs on the
-    helper thread: 600 rows are eight blocks of 75, and 511 and 341 would
+    (8 * 3072)`` = 170 rows per block (256 on the 2,048-wide one), one block
+    after another: 600 rows are four blocks of 150, and 341 and 511 would
     leave a one-row last block after full ones, whose matrix-vector product
-    sums differently."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    sums differently. The partition does not read the CPU count."""
+    def no_cpu_count():
+        raise AssertionError("forward_batch read the CPU count")
+
+    monkeypatch.setattr(nn, "_usable_cpus", no_cpu_count)
     p = init_params(mlp_shapes(*dims), 7)
-    assert FORWARD_BLOCK_BYTES // (16 * 3072) == 85
+    assert FORWARD_BLOCK_BYTES // (8 * 3072) == 170
     x = rng_for(8, "blocks").random((rows, dims[0]))
     assert forward_batch(p, x).tobytes() == forward_cached(p, x).features.tobytes()
-
-
-@pytest.mark.parametrize("rows", [170, 171, 341, 511, 600, 1000])
-def test_one_cpu_forward_batch_runs_its_blocks_here(monkeypatch, rows):
-    """On one CPU no helper starts and a block holds the whole
-    ``FORWARD_BLOCK_BYTES`` of a layer, 170 rows on the 256-3072-128
-    encoder: the bits are the same."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(nn, "_in_two_threads", None)
-    p = init_params(mlp_shapes(256, [3072], 128), 7)
-    x = rng_for(8, "blocks").random((rows, 256))
-    assert forward_batch(p, x).tobytes() == forward_cached(p, x).features.tobytes()
-
-
-def test_forward_batch_raises_what_either_half_raises(monkeypatch):
-    """The helper runs under the caller's ``np.errstate``: an overflow in
-    the first half's rows alone, which the helper computes, raises here."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    p = init_params(mlp_shapes(256, [3072], 128), 13)
-    layer_views(p)[0][0][...] *= 1e10
-    x = rng_for(14, "blocks").random((600, 256))
-    x[:10] = 1e300
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        forward_batch(p, x)
-    with np.errstate(over="raise"):
-        assert np.isfinite(forward_batch(p, x[300:])).all()
-
-
-def test_concurrent_forward_batches_keep_their_bits(monkeypatch):
-    """Four callers at once, each with its own helper, and a short switch
-    interval: every call gives the bytes of a lone call."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    p = init_params(mlp_shapes(256, [3072], 128), 16)
-    inputs = [rng_for(k, "concurrent").random((300 + 50 * k, 256)) for k in range(4)]
-    want = [forward_batch(p, x).tobytes() for x in inputs]
-    got = [None] * 4
-
-    def call(k):
-        for _ in range(5):
-            got[k] = forward_batch(p, inputs[k]).tobytes()
-            assert got[k] == want[k]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in callers)
-    assert got == want
-
-
-def test_forward_batch_leaves_no_thread_behind(monkeypatch):
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    p = init_params(mlp_shapes(256, [3072], 128), 14)
-    x = rng_for(15, "blocks").random((600, 256))
-    before = threading.active_count()
-    forward_batch(p, x)
-    assert threading.active_count() == before
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,9 +4,8 @@
 the span of a run, and ``cli._evaluate_run`` for its evaluation, so every
 workload's seed-13 run, wide's included, must give its pinned digest and its
 pinned probe and fine-tune records at two threads too. A change that makes a
-trained bit depend on the BLAS thread count, on how ``nn.forward_batch``'s
-helper thread is scheduled beside a threaded BLAS, or on which process
-trains a node, fails here.
+trained bit depend on the BLAS thread count, or on which process trains a
+node, fails here.
 """
 
 import json

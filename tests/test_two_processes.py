@@ -10,6 +10,7 @@ test that forks checks that no child is left behind.
 
 import faulthandler
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,24 @@ def test_a_run_gives_back_its_cpus_and_blas_threads(forks):
     assert len(result.metrics) == 3
     assert os.sched_getaffinity(0) == cpus
     assert nn._openblas_thread_calls()[0]() == threads
+
+
+def test_a_live_thread_keeps_every_node_in_this_process(forks, monkeypatch):
+    """A fork would leave another thread's locks held in the child, so while
+    one is alive the run forks nothing and matches a one-CPU run."""
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        threaded = federation.run_training(from_dict(TINY))
+    finally:
+        release.set()
+        waiting.join()
+    assert forks == []
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    serial = federation.run_training(from_dict(TINY))
+    assert threaded.metrics == serial.metrics
+    assert threaded.theta0.values.tobytes() == serial.theta0.values.tobytes()
 
 
 def test_an_error_in_a_helper_node_reaches_the_caller(forks, monkeypatch):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,20 @@ def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(monkeypatch, d
     assert FORWARD_BLOCK_BYTES // (8 * 3072) == 170
     x = rng_for(8, "blocks").random((rows, dims[0]))
     assert forward_batch(p, x).tobytes() == forward_cached(p, x).features.tobytes()
+
+
+@pytest.mark.parametrize("rows", [170, 171, 341, 511, 600, 1000])
+def test_one_cpu_forward_batch_runs_its_blocks_here(monkeypatch, rows):
+    """On one CPU a block holds the whole ``FORWARD_BLOCK_BYTES`` of a
+    layer, 170 rows on the 256-3072-128 encoder, every block runs in the
+    calling thread and no thread starts: the bits are the same."""
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    p = init_params(mlp_shapes(256, [3072], 128), 7)
+    x = rng_for(8, "blocks").random((rows, 256))
+    before = threading.active_count()
+    got = forward_batch(p, x)
+    assert threading.active_count() == before
+    assert got.tobytes() == forward_cached(p, x).features.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

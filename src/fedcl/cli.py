@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import numbers
 import sys
 from collections import Counter
 from pathlib import Path
@@ -38,8 +37,8 @@ import numpy as np
 import yaml
 
 from . import datagen, evaluate, federation, metadata, nn
-from .config import (ARMS, ExperimentConfig, PRESETS, YamlLoader, apply_arm, from_dict,
-                     load_config, preset_config, save_config, to_dict)
+from .config import (ARMS, ExperimentConfig, PRESETS, YamlLoader, _is_number, apply_arm,
+                     from_dict, load_config, preset_config, save_config, to_dict)
 from .errors import ConfigError, ProtocolError
 
 
@@ -274,14 +273,16 @@ def cmd_audit(args) -> int:
     return worst
 
 
-_LOG_FIELDS = {"kind": str, "sender": str, "payload": str}
-_EVAL_FIELDS = {"model": str, "metric": str, "value": numbers.Real}
+_LOG_FIELDS = {"kind": "string", "sender": "string", "payload": "string"}
+_EVAL_FIELDS = {"model": "string", "metric": "string", "value": "number"}
+_FIELD_KINDS = {"string": lambda v: isinstance(v, str), "number": _is_number}
 
 
-def _jsonl_records(path: Path, required: dict[str, type]) -> list[dict]:
+def _jsonl_records(path: Path, required: dict[str, str]) -> list[dict]:
     """The records of a JSON-lines file. Raises ``ValueError("line N: ...")``
     at the first line that is not a JSON object holding each ``required``
-    field with a value of its type."""
+    field with a value of its kind: a string, or a finite number that is not
+    a bool."""
     records = []
     for n, line in enumerate(path.read_bytes().splitlines(), 1):
         if not line.strip():
@@ -293,9 +294,8 @@ def _jsonl_records(path: Path, required: dict[str, type]) -> list[dict]:
         if not isinstance(record, dict):
             raise ValueError(f"line {n}: not a JSON object")
         for key, kind in required.items():
-            if not isinstance(record.get(key), kind):
-                noun = "string" if kind is str else "number"
-                raise ValueError(f"line {n}: no {noun} {key!r} field")
+            if not _FIELD_KINDS[kind](record.get(key)):
+                raise ValueError(f"line {n}: no {kind} {key!r} field")
         records.append(record)
     return records
 

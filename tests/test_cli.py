@@ -255,6 +255,22 @@ def test_report_names_a_damaged_eval_file_and_summarizes_the_rest(tmp_path, caps
     assert re.search(r"fedavg +probe_accuracy +[0-9.]+ +[0-9.]+ +2\n", out)
 
 
+@pytest.mark.parametrize("value", ["true", "NaN", "Infinity"])
+def test_report_refuses_an_eval_value_that_is_not_a_finite_number(tmp_path, capsys, value):
+    """JSON reads ``true`` as a bool and ``NaN`` or ``Infinity`` as a float;
+    ``fedcl run`` writes none of them, and the mean of the rest stays finite."""
+    root = tmp_path / "runs"
+    for seed, line in [(0, f'"value": {value}'), (1, '"value": 0.75')]:
+        (root / "m" / f"seed-{seed}").mkdir(parents=True)
+        (root / "m" / f"seed-{seed}" / "eval.jsonl").write_text(
+            f'{{"model": "m", "seed": {seed}, "metric": "probe_accuracy", {line}}}\n')
+    assert main(["report", str(root)]) == 1
+    damaged = root / "m" / "seed-0" / "eval.jsonl"
+    assert f"error: {damaged}: line 1: no number 'value' field" in capsys.readouterr().err
+    report = json.loads((root / "report.json").read_text())
+    assert [(r["mean"], r["seeds"]) for r in report] == [(0.75, 1)]
+
+
 def test_audit_passes_on_real_run(tmp_path):
     assert run_smoke(tmp_path / "runs") == 0
     run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"

@@ -10,6 +10,8 @@ test that forks checks that no child is left behind.
 
 import faulthandler
 import os
+import pickle
+import signal
 import threading
 from pathlib import Path
 
@@ -31,7 +33,15 @@ TINY = {
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def hang_guard():
+    """A hung pipe ends the session after 120 s instead of hanging it."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def forks(monkeypatch, hang_guard):
     """The worker path forced; the list of fork calls made."""
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
     calls = []
@@ -42,9 +52,7 @@ def forks(monkeypatch):
         return real()
 
     monkeypatch.setattr(os, "fork", counting)
-    faulthandler.dump_traceback_later(120, exit=True)  # a hung pipe ends the session
     yield calls
-    faulthandler.cancel_dump_traceback_later()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -76,6 +84,7 @@ def run_files(out: Path) -> dict[str, bytes]:
                     "--set", "data.eval_per_class=8", "--set", "probe.epochs=3"],
                    k, id=f"label-skew-{k}") for k in (3, 4)],
 ])
+@pytest.mark.usefixtures("hang_guard")
 def test_serial_and_two_process_runs_write_the_same_bytes(tmp_path, monkeypatch, args, nodes):
     monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
     assert main(["run", *args, "--out", str(tmp_path / "serial")]) == 0
@@ -147,7 +156,7 @@ def test_the_first_failing_node_in_node_order_raises(forks, monkeypatch, nodes, 
         federation.run_training(from_dict(TINY))
 
 
-def test_a_helper_that_dies_mid_round_is_a_named_error(forks, monkeypatch):
+def exit_in_training(monkeypatch):
     real = contrastive.local_update
 
     def dying(theta, images, synth, config, round_index, rng_seed):
@@ -156,6 +165,30 @@ def test_a_helper_that_dies_mid_round_is_a_named_error(forks, monkeypatch):
         return real(theta, images, synth, config, round_index, rng_seed)
 
     monkeypatch.setattr(contrastive, "local_update", dying)
+
+
+def exit_mid_result(monkeypatch):
+    """The worker trains nodes 0 and 2, so its third message is node 0's
+    round 2 result: it sends the first half of that pickle and exits."""
+    real, sent = helper._send, []
+
+    def dying(file, obj):
+        if os.getpid() == PARENT:
+            return real(file, obj)
+        sent.append(obj)
+        if len(sent) < 3:
+            return real(file, obj)
+        data = pickle.dumps(obj, protocol=5)
+        file.write(data[: len(data) // 2])
+        file.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(helper, "_send", dying)
+
+
+@pytest.mark.parametrize("die", [exit_in_training, exit_mid_result])
+def test_a_helper_that_dies_mid_round_is_a_named_error(forks, monkeypatch, die):
+    die(monkeypatch)
     with pytest.raises(HelperError, match="exited before sending node 0's round 2 result"):
         federation.run_training(from_dict(TINY))
 
@@ -207,7 +240,8 @@ def test_each_worker_holds_its_own_pipe_ends_and_one_cpu_when_pinned(forks, node
             worker.start(1, theta, {})
         results = [workers[k % count].receive(k, 1) for k in range(nodes) if k % count < count - 1]
         assert [r[0].values.tobytes() for r in results] == [theta.values.tobytes()] * len(results)
-        own = {w.pid: sorted(fd_target("self", fd) for fd in (w._down, w._up)) for w in workers}
+        own = {w.pid: sorted(fd_target("self", f.fileno()) for f in (w._down, w._up))
+               for w in workers}
         pipes = {end for ends in own.values() for end in ends}
         ordered = sorted(cpus)
         for i, worker in enumerate(workers):
@@ -217,6 +251,19 @@ def test_each_worker_holds_its_own_pipe_ends_and_one_cpu_when_pinned(forks, node
             assert os.sched_getaffinity(worker.pid) == pinned
         assert os.sched_getaffinity(0) == ({ordered[1 % len(ordered)]} if count <= 2 else cpus)
     assert os.sched_getaffinity(0) == cpus
+
+
+def test_a_helper_that_died_between_rounds_is_a_named_error(forks):
+    """The worker is dead but not yet reaped when round 2 starts; its parent
+    end then holds bytes that ``close`` cannot flush."""
+    config = from_dict(TINY)
+    theta = nn.init_params(config.encoder_shapes(), 0)
+    with helper.forked(echo, config, True) as workers:
+        pid = workers[0].pid
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(HelperError, match=f"^worker process {pid} exited before round 2$"):
+            workers[0].start(2, theta, {})
 
 
 def test_a_failed_fork_reaps_the_workers_already_forked(forks, monkeypatch):

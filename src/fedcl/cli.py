@@ -36,10 +36,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import datagen, evaluate, federation, metadata, nn
+from . import datagen, evaluate, federation, helper, metadata, nn
 from .config import (ARMS, ExperimentConfig, PRESETS, YamlLoader, _is_number, apply_arm,
                      from_dict, load_config, preset_config, save_config, to_dict)
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, HelperError, ProtocolError
 
 
 def _apply_overrides(raw: dict, assignments: list[str]) -> dict:
@@ -68,29 +68,7 @@ def _model_label(arm: str, node_count: int | None) -> str:
     return arm if node_count is None else f"{arm}-k{node_count}"
 
 
-def _evaluate_run(config: ExperimentConfig, result, seed: int) -> list[dict]:
-    """The run's eval.jsonl records, with BLAS held at one thread as in
-    training, so they do not depend on its thread count."""
-    records: list[dict] = []
-    train, test = datagen.make_eval_split(config.data, seed)
-    with nn.one_blas_thread():
-        if config.run_probe:
-            probe = evaluate.linear_probe(result.theta0, train, test, config.probe, seed)
-            records.append({"metric": "probe_accuracy", "value": probe.accuracy})
-            for cls, acc in sorted(probe.per_class_accuracy.items()):
-                records.append({"metric": f"probe_accuracy_class_{cls}", "value": acc})
-        if config.run_fine_tune:
-            ft = evaluate.fine_tune(result.theta0, config.fine_tune_fraction, train, test,
-                                    config.fine_tune, seed)
-            records.append({"metric": "finetune_final_accuracy", "value": ft.final_accuracy})
-            # kept, equal to the final accuracy, only because bench/checks.py reads it
-            records.append({"metric": "finetune_best_accuracy", "value": ft.final_accuracy})
-    return records
-
-
-def _write_run_dir(run_dir: Path, config: ExperimentConfig, result,
-                   eval_records: list[dict]) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
+def _write_training_artifacts(run_dir: Path, config: ExperimentConfig, result) -> None:
     save_config(config, run_dir / "config.yaml")
     federation.save_checkpoint(result.theta0, run_dir / "checkpoint.bin")
     federation.write_jsonl(federation.metrics_records(result.metrics), run_dir / "metrics.jsonl")
@@ -103,8 +81,45 @@ def _write_run_dir(run_dir: Path, config: ExperimentConfig, result,
         "counts": report.counts,
         "violations": report.violations,
     }, sort_keys=True, indent=2) + "\n")
-    federation.write_jsonl(eval_records, run_dir / "eval.jsonl")
+
+
+def _finish_run(run_dir: Path, config: ExperimentConfig, result, model: str) -> list[dict]:
+    """Evaluate a trained run and write its run directory; returns the
+    eval.jsonl records. BLAS is held at one thread, as in training, so the
+    scores do not depend on its thread count. A run that fine-tunes probes
+    and writes its training artifacts in a forked process while this one
+    fine-tunes (``helper.beside``); eval.jsonl and then digest.txt are
+    written once both are done."""
+    theta, seed = result.theta0, config.seed
+    train, test = datagen.make_eval_split(config.data, seed)
+    run_dir.mkdir(parents=True, exist_ok=True)
+
+    def probe_and_write() -> list[dict]:
+        _write_training_artifacts(run_dir, config, result)
+        if not config.run_probe:
+            return []
+        probe = evaluate.linear_probe(theta, train, test, config.probe, seed)
+        return [{"metric": "probe_accuracy", "value": probe.accuracy},
+                *({"metric": f"probe_accuracy_class_{cls}", "value": acc}
+                  for cls, acc in sorted(probe.per_class_accuracy.items()))]
+
+    def fine_tune() -> list[dict]:
+        if not config.run_fine_tune:
+            return []
+        ft = evaluate.fine_tune(theta, config.fine_tune_fraction, train, test,
+                                config.fine_tune, seed)
+        # finetune_best_accuracy, equal to the final accuracy, is kept only
+        # because bench/checks.py reads it
+        return [{"metric": "finetune_final_accuracy", "value": ft.final_accuracy},
+                {"metric": "finetune_best_accuracy", "value": ft.final_accuracy}]
+
+    with nn.one_blas_thread() as held:
+        probed, tuned = helper.beside(probe_and_write, fine_tune, held and config.run_fine_tune,
+                                      f"probing and writing {run_dir}")
+    records = [{"model": model, "seed": seed, **rec} for rec in probed + tuned]
+    federation.write_jsonl(records, run_dir / "eval.jsonl")
     federation.write_atomic(run_dir / "digest.txt", federation.run_digest(run_dir) + "\n")
+    return records
 
 
 def _load_base_config(args) -> tuple[ExperimentConfig, tuple[str, ...],
@@ -171,16 +186,14 @@ def cmd_run(args) -> int:
         # numpy's warnings on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                result = federation.run_training(run_cfg)
-            except (ProtocolError, FloatingPointError) as exc:
-                # the run diverged: the channel refused a non-finite payload,
-                # or a node's loss was not finite
+                eval_records = _finish_run(run_dir, run_cfg, federation.run_training(run_cfg),
+                                           label)
+            except (ProtocolError, FloatingPointError, HelperError) as exc:
+                # the run diverged (the channel refused a non-finite payload,
+                # or a node's loss was not finite), or a worker process died
                 print("failed", flush=True)
                 print(f"error: {label} seed={seed}: {exc}", file=sys.stderr)
                 return 1
-            eval_records = [{"model": label, "seed": seed, **rec}
-                            for rec in _evaluate_run(run_cfg, result, seed)]
-        _write_run_dir(run_dir, run_cfg, result, eval_records)
         headline = next((r for r in eval_records if r["metric"] == "probe_accuracy"), None)
         if headline is None:
             headline = next(iter(eval_records), None)

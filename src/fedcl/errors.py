@@ -14,4 +14,5 @@ class ProtocolError(RuntimeError):
 
 
 class HelperError(RuntimeError):
-    """A worker process that trains a round's nodes stopped."""
+    """A forked worker process stopped before sending what its job owed: a
+    node's round result, or a run's probe records and training artifacts."""

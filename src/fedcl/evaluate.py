@@ -88,14 +88,16 @@ def linear_probe(encoder: nn.EncoderParams, train: Images, test: Images,
     b = np.zeros(n_classes)
     rng = rng_for(seed, "linear-probe")
     n = len(train)
+    one_hot = np.eye(n_classes)[y_train]
+    batches = [(lo, min(lo + _PROBE_BATCH, n)) for lo in range(0, n, _PROBE_BATCH)]
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, _PROBE_BATCH):
-            idx = order[start : start + _PROBE_BATCH]
-            zb, yb = z_train[idx], y_train[idx]
+        z_epoch, y_epoch = z_train[order], one_hot[order]
+        for lo, hi in batches:
+            zb = z_epoch[lo:hi]
             p = _softmax(zb @ w.T + b)
-            p[np.arange(idx.size), yb] -= 1.0
-            p /= idx.size
+            p -= y_epoch[lo:hi]  # the true class's -1 of the cross-entropy gradient
+            p /= hi - lo
             w -= _PROBE_LR * (p.T @ zb)
             b -= _PROBE_LR * p.sum(axis=0)
 

@@ -252,6 +252,11 @@ def _node_results(shards, config: ExperimentConfig, nodes, theta, round_index: i
         yield _train_node(theta, shards[k], k, config, round_index, synth.pop(k))
 
 
+def _received(workers, k: int, round_index: int) -> tuple:
+    """Node k's round result from the worker that trains it."""
+    return workers[k % (len(workers) + 1)].receive(f"node {k}'s round {round_index} result")
+
+
 def _train_nodes(theta, shards, config: ExperimentConfig, round_index: int, store,
                  workers) -> list[tuple]:
     """Every node's ``_train_node`` result, in node order. With W - 1
@@ -269,10 +274,10 @@ def _train_nodes(theta, shards, config: ExperimentConfig, round_index: int, stor
             result = next(mine)
         finally:
             while len(results) < k:
-                results.append(workers[len(results) % w].receive(len(results), round_index))
+                results.append(_received(workers, len(results), round_index))
         results.append(result)
     while len(results) < len(shards):
-        results.append(workers[len(results) % w].receive(len(results), round_index))
+        results.append(_received(workers, len(results), round_index))
     return results
 
 
@@ -298,7 +303,7 @@ def run_round(server: ServerState, shards, config: ExperimentConfig, round_index
                   [meta for j, meta in sorted(store.items()) if j != k])
 
     for worker in workers:
-        worker.start(round_index, theta, store)
+        worker.start(f"round {round_index}", theta, round_index, store)
     trained, losses, counts, uploads, scores = zip(
         *_train_nodes(theta, shards, config, round_index, store, workers))
 

@@ -1,17 +1,23 @@
-"""The worker processes that train a round's nodes beside this one.
+"""Forked worker processes that work beside this one.
 
-``federation.run_training`` forks them after ``build_nodes``, so each
-inherits every shard. Of W = ``worker_count`` processes, worker i trains
-nodes i, i + W, ... and the parent nodes W - 1, 2W - 1, ... Each round,
-``Worker.start`` sends a worker the round index, the broadcast θ and the
-metadata store; it trains its nodes with the ``train`` function it was
-forked with and answers with one message per node, which ``Worker.receive``
-reads. Every message crosses its pipe as one protocol-5 pickle, so each
-array is read once, into the buffer of the array it becomes; an error a
-node raised is such a message too.
+A ``Worker`` is forked with a job function and runs it on each argument
+tuple that ``Worker.start`` sends, answering with each of the job's results,
+which ``Worker.receive`` reads. Two callers use it, and both fork only where
+``_may_fork`` allows:
 
-A node's result is ``(trained θ, mean loss, synthetic row count, upload or
-None, RSA score)``. A worker holds only its own pipe ends, so one whose
+- ``federation.run_training`` forks W - 1 workers (``forked``) after
+  ``build_nodes``, so each inherits every shard. Of W = ``worker_count``
+  processes, worker i trains nodes i, i + W, ... and the parent nodes
+  W - 1, 2W - 1, ... Each round a worker is sent the broadcast θ, the round
+  index and the metadata store, and answers with one result per node:
+  ``(trained θ, mean loss, synthetic row count, upload or None, RSA score)``.
+- ``cli`` finishes a run that fine-tunes through ``beside``: one worker
+  probes the encoder and writes the training artifacts it inherited while
+  the parent fine-tunes, and answers with the probe records.
+
+Every message crosses its pipe as one protocol-5 pickle, so each array is
+read once, into the buffer of the array it becomes; an error the job raised
+is such a message too. A worker holds only its own pipe ends, so one whose
 parent dies meets the end of its input, or a broken pipe, and exits.
 """
 
@@ -48,11 +54,11 @@ def _picklable(exc: Exception) -> Exception:
 
 
 class Worker:
-    """A forked process on ``cpus`` that runs ``train(theta, round_index,
-    store)``, an iterator over its nodes' results, once per round; it first
-    closes the ``inherited`` fds, the parent's ends of earlier workers."""
+    """A forked process on ``cpus`` that runs ``job(*args)``, an iterator over
+    its results, for each argument tuple it is sent; it first closes the
+    ``inherited`` fds, the parent's ends of earlier workers."""
 
-    def __init__(self, train, cpus, inherited) -> None:
+    def __init__(self, job, cpus, inherited) -> None:
         down_r, down_w = os.pipe()
         up_r, up_w = os.pipe()
         try:
@@ -68,7 +74,7 @@ class Worker:
                     os.close(fd)
                 os.sched_setaffinity(0, cpus)
                 with open(down_r, "rb") as down, open(up_w, "wb") as up:
-                    self._serve(down, up, train)
+                    self._serve(down, up, job)
                 code = 0
             finally:
                 os._exit(code)
@@ -78,35 +84,35 @@ class Worker:
         self._up = open(up_r, "rb")
 
     @staticmethod
-    def _serve(down, up, train) -> None:
-        """Per round: read the round index, θ and the store, then send each
-        node's result, or the error that ends the round; return at end of
-        input."""
+    def _serve(down, up, job) -> None:
+        """Per argument tuple read: send each of ``job``'s results, or the
+        error that ends the job; return at end of input."""
         while True:
             try:
-                round_index, theta, store = pickle.load(down)
+                args = pickle.load(down)
             except EOFError:
                 return
             try:
-                for result in train(theta, round_index, store):
+                for result in job(*args):
                     _send(up, result)
             except Exception as exc:
                 _send(up, _picklable(exc))
 
-    def start(self, round_index: int, theta: nn.EncoderParams, store) -> None:
+    def start(self, what: str, *args) -> None:
+        """Send ``args`` to the worker; ``what`` names the job in the error."""
         try:
-            _send(self._down, (round_index, theta, store))
+            _send(self._down, args)
         except BrokenPipeError as exc:
-            raise HelperError(f"worker process {self.pid} exited before round "
-                              f"{round_index}") from exc
+            raise HelperError(f"worker process {self.pid} exited before {what}") from exc
 
-    def receive(self, k: int, round_index: int) -> tuple:
-        """Node k's result; what the node raised is raised here."""
+    def receive(self, what: str):
+        """The worker's next result, which ``what`` names in the error; what
+        the job raised is raised here."""
         try:
             result = pickle.load(self._up)
         except (EOFError, pickle.UnpicklingError) as exc:
-            raise HelperError(f"worker process {self.pid} exited before sending node {k}'s "
-                              f"round {round_index} result") from exc
+            raise HelperError(f"worker process {self.pid} exited before sending "
+                              f"{what}") from exc
         if isinstance(result, Exception):
             raise result
         return result
@@ -129,17 +135,24 @@ def worker_count(nodes: int, cpus: int) -> int:
     return 0 if c < 2 else next(w for w in range(c, nodes + 1) if -(-nodes // w) * c <= nodes)
 
 
+def _may_fork(wanted: bool) -> bool:
+    """Whether to fork a worker: only if ``wanted``, the caller's own test,
+    which includes that the BLAS hold took; not on one usable CPU, without a
+    ``fork`` or affinity call, or with another thread alive, which a fork
+    would leave holding its locks."""
+    return (wanted and nn._usable_cpus() > 1 and hasattr(os, "fork")
+            and hasattr(os, "sched_setaffinity") and threading.active_count() == 1)
+
+
 @contextlib.contextmanager
 def forked(train, config: ExperimentConfig, wanted: bool):
     """W - 1 ``Worker``s, W = ``worker_count``, worker i running ``train(range(i,
-    nodes, W), theta, round_index, store)`` each round, or none: when not
-    ``wanted``, with one node or one usable CPU, no ``fork`` or affinity call,
-    or another thread alive, which a fork would leave holding its locks. If
-    W ≤ the usable CPUs, process i (this one being W - 1) runs on this one's
-    i-th CPU, cyclically, till exit; workers are reaped on exit or a failed fork."""
+    nodes, W), theta, round_index, store)`` each round, or none: with one
+    node, or where ``_may_fork`` says no. If W ≤ the usable CPUs, process i
+    (this one being W - 1) runs on this one's i-th CPU, cyclically, till
+    exit; workers are reaped on exit or a failed fork."""
     count = worker_count(config.nodes, usable := nn._usable_cpus())
-    if not (wanted and count and hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
-            and threading.active_count() == 1):
+    if not (count and _may_fork(wanted)):
         yield []
         return
     cpus = os.sched_getaffinity(0)
@@ -156,3 +169,22 @@ def forked(train, config: ExperimentConfig, wanted: bool):
         for worker in workers:
             worker.close()
         os.sched_setaffinity(0, cpus)
+
+
+def beside(job, work, wanted: bool, name: str) -> tuple:
+    """``(job(), work())``: ``job`` run in one forked ``Worker`` on this
+    process's CPUs while ``work`` runs here, or here first where ``_may_fork``
+    says no. The worker is waited for even when ``work`` raises, then reaped;
+    ``name`` names ``job`` in the error if the worker dies."""
+    if not _may_fork(wanted):
+        return job(), work()
+    worker = Worker(lambda: [job()], os.sched_getaffinity(0), ())
+    try:
+        worker.start(name)
+        try:
+            done = work()
+        finally:
+            got = worker.receive(f"the result of {name}")
+        return got, done
+    finally:
+        worker.close()

@@ -5,13 +5,14 @@ benchmark run."""
 import dataclasses
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
-from fedcl import cli, evaluate, federation
+from fedcl import cli, evaluate, federation, helper, nn
 from fedcl.config import apply_arm, from_dict, preset_config, save_config, to_dict
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -86,10 +87,11 @@ def test_bench_checks_read_every_workload_config(workload, bench_modules, tmp_pa
     assert checks.expected_fine_tune_size(cfg) >= 0
 
 
-def test_bench_eval_check_accepts_the_eval_records_fedcl_writes(bench_modules, tmp_path,
-                                                               monkeypatch):
-    """bench/checks.py reads eval.jsonl by metric name; a record it needs
-    that `fedcl run` stops writing must fail here."""
+def finish_smoke_run(bench_modules, run_dir, monkeypatch) -> int:
+    """Train smoke with a 2-epoch fine-tune, finish it into ``run_dir`` as
+    `fedcl run` does and check its eval.jsonl with bench/checks.py; returns
+    the process id of the one `evaluate.fine_tune` call, whose result
+    bench/child.py captures in the process that calls `cli.main`."""
     _, checks = bench_modules
     config, _ = preset_config("smoke")
     raw = to_dict(config)
@@ -100,14 +102,35 @@ def test_bench_eval_check_accepts_the_eval_records_fedcl_writes(bench_modules, t
     real = evaluate.fine_tune
 
     def capturing(*args, **kwargs):
-        fine_tunes.append(real(*args, **kwargs))
-        return fine_tunes[-1]
+        fine_tunes.append((os.getpid(), real(*args, **kwargs)))
+        return fine_tunes[-1][1]
 
     monkeypatch.setattr(evaluate, "fine_tune", capturing)
-    records = cli._evaluate_run(config, federation.run_training(config), config.seed)
-    federation.write_jsonl(records, tmp_path / "eval.jsonl")
-    save_config(config, tmp_path / "config.yaml")
+    cli._finish_run(run_dir, config, federation.run_training(config), "fedmoco")
 
-    [ft] = fine_tunes
-    cfg = checks.run_config(tmp_path)
-    assert checks._check_eval(tmp_path, cfg, {"fine_tune_train_size": ft.train_size}) == []
+    [(pid, ft)] = fine_tunes
+    cfg = checks.run_config(run_dir)
+    assert checks._check_eval(run_dir, cfg, {"fine_tune_train_size": ft.train_size}) == []
+    return pid
+
+
+def test_bench_eval_check_accepts_the_eval_records_fedcl_writes(bench_modules, tmp_path,
+                                                               monkeypatch):
+    """bench/checks.py reads eval.jsonl by metric name; a record it needs
+    that `fedcl run` stops writing must fail here."""
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    assert finish_smoke_run(bench_modules, tmp_path, monkeypatch) == os.getpid()
+
+
+def test_the_fine_tune_runs_in_the_calling_process_beside_the_forked_probe(
+        bench_modules, tmp_path, monkeypatch):
+    """On two CPUs the probe and the artifacts go to a forked process, but
+    the fine-tune, whose result bench/child.py captures, stays here."""
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    assert finish_smoke_run(bench_modules, tmp_path, monkeypatch) == os.getpid()
+    assert len(forks) == helper.worker_count(3, 2)  # two for training, one for evaluation
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -66,31 +66,23 @@ spec.loader.exec_module(run)
 """
 
 # Builds each config the way bench/child.py's `fedcl run --arms fedmoco`
-# does, and probes and fine-tunes the trained encoder as `fedcl run` does for
-# eval.jsonl.
+# does, and evaluates the trained encoder into a run directory through the
+# entry point `fedcl run` uses for eval.jsonl: forked beside the fine-tune on
+# two CPUs, serially under `taskset -c 0`.
 CHILD = LOAD_WORKLOADS + """
-from fedcl import datagen, evaluate, federation, nn
+from fedcl import cli, federation
 from fedcl.config import apply_arm, from_dict
 digests, probes, fine_tunes = {}, {}, {}
 for name, overrides in run.WORKLOADS.items():
     config = apply_arm(from_dict(run.workload_config(overrides, seed)), "fedmoco")
-    result = federation.run_training(config)
     run_dir = out / name
-    run_dir.mkdir()
-    federation.save_checkpoint(result.theta0, run_dir / "checkpoint.bin")
-    federation.write_jsonl(federation.metrics_records(result.metrics),
-                           run_dir / "metrics.jsonl")
-    digests[name] = federation.run_digest(run_dir)
-    train, test = datagen.make_eval_split(config.data, seed)
-    probe = evaluate.linear_probe(result.theta0, train, test, config.probe, seed)
-    probes[name] = {"probe_accuracy": probe.accuracy,
-                    **{f"probe_accuracy_class_{c}": acc
-                       for c, acc in sorted(probe.per_class_accuracy.items())}}
+    records = cli._finish_run(run_dir, config, federation.run_training(config), "fedmoco")
+    digests[name] = (run_dir / "digest.txt").read_text().strip()
+    scores = {rec["metric"]: rec["value"] for rec in records}
+    probes[name] = {metric: value for metric, value in scores.items()
+                    if metric.startswith("probe_accuracy")}
     if config.run_fine_tune:
-        with nn.one_blas_thread():
-            ft = evaluate.fine_tune(result.theta0, config.fine_tune_fraction, train, test,
-                                    config.fine_tune, seed)
-        fine_tunes[name] = {"finetune_final_accuracy": ft.final_accuracy}
+        fine_tunes[name] = {"finetune_final_accuracy": scores["finetune_final_accuracy"]}
 print(json.dumps({"digests": digests, "probes": probes, "fine_tunes": fine_tunes}))
 """
 

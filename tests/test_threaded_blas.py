@@ -1,11 +1,12 @@
 """The golden-digest child at two OpenBLAS threads.
 
 ``federation.run_training`` holds numpy's bundled OpenBLAS at one thread for
-the span of a run, and ``cli._evaluate_run`` for its evaluation, so every
+the span of a run, and ``cli._finish_run`` for its evaluation, so every
 workload's seed-13 run, wide's included, must give its pinned digest and its
-pinned probe and fine-tune records at two threads too. A change that makes a
-trained bit depend on the BLAS thread count, or on which process trains a
-node, fails here.
+pinned probe and fine-tune records at two threads too. On two CPUs wide's
+probe runs in a process forked inside that hold, which it inherits. A change
+that makes a trained bit depend on the BLAS thread count, or on which
+process trains a node or probes, fails here.
 """
 
 import json

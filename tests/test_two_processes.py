@@ -1,7 +1,8 @@
 """Rounds trained in several processes: of W = ``helper.worker_count``,
 ``run_training`` forks W - 1 workers, worker i training nodes i, i + W, ...,
 while the parent trains the last share, receives in node order and
-aggregates.
+aggregates. After training, a run that fine-tunes forks one more worker
+that probes and writes the training artifacts while the parent fine-tunes.
 
 ``nn._usable_cpus`` is patched to 2 to force the workers (they then share
 the one CPU on a one-CPU machine) and to 1 to force the serial path. Every
@@ -11,6 +12,7 @@ test that forks checks that no child is left behind.
 import faulthandler
 import os
 import pickle
+import re
 import signal
 import threading
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcl import contrastive, federation, helper, nn
+from fedcl import contrastive, evaluate, federation, helper, nn
 from fedcl.cli import main
 from fedcl.config import from_dict
 from fedcl.errors import HelperError, ShapeError
@@ -100,6 +102,103 @@ def test_serial_and_two_process_runs_write_the_same_bytes(tmp_path, monkeypatch,
     assert [name for name in serial if serial[name] != workers[name]] == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+FINE_TUNE = ["--set", "run_fine_tune=true", "--set", "fine_tune_fraction=0.25",
+             "--set", "fine_tune.epochs=2"]
+
+
+@pytest.mark.usefixtures("hang_guard")
+def test_a_forked_evaluation_writes_the_same_bytes_as_a_serial_one(tmp_path, monkeypatch):
+    args = ["run", "--preset", "smoke", *FINE_TUNE]
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    assert main([*args, "--out", str(tmp_path / "serial")]) == 0
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    assert main([*args, "--out", str(tmp_path / "forked")]) == 0
+    runs = len(list((tmp_path / "forked").rglob("digest.txt")))
+    assert runs == 2 and len(forks) == runs * helper.worker_count(3, 2)
+    serial, forked = run_files(tmp_path / "serial"), run_files(tmp_path / "forked")
+    assert serial.keys() == forked.keys()
+    assert [name for name in serial if serial[name] != forked[name]] == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("module, name, error", [
+    (evaluate, "linear_probe", ValueError),
+    (federation, "write_message_log", OSError),
+], ids=["linear_probe", "write_message_log"])
+def test_an_error_in_the_forked_evaluation_reaches_the_caller(tmp_path, forks, monkeypatch,
+                                                              module, name, error):
+    def failing(*args):
+        raise error(f"{name} in process {os.getpid()}")
+
+    monkeypatch.setattr(module, name, failing)
+    with pytest.raises(error, match=rf"^{name} in process (?!{PARENT}$)\d+$"):
+        main(["run", "--preset", "smoke", "--arms", "fedmoco", *FINE_TUNE,
+              "--out", str(tmp_path)])
+    assert len(forks) == helper.worker_count(3, 2)
+
+
+def test_a_fine_tune_that_fails_here_waits_for_the_forked_writes(tmp_path, forks,
+                                                                  monkeypatch):
+    """The parent's error is raised once the forked process has written every
+    training artifact; no temporary file, eval.jsonl or digest.txt is left."""
+    def failing(*args):
+        raise ValueError(f"fine-tune in process {os.getpid()}")
+
+    monkeypatch.setattr(evaluate, "fine_tune", failing)
+    with pytest.raises(ValueError, match=f"^fine-tune in process {PARENT}$"):
+        main(["run", "--preset", "smoke", "--arms", "fedmoco", *FINE_TUNE,
+              "--out", str(tmp_path)])
+    assert len(forks) == helper.worker_count(3, 2)
+    [run_dir] = tmp_path.glob("smoke/fedmoco/seed-0")
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "audit.json", "checkpoint.bin", "config.yaml", "messages.log", "metrics.jsonl",
+        "timing.jsonl"]
+
+
+def dies_in_training(monkeypatch) -> str:
+    """The fedmoco run's worker exits in round 2; returns the result it owed."""
+    real = contrastive.local_update
+
+    def dying(theta, images, synth, config, round_index, rng_seed):
+        if os.getpid() != PARENT and config.metadata_enabled and round_index == 2:
+            os._exit(3)
+        return real(theta, images, synth, config, round_index, rng_seed)
+
+    monkeypatch.setattr(contrastive, "local_update", dying)
+    return "node 0's round 2 result"
+
+
+def dies_in_evaluation(monkeypatch) -> str:
+    """The fedmoco run's forked evaluation is killed while it writes."""
+    real = federation.write_message_log
+
+    def dying(messages, path):
+        if os.getpid() != PARENT and "fedmoco" in str(path):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(messages, path)
+
+    monkeypatch.setattr(federation, "write_message_log", dying)
+    return "the result of probing and writing "
+
+
+@pytest.mark.parametrize("die", [dies_in_training, dies_in_evaluation])
+def test_a_dead_worker_is_an_error_line(tmp_path, forks, monkeypatch, capsys, die):
+    """One ``error:`` line and exit 1, as for a diverged run; the fedavg run
+    finished before stays."""
+    owed = die(monkeypatch)
+    assert main(["run", "--preset", "smoke", "--seed", "3", *FINE_TUNE,
+                 "--out", str(tmp_path)]) == 1
+    [error] = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("warning:")]
+    assert re.fullmatch(rf"error: fedmoco seed=3: worker process \d+ exited before sending "
+                        rf"{re.escape(owed)}.*", error)
+    assert [p.parent.parent.name for p in tmp_path.rglob("digest.txt")] == ["fedavg"]
 
 
 def test_a_run_gives_back_its_cpus_and_blas_threads(forks):
@@ -237,8 +336,9 @@ def test_each_worker_holds_its_own_pipe_ends_and_one_cpu_when_pinned(forks, node
     with helper.forked(echo, config, True) as workers:
         assert len(workers) == len(forks) == count - 1
         for worker in workers:  # a round trip: each worker has closed its fds
-            worker.start(1, theta, {})
-        results = [workers[k % count].receive(k, 1) for k in range(nodes) if k % count < count - 1]
+            worker.start("round 1", theta, 1, {})
+        results = [workers[k % count].receive(f"node {k}'s round 1 result")
+                   for k in range(nodes) if k % count < count - 1]
         assert [r[0].values.tobytes() for r in results] == [theta.values.tobytes()] * len(results)
         own = {w.pid: sorted(fd_target("self", f.fileno()) for f in (w._down, w._up))
                for w in workers}
@@ -263,7 +363,7 @@ def test_a_helper_that_died_between_rounds_is_a_named_error(forks):
         os.kill(pid, signal.SIGKILL)
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         with pytest.raises(HelperError, match=f"^worker process {pid} exited before round 2$"):
-            workers[0].start(2, theta, {})
+            workers[0].start("round 2", theta, 2, {})
 
 
 def test_a_failed_fork_reaps_the_workers_already_forked(forks, monkeypatch):

@@ -13,7 +13,7 @@ from .datagen import (DISEASE_CLASSES, EVAL_CLASSES, HEALTHY_CLASS,
                       PRETRAIN_CLASSES, Images, ScenarioSpec,
                       export_dataset, generate_node_dataset, load_dataset,
                       make_eval_split)
-from .errors import ConfigError, ProtocolError, ShapeError
+from .errors import ConfigError, HelperError, ProtocolError, ShapeError
 from .evaluate import (FineTuneConfig, FineTuneResult, ProbeConfig,
                        ProbeResult, fine_tune, linear_probe)
 from .federation import (AuditReport, Message, MessageChannel, MessageKind,
@@ -30,12 +30,12 @@ from .seeding import rng_for, seed_for
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARMS", "AuditReport", "ConfigError", "DISEASE_CLASSES",
-    "EVAL_CLASSES", "EncoderParams", "ExperimentConfig", "FineTuneConfig",
-    "FineTuneResult", "HEALTHY_CLASS", "Images", "LayerShape", "Message",
-    "MessageChannel", "MessageKind", "NegativeQueue", "NodeMetadata", "PRESETS",
-    "PRETRAIN_CLASSES", "ProbeConfig", "ProbeResult", "ProtocolError",
-    "RunResult", "ScenarioSpec", "ServerState", "ShapeError",
+    "ARMS", "AuditReport", "ConfigError", "DISEASE_CLASSES", "EVAL_CLASSES",
+    "EncoderParams", "ExperimentConfig", "FineTuneConfig", "FineTuneResult",
+    "HEALTHY_CLASS", "HelperError", "Images", "LayerShape", "Message",
+    "MessageChannel", "MessageKind", "NegativeQueue", "NodeMetadata",
+    "PRESETS", "PRETRAIN_CLASSES", "ProbeConfig", "ProbeResult",
+    "ProtocolError", "RunResult", "ScenarioSpec", "ServerState", "ShapeError",
     "aggregate", "apply_arm", "audit_privacy", "augment", "boxcox",
     "compute_metadata", "compute_rdm", "export_dataset", "fedavg_weights",
     "fine_tune", "forward_batch", "generate_node_dataset", "init_params",

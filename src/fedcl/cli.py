@@ -89,10 +89,13 @@ def _finish_run(run_dir: Path, config: ExperimentConfig, result, model: str) -> 
     scores do not depend on its thread count. A run that fine-tunes probes
     and writes its training artifacts in a forked process while this one
     fine-tunes (``helper.beside``); eval.jsonl and then digest.txt are
-    written once both are done."""
+    written once both are done. A previous run's two are removed first, so
+    a rerun that stops midway leaves no completion marker."""
     theta, seed = result.theta0, config.seed
     train, test = datagen.make_eval_split(config.data, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("digest.txt", "eval.jsonl"):
+        (run_dir / name).unlink(missing_ok=True)
 
     def probe_and_write() -> list[dict]:
         _write_training_artifacts(run_dir, config, result)

@@ -11,18 +11,18 @@ any local update and back up after it, so a node only ever consumes
 statistics its peers uploaded in the previous round. An upload summarizes
 the node's features under the broadcast encoder.
 
-Nodes train independently from the broadcast, each through one function
-(``_train_node``: the local update with synthetic negatives drawn from its
-peers' metadata, the upload, the RSA score). ``run_training`` forks the
+Nodes train independently from the broadcast. A process's part of a
+round is one generator, ``_node_results``: it draws its nodes' synthetic
+negatives, factoring each peer covariance they sample once, then yields
+each node's local update, upload and RSA score. ``run_training`` forks the
 workers of ``helper`` after ``build_nodes``, so they inherit every shard;
 with them, this process is one of ``helper.worker_count`` that share each
-round's nodes (three for three nodes on two CPUs). Each process factors
-every peer covariance it samples once. This process still sends every
-message and aggregates, in node order, so a run's bytes do not depend on
-which process trained a node. For the span of the run numpy's bundled
-OpenBLAS is held at one thread. With one node or one usable CPU, no
-``fork``, BLAS that cannot be held or another thread alive, every node
-trains here, in node order.
+round's nodes (three for three nodes on two CPUs). This process still
+sends every message and aggregates, in node order, so a run's bytes do not
+depend on which process trained a node. For the span of the run numpy's
+bundled OpenBLAS is held at one thread. With one node or one usable CPU, no
+``fork`` or ``prctl``, BLAS that cannot be held or another thread alive,
+every node trains here, in node order.
 
 The wire contract (``CONTRACT``) and the run artifacts are defined here too.
 """
@@ -195,24 +195,18 @@ def _synthetic_negatives(store, nodes, config: ExperimentConfig,
                          round_index: int) -> dict[int, np.ndarray]:
     """Each node of ``nodes``'s synthetic negatives this round, by node id:
     its quota of draws from every peer's metadata in ``store``, in peer
-    order, from the node's own stream. The loop runs over peers outside, so
-    each covariance is factored once and one factor is held at a time."""
-    d = config.feature_dim
-    per_peer = 0
-    if round_index in config.metadata_rounds():
-        per_peer = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
-    out = {k: np.zeros((per_peer * sum(j != k for j in store), d)) for k in nodes}
-    rngs = {k: rng_for(config.seed, "synthetic", round_index, k) for k in nodes if len(out[k])}
-    filled = dict.fromkeys(rngs, 0)
-    for j, meta in sorted(store.items()):
-        receivers = [k for k in rngs if k != j]
-        if not receivers:
-            continue
-        factor = md.psd_factor(meta.sigma)
-        for k in receivers:
-            out[k][filled[k] : filled[k] + per_peer] = md.sample_synthetic(
-                meta, per_peer, rngs[k], config.boxcox_lambda, factor)
-            filled[k] += per_peer
+    order, from the node's own stream. A covariance these nodes sample is
+    factored once; no factor outlives the call, so none is held in training."""
+    per_peer = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
+    peers = sorted(store.items()) if per_peer and round_index in config.metadata_rounds() else []
+    factors = {j: md.psd_factor(meta.sigma) for j, meta in peers if any(k != j for k in nodes)}
+    out = {}
+    for k in nodes:
+        draws = [(meta, factors[j]) for j, meta in peers if j != k]
+        rng = rng_for(config.seed, "synthetic", round_index, k) if draws else None
+        out[k] = np.concatenate([np.empty((0, config.feature_dim)), *(
+            md.sample_synthetic(meta, per_peer, rng, config.boxcox_lambda, factor)
+            for meta, factor in draws)])
     return out
 
 
@@ -224,42 +218,31 @@ def _probe_images(shard: np.ndarray, node_id: int, config: ExperimentConfig,
     return shard[np.sort(idx)]
 
 
-def _train_node(theta: nn.EncoderParams, shard: np.ndarray, k: int, config: ExperimentConfig,
-                round_index: int, synth: np.ndarray) -> tuple:
-    """Node k's part of a round, in whichever process trains it: the local
-    update from the broadcast ``theta`` with its synthetic negatives
-    ``synth``, in a metadata round the upload that summarizes its features
-    under ``theta``, and its RSA score. Returns ``(trained θ, mean loss,
-    synthetic row count, upload or None, score)``."""
-    theta_k, batch_losses = contrastive.local_update(
-        theta, shard, synth, config, round_index, config.node_seed(k))
-    loss = float(np.mean(batch_losses))
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"node {k}, round {round_index}: local loss is {loss}")
-    upload = None
-    if round_index in config.metadata_rounds():
-        upload = md.compute_metadata(nn.forward_batch(theta, shard), config.boxcox_lambda,
-                                     node_id=k, round_index=round_index)
-    score = rsa.rsa_score(theta, theta_k, _probe_images(shard, k, config, round_index))
-    return theta_k, loss, int(synth.shape[0]), upload, score
-
-
 def _node_results(shards, config: ExperimentConfig, nodes, theta, round_index: int, store):
-    """``_train_node``'s result for each of ``nodes`` in turn: one process's
-    part of a round."""
+    """One process's part of a round: per node k of ``nodes``, in turn, its
+    local update from the broadcast ``theta`` with its synthetic negatives
+    (all drawn first), in a metadata round the upload that summarizes its
+    features under ``theta``, and its RSA score. Yields ``(trained θ, mean
+    loss, synthetic row count, upload or None, score)``."""
     synth = _synthetic_negatives(store, nodes, config, round_index)
     for k in nodes:
-        yield _train_node(theta, shards[k], k, config, round_index, synth.pop(k))
-
-
-def _received(workers, k: int, round_index: int) -> tuple:
-    """Node k's round result from the worker that trains it."""
-    return workers[k % (len(workers) + 1)].receive(f"node {k}'s round {round_index} result")
+        shard, negatives = shards[k], synth.pop(k)
+        theta_k, batch_losses = contrastive.local_update(
+            theta, shard, negatives, config, round_index, config.node_seed(k))
+        loss = float(np.mean(batch_losses))
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"node {k}, round {round_index}: local loss is {loss}")
+        upload = None
+        if round_index in config.metadata_rounds():
+            upload = md.compute_metadata(nn.forward_batch(theta, shard), config.boxcox_lambda,
+                                         node_id=k, round_index=round_index)
+        score = rsa.rsa_score(theta, theta_k, _probe_images(shard, k, config, round_index))
+        yield theta_k, loss, len(negatives), upload, score
 
 
 def _train_nodes(theta, shards, config: ExperimentConfig, round_index: int, store,
                  workers) -> list[tuple]:
-    """Every node's ``_train_node`` result, in node order. With W - 1
+    """Every node's ``_node_results`` result, in node order. With W - 1
     ``workers``, node k trains in ``workers[k % W]``, or here when
     k % W = W - 1, each of ours before the workers' results for the nodes
     below it are read. An error raised by a node, here or in a worker, is
@@ -269,15 +252,19 @@ def _train_nodes(theta, shards, config: ExperimentConfig, round_index: int, stor
     own = range(w - 1, len(shards), w)
     mine = _node_results(shards, config, own, theta, round_index, store)
     results: list[tuple] = []
+
+    def receive_below(k: int) -> None:  # the workers' results for the nodes below k
+        while len(results) < k:
+            n = len(results)
+            results.append(workers[n % w].receive(f"node {n}'s round {round_index} result"))
+
     for k in own:
         try:
             result = next(mine)
         finally:
-            while len(results) < k:
-                results.append(_received(workers, len(results), round_index))
+            receive_below(k)
         results.append(result)
-    while len(results) < len(shards):
-        results.append(_received(workers, len(results), round_index))
+    receive_below(len(shards))
     return results
 
 
@@ -354,7 +341,7 @@ def run_training(config: ExperimentConfig) -> RunResult:
     metrics: list[list[dict]] = []
     wall_times: list[float] = []
     with (nn.one_blas_thread() as held,
-          forked(functools.partial(_node_results, shards, config), config, held) as workers):
+          forked(functools.partial(_node_results, shards, config), config.nodes, held) as workers):
         for t in range(1, config.rounds + 1):
             started = time.perf_counter()
             metrics.append(run_round(server, shards, config, t, channel, workers))

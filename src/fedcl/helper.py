@@ -9,21 +9,23 @@ which ``Worker.receive`` reads. Two callers use it, and both fork only where
   ``build_nodes``, so each inherits every shard. Of W = ``worker_count``
   processes, worker i trains nodes i, i + W, ... and the parent nodes
   W - 1, 2W - 1, ... Each round a worker is sent the broadcast θ, the round
-  index and the metadata store, and answers with one result per node:
-  ``(trained θ, mean loss, synthetic row count, upload or None, RSA score)``.
+  index and the metadata store, and sends back what its nodes' generator,
+  ``federation._node_results``, yields: one result per node.
 - ``cli`` finishes a run that fine-tunes through ``beside``: one worker
   probes the encoder and writes the training artifacts it inherited while
   the parent fine-tunes, and answers with the probe records.
 
 Every message crosses its pipe as one protocol-5 pickle, so each array is
 read once, into the buffer of the array it becomes; an error the job raised
-is such a message too. A worker holds only its own pipe ends, so one whose
-parent dies meets the end of its input, or a broken pipe, and exits.
+is such a message too. A worker holds only its own pipe ends, and asks the
+kernel (``prctl(PR_SET_PDEATHSIG)``) to SIGKILL it when its parent dies, so
+a ``fedcl run`` killed by any signal leaves no worker training or writing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import os
 import pickle
@@ -31,8 +33,13 @@ import signal
 import threading
 
 from . import nn
-from .config import ExperimentConfig
 from .errors import HelperError
+
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+try:
+    _prctl = ctypes.CDLL(None).prctl  # libc's, where it has one
+except (OSError, AttributeError):
+    _prctl = None
 
 
 def _send(file, obj) -> None:
@@ -56,9 +63,11 @@ def _picklable(exc: Exception) -> Exception:
 class Worker:
     """A forked process on ``cpus`` that runs ``job(*args)``, an iterator over
     its results, for each argument tuple it is sent; it first closes the
-    ``inherited`` fds, the parent's ends of earlier workers."""
+    ``inherited`` fds, the parent's ends of earlier workers. It asks to be
+    killed when its parent dies, and exits if the parent died before that."""
 
     def __init__(self, job, cpus, inherited) -> None:
+        parent = os.getpid()
         down_r, down_w = os.pipe()
         up_r, up_w = os.pipe()
         try:
@@ -70,6 +79,8 @@ class Worker:
         if self.pid == 0:  # the worker: never returns into the caller's stack
             code = 1
             try:
+                if _prctl(PR_SET_PDEATHSIG, signal.SIGKILL) or os.getppid() != parent:
+                    return
                 for fd in (down_w, up_r, *inherited):
                     os.close(fd)
                 os.sched_setaffinity(0, cpus)
@@ -138,20 +149,21 @@ def worker_count(nodes: int, cpus: int) -> int:
 def _may_fork(wanted: bool) -> bool:
     """Whether to fork a worker: only if ``wanted``, the caller's own test,
     which includes that the BLAS hold took; not on one usable CPU, without a
-    ``fork`` or affinity call, or with another thread alive, which a fork
-    would leave holding its locks."""
+    ``fork``, affinity or ``prctl`` call, or with another thread alive, which
+    a fork would leave holding its locks."""
     return (wanted and nn._usable_cpus() > 1 and hasattr(os, "fork")
-            and hasattr(os, "sched_setaffinity") and threading.active_count() == 1)
+            and hasattr(os, "sched_setaffinity") and _prctl is not None
+            and threading.active_count() == 1)
 
 
 @contextlib.contextmanager
-def forked(train, config: ExperimentConfig, wanted: bool):
+def forked(train, nodes: int, wanted: bool):
     """W - 1 ``Worker``s, W = ``worker_count``, worker i running ``train(range(i,
     nodes, W), theta, round_index, store)`` each round, or none: with one
     node, or where ``_may_fork`` says no. If W ≤ the usable CPUs, process i
     (this one being W - 1) runs on this one's i-th CPU, cyclically, till
     exit; workers are reaped on exit or a failed fork."""
-    count = worker_count(config.nodes, usable := nn._usable_cpus())
+    count = worker_count(nodes, usable := nn._usable_cpus())
     if not (count and _may_fork(wanted)):
         yield []
         return
@@ -161,7 +173,7 @@ def forked(train, config: ExperimentConfig, wanted: bool):
     try:
         for i in range(count - 1):
             inherited = [f.fileno() for w in workers for f in (w._down, w._up)]
-            workers.append(Worker(functools.partial(train, range(i, config.nodes, count)),
+            workers.append(Worker(functools.partial(train, range(i, nodes, count)),
                                   places[i], inherited))
         os.sched_setaffinity(0, places[-1])
         yield workers

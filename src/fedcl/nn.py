@@ -182,10 +182,8 @@ def forward_batch(params: EncoderParams, images) -> np.ndarray:
     x = _flatten_batch(params, images)
     n = x.shape[0]
     widest = max(s.rows for s in params.shapes)
-    blocks = -(-n // max(1, FORWARD_BLOCK_BYTES // (8 * widest)))
+    blocks = max(1, -(-n // max(1, FORWARD_BLOCK_BYTES // (8 * widest))))
     layers = layer_views(params)
-    if blocks <= 1:  # the whole batch: the last layer's array is the features
-        return normalize_rows(_dense_relu_layers(x, layers), in_place=True)
     features = np.empty((n, params.feature_dim))
     hidden = [np.empty((-(-n // blocks), s.rows)) for s in params.shapes[:-1]]
     for i in range(blocks):
@@ -194,14 +192,13 @@ def forward_batch(params: EncoderParams, images) -> np.ndarray:
     return normalize_rows(features, in_place=True)
 
 
-def _dense_relu_layers(a, layers, outs=None) -> np.ndarray:
-    """Rows ``a`` through every (weight, bias) layer and its ReLU, each built
-    in place, layer i into ``outs[i]`` when given; returns the last layer."""
-    for i, (w, b) in enumerate(layers):
-        a = np.matmul(a, w.T, out=None if outs is None else outs[i])
+def _dense_relu_layers(a, layers, outs) -> None:
+    """Rows ``a`` through every (weight, bias) layer and its ReLU, layer i
+    built in place in ``outs[i]``."""
+    for (w, b), out in zip(layers, outs):
+        a = np.matmul(a, w.T, out=out)
         a += b
         np.maximum(a, 0.0, out=a)
-    return a
 
 
 def _usable_cpus() -> int:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fedcl import federation
+from fedcl import evaluate, federation
 from fedcl.cli import _apply_overrides, _jsonl_records, main
 from fedcl.config import ExperimentConfig, from_dict, load_config, save_config
 from fedcl.datagen import load_dataset
@@ -172,6 +172,29 @@ def test_report_flags_single_seed(tmp_path, capsys):
 
 def test_report_empty_dir_fails(tmp_path):
     assert main(["report", str(tmp_path)]) == 1
+
+
+def test_a_rerun_that_stops_midway_leaves_no_completion_marker(tmp_path, monkeypatch, capsys):
+    """A finished run's digest.txt and eval.jsonl go before its rerun writes
+    anything, so a rerun interrupted in its fine-tune is neither audited
+    against the old digest nor reported."""
+    args = ["run", "--preset", "smoke", "--arms", "fedmoco", "--set", "run_fine_tune=true",
+            "--set", "fine_tune_fraction=0.25", "--set", "fine_tune.epochs=2",
+            "--out", str(tmp_path)]
+    assert main(args) == 0
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluate, "fine_tune", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([*args, "--set", "rounds=3"])
+    run_dir = tmp_path / "smoke" / "fedmoco" / "seed-0"
+    assert (run_dir / "checkpoint.bin").exists()
+    assert not (run_dir / "digest.txt").exists() and not (run_dir / "eval.jsonl").exists()
+    capsys.readouterr()
+    assert main(["report", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"no eval.jsonl records under {tmp_path}\n"
 
 
 def _no_training(config):

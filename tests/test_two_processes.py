@@ -1,15 +1,12 @@
 """Rounds trained in several processes: of W = ``helper.worker_count``,
 ``run_training`` forks W - 1 workers, worker i training nodes i, i + W, ...,
-while the parent trains the last share, receives in node order and
-aggregates. After training, a run that fine-tunes forks one more worker
-that probes and writes the training artifacts while the parent fine-tunes.
-
-``nn._usable_cpus`` is patched to 2 to force the workers (they then share
-the one CPU on a one-CPU machine) and to 1 to force the serial path. Every
-test that forks checks that no child is left behind.
+while the parent trains the last share. A run that fine-tunes then forks one
+worker to probe and write while the parent fine-tunes. ``nn._usable_cpus``
+is patched to force the workers, which may then share a CPU, or to 1 to
+force the serial path. Every test that forks checks that no child is left.
 """
 
-import faulthandler
+import contextlib
 import os
 import pickle
 import re
@@ -19,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fedcl import contrastive, evaluate, federation, helper, nn
 from fedcl.cli import main
@@ -32,45 +31,70 @@ TINY = {
     "queue_capacity": 16, "batch_size": 8, "probe_size": 8, "eta": 0.4,
     "data": {"base_size": 12, "eval_per_class": 4, "scenario": "label_skew"},
 }
+SMALL = ("run", "--preset", "smoke", "--set", "eta=0.5", "--set", "rounds=3",
+         "--set", "data.base_size=24", "--set", "data.eval_per_class=8",
+         "--set", "probe.epochs=3")
+SKEW = ("--set", "data.scenario=label_skew")  # which needs two nodes
+FINE_TUNE = ("--set", "run_fine_tune=true", "--set", "fine_tune_fraction=0.25",
+             "--set", "fine_tune.epochs=2")
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@pytest.fixture
-def hang_guard():
-    """A hung pipe ends the session after 120 s instead of hanging it."""
-    faulthandler.dump_traceback_later(120, exit=True)
-    yield
-    faulthandler.cancel_dump_traceback_later()
-
-
-@pytest.fixture
-def forks(monkeypatch, hang_guard):
-    """The worker path forced; the list of fork calls made."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    calls = []
-    real = os.fork
-
-    def counting():
-        calls.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(os, "fork", counting)
-    yield calls
+@contextlib.contextmanager
+def usable_cpus(cpus: int):
+    """``nn._usable_cpus`` patched to ``cpus``; yields the list of fork calls
+    made, and checks on exit that no child is left."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_usable_cpus", lambda: cpus)
+        calls, real = [], os.fork
+        mp.setattr(os, "fork", lambda: calls.append(os.getpid()) or real())
+        yield calls
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def failing_on(monkeypatch, nodes, make_error):
-    """Patch ``local_update`` to raise ``make_error(k)`` on node k in ``nodes``."""
-    real = contrastive.local_update
-    config = from_dict(TINY)
-    seeds = {config.node_seed(k): k for k in nodes}
+@pytest.fixture
+def forks(hang_guard):
+    """The worker path forced; the list of fork calls made."""
+    with usable_cpus(2) as calls:
+        yield calls
 
-    def patched(theta, images, synth, config, round_index, rng_seed):
-        if rng_seed in seeds:
-            raise make_error(seeds[rng_seed])
-        return real(theta, images, synth, config, round_index, rng_seed)
 
-    monkeypatch.setattr(contrastive, "local_update", patched)
+def node_failed(k: int) -> Exception:
+    return ValueError(f"node {k} failed")
+
+
+def fail(mp, seed: int, failing, failure, round_index: int) -> None:
+    """Patch ``local_update`` so that in round ``round_index`` of a run from
+    ``seed`` each node k of ``failing`` raises ``failure(k)``, has a NaN loss
+    ("nan"), or its worker exits ("exit"), or sends half the node's result
+    and exits ("half")."""
+    seeds = {from_dict({"seed": seed}).node_seed(k): k for k in failing}
+    real_update, real_send, owed = contrastive.local_update, helper._send, []
+
+    def update(theta, images, synth, config, r, rng_seed):
+        k = seeds.get(rng_seed) if r == round_index else None
+        if k is not None and callable(failure):
+            raise failure(k)
+        if k is not None and failure == "exit":
+            assert os.getpid() != PARENT, f"node {k} trained in the parent"
+            os._exit(3)
+        trained, losses = real_update(theta, images, synth, config, r, rng_seed)
+        if k is not None:
+            owed.append(k)
+        return trained, [np.nan] * len(losses) if k is not None and failure == "nan" else losses
+
+    def send(file, obj):
+        if failure != "half" or not owed:
+            return real_send(file, obj)
+        data = pickle.dumps(obj, protocol=5)
+        file.write(data[: len(data) // 2])
+        file.flush()
+        os._exit(3)
+
+    mp.setattr(contrastive, "local_update", update)
+    mp.setattr(helper, "_send", send)
 
 
 def run_files(out: Path) -> dict[str, bytes]:
@@ -78,53 +102,97 @@ def run_files(out: Path) -> dict[str, bytes]:
             if p.is_file() and p.name != "timing.jsonl"}
 
 
-@pytest.mark.parametrize("args, nodes", [
-    pytest.param(["--preset", "smoke"], 3, id="smoke"),
-    *[pytest.param(["--preset", "smoke", "--arms", "fedmoco", "--set", f"nodes={k}",
-                    "--set", "data.scenario=label_skew", "--set", "eta=0.2",
-                    "--set", "rounds=3", "--set", "data.base_size=24",
-                    "--set", "data.eval_per_class=8", "--set", "probe.epochs=3"],
-                   k, id=f"label-skew-{k}") for k in (3, 4)],
-])
-@pytest.mark.usefixtures("hang_guard")
-def test_serial_and_two_process_runs_write_the_same_bytes(tmp_path, monkeypatch, args, nodes):
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
-    assert main(["run", *args, "--out", str(tmp_path / "serial")]) == 0
-    forks = []
-    real = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    assert main(["run", *args, "--out", str(tmp_path / "workers")]) == 0
-    runs = len(list((tmp_path / "workers").rglob("digest.txt")))
-    assert runs and len(forks) == runs * (helper.worker_count(nodes, 2) - 1)
-    serial, workers = run_files(tmp_path / "serial"), run_files(tmp_path / "workers")
-    assert serial.keys() == workers.keys()
-    assert [name for name in serial if serial[name] != workers[name]] == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.fixture(scope="module")
+def serial_files(tmp_path_factory):
+    """``run_files`` of a one-CPU ``main(args)`` run, made once per ``args``."""
+    runs = {}
+
+    def files(args: tuple) -> dict[str, bytes]:
+        if args not in runs:
+            out = tmp_path_factory.mktemp("serial")
+            with usable_cpus(1):
+                assert main([*args, "--out", str(out)]) == 0
+            runs[args] = run_files(out)
+        return runs[args]
+
+    return files
 
 
-FINE_TUNE = ["--set", "run_fine_tune=true", "--set", "fine_tune_fraction=0.25",
-             "--set", "fine_tune.epochs=2"]
+@settings(PROPERTY, max_examples=30)
+@given(nodes=st.integers(1, 8), cpus=st.integers(1, 4),
+       arm=st.sampled_from(["fedavg", "fedmoco"]), fine_tune=st.booleans())
+@example(nodes=7, cpus=4, arm="fedmoco", fine_tune=False)  # W = 7
+@example(nodes=5, cpus=4, arm="fedavg", fine_tune=True)  # W = 5
+@example(nodes=8, cpus=4, arm="fedmoco", fine_tune=True)  # W = 4, pinned, cycled over the CPUs
+@example(nodes=3, cpus=2, arm="fedavg", fine_tune=False)  # W = 3, unpinned
+@example(nodes=3, cpus=2, arm="fedmoco", fine_tune=False)
+@example(nodes=3, cpus=2, arm="fedavg", fine_tune=True)
+@example(nodes=3, cpus=2, arm="fedmoco", fine_tune=True)
+@example(nodes=4, cpus=2, arm="fedmoco", fine_tune=False)  # W = 2, pinned
+@example(nodes=1, cpus=2, arm="fedavg", fine_tune=True)  # W = 0
+def test_any_process_count_writes_the_serial_bytes(serial_files, tmp_path_factory, hang_guard,
+                                                   nodes, cpus, arm, fine_tune):
+    """W - 1 forks for training, W = ``worker_count(nodes, cpus)``, and one
+    more to probe and write beside a fine-tune; every file but timing.jsonl
+    holds the one-CPU run's bytes, and the CPUs and BLAS threads are given
+    back."""
+    args = (*SMALL, "--arms", arm, "--set", f"nodes={nodes}", *(SKEW if nodes > 1 else ()),
+            *(FINE_TUNE if fine_tune else ()))
+    out = tmp_path_factory.mktemp("forked")
+    cpus_before, threads = os.sched_getaffinity(0), nn._openblas_thread_calls()[0]()
+    with usable_cpus(cpus) as forks:
+        assert main([*args, "--out", str(out)]) == 0
+    assert len(forks) == max(helper.worker_count(nodes, cpus) - 1, 0) + (fine_tune and cpus > 1)
+    got, want = run_files(out), serial_files(args)
+    assert got.keys() == want.keys()
+    assert [name for name in want if got[name] != want[name]] == []
+    assert os.sched_getaffinity(0) == cpus_before
+    assert nn._openblas_thread_calls()[0]() == threads
 
 
-@pytest.mark.usefixtures("hang_guard")
-def test_a_forked_evaluation_writes_the_same_bytes_as_a_serial_one(tmp_path, monkeypatch):
-    args = ["run", "--preset", "smoke", *FINE_TUNE]
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
-    assert main([*args, "--out", str(tmp_path / "serial")]) == 0
-    forks = []
-    real = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-    assert main([*args, "--out", str(tmp_path / "forked")]) == 0
-    runs = len(list((tmp_path / "forked").rglob("digest.txt")))
-    assert runs == 2 and len(forks) == runs * helper.worker_count(3, 2)
-    serial, forked = run_files(tmp_path / "serial"), run_files(tmp_path / "forked")
-    assert serial.keys() == forked.keys()
-    assert [name for name in serial if serial[name] != forked[name]] == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@st.composite
+def failures(draw) -> tuple:
+    """(nodes, cpus, failing nodes, failure, round); a worker's exit fails
+    only nodes that train in a worker."""
+    failure = draw(st.sampled_from([node_failed, "nan", "exit", "half"]))
+    least = 2 if failure in ("exit", "half") else 1
+    nodes, cpus = draw(st.integers(least, 8)), draw(st.integers(least, 4))
+    w = helper.worker_count(nodes, cpus)
+    eligible = [k for k in range(nodes) if least == 1 or k % w != w - 1]
+    failing = draw(st.sets(st.sampled_from(eligible), min_size=1))
+    return nodes, cpus, failing, failure, draw(st.integers(1, 3))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(failures())
+@example((4, 2, {2}, node_failed, 1))  # raised in the worker
+@example((4, 2, {0, 1}, node_failed, 1))
+@example((4, 2, {1, 2}, node_failed, 1))
+@example((4, 2, {3}, node_failed, 1))
+@example((7, 4, {5, 6}, "nan", 3))
+@example((4, 2, {0}, "exit", 2))
+@example((4, 2, {0}, "half", 2))
+def test_the_first_failing_node_in_node_order_fails_the_run(hang_guard, case):
+    """A raise or a NaN loss fails the run as on one process; a dead worker
+    is a ``HelperError`` naming the first result it owed."""
+    nodes, cpus, failing, failure, round_index = case
+    scenario = "label_skew" if nodes > 1 else "equal"
+    config = from_dict({**TINY, "nodes": nodes, "data": {**TINY["data"], "scenario": scenario}})
+    if failure in ("exit", "half"):
+        error = HelperError
+        message = (rf"worker process \d+ exited before sending node {min(failing)}'s "
+                   rf"round {round_index} result")
+    else:
+        with pytest.MonkeyPatch.context() as mp, usable_cpus(1):
+            fail(mp, config.seed, failing, failure, round_index)
+            with pytest.raises(Exception, match=f"node {min(failing)}\\b") as serial:
+                federation.run_training(config)
+        error, message = serial.type, re.escape(str(serial.value))
+    with pytest.MonkeyPatch.context() as mp, usable_cpus(cpus):
+        fail(mp, config.seed, failing, failure, round_index)
+        with pytest.raises(error, match=f"^{message}$") as forked:
+            federation.run_training(config)
+    assert forked.type is error
 
 
 @pytest.mark.parametrize("module, name, error", [
@@ -161,54 +229,33 @@ def test_a_fine_tune_that_fails_here_waits_for_the_forked_writes(tmp_path, forks
         "timing.jsonl"]
 
 
-def dies_in_training(monkeypatch) -> str:
-    """The fedmoco run's worker exits in round 2; returns the result it owed."""
-    real = contrastive.local_update
-
-    def dying(theta, images, synth, config, round_index, rng_seed):
-        if os.getpid() != PARENT and config.metadata_enabled and round_index == 2:
-            os._exit(3)
-        return real(theta, images, synth, config, round_index, rng_seed)
-
-    monkeypatch.setattr(contrastive, "local_update", dying)
-    return "node 0's round 2 result"
-
-
-def dies_in_evaluation(monkeypatch) -> str:
-    """The fedmoco run's forked evaluation is killed while it writes."""
+def dies_in_evaluation(monkeypatch) -> None:
+    """The seed-4 run's forked evaluation is killed while it writes."""
     real = federation.write_message_log
 
     def dying(messages, path):
-        if os.getpid() != PARENT and "fedmoco" in str(path):
+        if os.getpid() != PARENT and "seed-4" in str(path):
             os.kill(os.getpid(), signal.SIGKILL)
         return real(messages, path)
 
     monkeypatch.setattr(federation, "write_message_log", dying)
-    return "the result of probing and writing "
 
 
-@pytest.mark.parametrize("die", [dies_in_training, dies_in_evaluation])
-def test_a_dead_worker_is_an_error_line(tmp_path, forks, monkeypatch, capsys, die):
-    """One ``error:`` line and exit 1, as for a diverged run; the fedavg run
+@pytest.mark.parametrize("die, owed", [
+    (lambda mp: fail(mp, 4, {0}, "exit", 2), "node 0's round 2 result"),
+    (dies_in_evaluation, "the result of probing and writing "),
+], ids=["dies_in_training", "dies_in_evaluation"])
+def test_a_dead_worker_is_an_error_line(tmp_path, forks, monkeypatch, capsys, die, owed):
+    """One ``error:`` line and exit 1, as for a diverged run; the run
     finished before stays."""
-    owed = die(monkeypatch)
-    assert main(["run", "--preset", "smoke", "--seed", "3", *FINE_TUNE,
-                 "--out", str(tmp_path)]) == 1
+    die(monkeypatch)
+    assert main(["run", "--preset", "smoke", "--arms", "fedmoco", "--seed", "3", "--seed", "4",
+                 *FINE_TUNE, "--out", str(tmp_path)]) == 1
     [error] = [line for line in capsys.readouterr().err.splitlines()
                if not line.startswith("warning:")]
-    assert re.fullmatch(rf"error: fedmoco seed=3: worker process \d+ exited before sending "
+    assert re.fullmatch(rf"error: fedmoco seed=4: worker process \d+ exited before sending "
                         rf"{re.escape(owed)}.*", error)
-    assert [p.parent.parent.name for p in tmp_path.rglob("digest.txt")] == ["fedavg"]
-
-
-def test_a_run_gives_back_its_cpus_and_blas_threads(forks):
-    cpus = os.sched_getaffinity(0)
-    threads = nn._openblas_thread_calls()[0]()
-    result = federation.run_training(from_dict(TINY))
-    assert forks == [PARENT]
-    assert len(result.metrics) == 3
-    assert os.sched_getaffinity(0) == cpus
-    assert nn._openblas_thread_calls()[0]() == threads
+    assert [p.parent.name for p in tmp_path.rglob("digest.txt")] == ["seed-3"]
 
 
 def test_a_live_thread_keeps_every_node_in_this_process(forks, monkeypatch):
@@ -229,78 +276,19 @@ def test_a_live_thread_keeps_every_node_in_this_process(forks, monkeypatch):
     assert threaded.theta0.values.tobytes() == serial.theta0.values.tobytes()
 
 
-def test_an_error_in_a_helper_node_reaches_the_caller(forks, monkeypatch):
-    failing_on(monkeypatch, {2}, lambda k: ShapeError(f"node {k} in process {os.getpid()}"))
-    with pytest.raises(ShapeError, match=r"node 2 in process (\d+)") as info:
-        federation.run_training(from_dict(TINY))
-    assert info.match(rf"process (?!{PARENT}\b)")
-
-
 def test_an_unpicklable_helper_error_keeps_its_type_name_and_message(forks, monkeypatch):
     class TwoArgError(Exception):
         def __init__(self, a, b):
             super().__init__(f"{a} and {b}")
 
-    failing_on(monkeypatch, {0}, lambda k: TwoArgError("node", k))
+    fail(monkeypatch, from_dict(TINY).seed, {0}, lambda k: TwoArgError("node", k), 1)
     with pytest.raises(RuntimeError, match="^TwoArgError: node and 0$"):
-        federation.run_training(from_dict(TINY))
-
-
-@pytest.mark.parametrize("nodes, first", [({0, 1}, 0), ({1, 2}, 1), ({3}, 3)])
-def test_the_first_failing_node_in_node_order_raises(forks, monkeypatch, nodes, first):
-    """Nodes 0 and 2 train in the worker, 1 and 3 here; as on one process,
-    the error of the lowest-indexed failing node is the one raised."""
-    failing_on(monkeypatch, nodes, lambda k: ValueError(f"node {k} failed"))
-    with pytest.raises(ValueError, match=f"^node {first} failed$"):
-        federation.run_training(from_dict(TINY))
-
-
-def exit_in_training(monkeypatch):
-    real = contrastive.local_update
-
-    def dying(theta, images, synth, config, round_index, rng_seed):
-        if os.getpid() != PARENT and round_index == 2:
-            os._exit(3)
-        return real(theta, images, synth, config, round_index, rng_seed)
-
-    monkeypatch.setattr(contrastive, "local_update", dying)
-
-
-def exit_mid_result(monkeypatch):
-    """The worker trains nodes 0 and 2, so its third message is node 0's
-    round 2 result: it sends the first half of that pickle and exits."""
-    real, sent = helper._send, []
-
-    def dying(file, obj):
-        if os.getpid() == PARENT:
-            return real(file, obj)
-        sent.append(obj)
-        if len(sent) < 3:
-            return real(file, obj)
-        data = pickle.dumps(obj, protocol=5)
-        file.write(data[: len(data) // 2])
-        file.flush()
-        os._exit(3)
-
-    monkeypatch.setattr(helper, "_send", dying)
-
-
-@pytest.mark.parametrize("die", [exit_in_training, exit_mid_result])
-def test_a_helper_that_dies_mid_round_is_a_named_error(forks, monkeypatch, die):
-    die(monkeypatch)
-    with pytest.raises(HelperError, match="exited before sending node 0's round 2 result"):
         federation.run_training(from_dict(TINY))
 
 
 def test_a_non_finite_loss_in_a_helper_node_is_an_error_line(tmp_path, forks, monkeypatch,
                                                               capsys):
-    real = contrastive.local_update
-
-    def nan_in_helper(theta, images, synth, config, round_index, rng_seed):
-        trained, losses = real(theta, images, synth, config, round_index, rng_seed)
-        return trained, losses if os.getpid() == PARENT else [np.nan] * len(losses)
-
-    monkeypatch.setattr(contrastive, "local_update", nan_in_helper)
+    fail(monkeypatch, 3, {0}, "nan", 1)  # node 0 trains in a worker
     assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "3",
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: fedavg seed=3: node 0, round 1: local loss is nan\n"
@@ -333,7 +321,7 @@ def test_each_worker_holds_its_own_pipe_ends_and_one_cpu_when_pinned(forks, node
     theta = nn.init_params(config.encoder_shapes(), 0)
     cpus = os.sched_getaffinity(0)
     count = helper.worker_count(nodes, 2)
-    with helper.forked(echo, config, True) as workers:
+    with helper.forked(echo, config.nodes, True) as workers:
         assert len(workers) == len(forks) == count - 1
         for worker in workers:  # a round trip: each worker has closed its fds
             worker.start("round 1", theta, 1, {})
@@ -358,7 +346,7 @@ def test_a_helper_that_died_between_rounds_is_a_named_error(forks):
     end then holds bytes that ``close`` cannot flush."""
     config = from_dict(TINY)
     theta = nn.init_params(config.encoder_shapes(), 0)
-    with helper.forked(echo, config, True) as workers:
+    with helper.forked(echo, config.nodes, True) as workers:
         pid = workers[0].pid
         os.kill(pid, signal.SIGKILL)
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)

@@ -118,35 +118,61 @@ def serial_files(tmp_path_factory):
     return files
 
 
+def assert_serial_bytes(serial_files, out: Path, nodes: int, cpus: int, arms: tuple,
+                        fine_tune: bool) -> None:
+    """Each run forks W - 1 workers for training, W = ``worker_count(nodes,
+    cpus)``, and one more to probe and write beside a fine-tune; every file
+    but timing.jsonl holds the one-CPU run's bytes, and the CPUs and BLAS
+    threads are given back."""
+    args = (*SMALL, "--arms", *arms, "--set", f"nodes={nodes}", *(SKEW if nodes > 1 else ()),
+            *(FINE_TUNE if fine_tune else ()))
+    cpus_before, threads = os.sched_getaffinity(0), nn._openblas_thread_calls()[0]()
+    with usable_cpus(cpus) as forks:
+        assert main([*args, "--out", str(out)]) == 0
+    per_run = max(helper.worker_count(nodes, cpus) - 1, 0) + (fine_tune and cpus > 1)
+    assert len(forks) == len(arms) * per_run
+    got, want = run_files(out), serial_files(args)
+    assert got.keys() == want.keys()
+    assert [name for name in want if got[name] != want[name]] == []
+    assert os.sched_getaffinity(0) == cpus_before
+    assert nn._openblas_thread_calls()[0]() == threads
+
+
 @settings(PROPERTY, max_examples=30)
 @given(nodes=st.integers(1, 8), cpus=st.integers(1, 4),
        arm=st.sampled_from(["fedavg", "fedmoco"]), fine_tune=st.booleans())
 @example(nodes=7, cpus=4, arm="fedmoco", fine_tune=False)  # W = 7
 @example(nodes=5, cpus=4, arm="fedavg", fine_tune=True)  # W = 5
 @example(nodes=8, cpus=4, arm="fedmoco", fine_tune=True)  # W = 4, pinned, cycled over the CPUs
-@example(nodes=3, cpus=2, arm="fedavg", fine_tune=False)  # W = 3, unpinned
-@example(nodes=3, cpus=2, arm="fedmoco", fine_tune=False)
-@example(nodes=3, cpus=2, arm="fedavg", fine_tune=True)
-@example(nodes=3, cpus=2, arm="fedmoco", fine_tune=True)
-@example(nodes=4, cpus=2, arm="fedmoco", fine_tune=False)  # W = 2, pinned
 @example(nodes=1, cpus=2, arm="fedavg", fine_tune=True)  # W = 0
 def test_any_process_count_writes_the_serial_bytes(serial_files, tmp_path_factory, hang_guard,
                                                    nodes, cpus, arm, fine_tune):
-    """W - 1 forks for training, W = ``worker_count(nodes, cpus)``, and one
-    more to probe and write beside a fine-tune; every file but timing.jsonl
-    holds the one-CPU run's bytes, and the CPUs and BLAS threads are given
-    back."""
-    args = (*SMALL, "--arms", arm, "--set", f"nodes={nodes}", *(SKEW if nodes > 1 else ()),
-            *(FINE_TUNE if fine_tune else ()))
-    out = tmp_path_factory.mktemp("forked")
-    cpus_before, threads = os.sched_getaffinity(0), nn._openblas_thread_calls()[0]()
-    with usable_cpus(cpus) as forks:
-        assert main([*args, "--out", str(out)]) == 0
-    assert len(forks) == max(helper.worker_count(nodes, cpus) - 1, 0) + (fine_tune and cpus > 1)
-    got, want = run_files(out), serial_files(args)
-    assert got.keys() == want.keys()
-    assert [name for name in want if got[name] != want[name]] == []
-    assert os.sched_getaffinity(0) == cpus_before
+    assert_serial_bytes(serial_files, tmp_path_factory.mktemp("forked"), nodes, cpus, (arm,),
+                        fine_tune)
+
+
+@pytest.mark.parametrize("nodes, arms", [
+    pytest.param(3, ("fedavg", "fedmoco"), id="smoke"),  # W = 3, unpinned
+    pytest.param(3, ("fedmoco",), id="label-skew-3"),
+    pytest.param(4, ("fedmoco",), id="label-skew-4"),  # W = 2, pinned
+])
+def test_serial_and_two_process_runs_write_the_same_bytes(serial_files, tmp_path, hang_guard,
+                                                          nodes, arms):
+    assert_serial_bytes(serial_files, tmp_path, nodes, 2, arms, False)
+
+
+def test_a_forked_evaluation_writes_the_same_bytes_as_a_serial_one(serial_files, tmp_path,
+                                                                   hang_guard):
+    assert_serial_bytes(serial_files, tmp_path, 3, 2, ("fedavg", "fedmoco"), True)
+
+
+def test_a_run_gives_back_its_cpus_and_blas_threads(forks):
+    cpus = os.sched_getaffinity(0)
+    threads = nn._openblas_thread_calls()[0]()
+    result = federation.run_training(from_dict(TINY))
+    assert forks == [PARENT]
+    assert len(result.metrics) == 3
+    assert os.sched_getaffinity(0) == cpus
     assert nn._openblas_thread_calls()[0]() == threads
 
 
@@ -165,13 +191,7 @@ def failures(draw) -> tuple:
 
 @settings(PROPERTY, max_examples=40)
 @given(failures())
-@example((4, 2, {2}, node_failed, 1))  # raised in the worker
-@example((4, 2, {0, 1}, node_failed, 1))
-@example((4, 2, {1, 2}, node_failed, 1))
-@example((4, 2, {3}, node_failed, 1))
 @example((7, 4, {5, 6}, "nan", 3))
-@example((4, 2, {0}, "exit", 2))
-@example((4, 2, {0}, "half", 2))
 def test_the_first_failing_node_in_node_order_fails_the_run(hang_guard, case):
     """A raise or a NaN loss fails the run as on one process; a dead worker
     is a ``HelperError`` naming the first result it owed."""
@@ -193,6 +213,33 @@ def test_the_first_failing_node_in_node_order_fails_the_run(hang_guard, case):
         with pytest.raises(error, match=f"^{message}$") as forked:
             federation.run_training(config)
     assert forked.type is error
+
+
+def test_an_error_in_a_helper_node_reaches_the_caller(forks, monkeypatch):
+    fail(monkeypatch, from_dict(TINY).seed, {2},
+         lambda k: ShapeError(f"node {k} in process {os.getpid()}"), 1)
+    with pytest.raises(ShapeError, match=r"node 2 in process (\d+)") as info:
+        federation.run_training(from_dict(TINY))
+    assert info.match(rf"process (?!{PARENT}\b)")
+
+
+@pytest.mark.parametrize("nodes, first", [({0, 1}, 0), ({1, 2}, 1), ({3}, 3)])
+def test_the_first_failing_node_in_node_order_raises(forks, monkeypatch, nodes, first):
+    """Nodes 0 and 2 train in the worker, 1 and 3 here; as on one process,
+    the error of the lowest-indexed failing node is the one raised."""
+    fail(monkeypatch, from_dict(TINY).seed, nodes, node_failed, 1)
+    with pytest.raises(ValueError, match=f"^node {first} failed$"):
+        federation.run_training(from_dict(TINY))
+
+
+@pytest.mark.parametrize("failure", ["exit", "half"], ids=["exit_in_training", "exit_mid_result"])
+def test_a_helper_that_dies_mid_round_is_a_named_error(forks, monkeypatch, failure):
+    """The worker trains nodes 0 and 2; it exits training node 0 in round 2,
+    or sends half of that result and exits."""
+    fail(monkeypatch, from_dict(TINY).seed, {0}, failure, 2)
+    with pytest.raises(HelperError, match=r"^worker process \d+ exited before sending "
+                                          r"node 0's round 2 result$"):
+        federation.run_training(from_dict(TINY))
 
 
 @pytest.mark.parametrize("module, name, error", [

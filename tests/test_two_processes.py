@@ -31,9 +31,9 @@ TINY = {
     "queue_capacity": 16, "batch_size": 8, "probe_size": 8, "eta": 0.4,
     "data": {"base_size": 12, "eval_per_class": 4, "scenario": "label_skew"},
 }
-SMALL = ("run", "--preset", "smoke", "--set", "eta=0.5", "--set", "rounds=3",
-         "--set", "data.base_size=24", "--set", "data.eval_per_class=8",
-         "--set", "probe.epochs=3")
+SMOKE = ("run", "--preset", "smoke")  # eta 0.05: no synthetic negatives for K > 2
+SMALL = (*SMOKE, "--set", "rounds=3", "--set", "data.base_size=24",
+         "--set", "data.eval_per_class=8", "--set", "probe.epochs=3")
 SKEW = ("--set", "data.scenario=label_skew")  # which needs two nodes
 FINE_TUNE = ("--set", "run_fine_tune=true", "--set", "fine_tune_fraction=0.25",
              "--set", "fine_tune.epochs=2")
@@ -118,52 +118,58 @@ def serial_files(tmp_path_factory):
     return files
 
 
-def assert_serial_bytes(serial_files, out: Path, nodes: int, cpus: int, arms: tuple,
-                        fine_tune: bool) -> None:
-    """Each run forks W - 1 workers for training, W = ``worker_count(nodes,
-    cpus)``, and one more to probe and write beside a fine-tune; every file
-    but timing.jsonl holds the one-CPU run's bytes, and the CPUs and BLAS
-    threads are given back."""
-    args = (*SMALL, "--arms", *arms, "--set", f"nodes={nodes}", *(SKEW if nodes > 1 else ()),
-            *(FINE_TUNE if fine_tune else ()))
+def assert_serial_bytes(serial_files, out: Path, args: tuple, nodes: int, cpus: int,
+                        fine_tune: bool) -> int:
+    """Each run of ``main(args)`` forks W - 1 workers for training, W =
+    ``worker_count(nodes, cpus)``, and one more to probe and write beside a
+    fine-tune; every file but timing.jsonl holds the one-CPU run's bytes, and
+    the CPUs and BLAS threads are given back. Returns the number of runs."""
     cpus_before, threads = os.sched_getaffinity(0), nn._openblas_thread_calls()[0]()
     with usable_cpus(cpus) as forks:
         assert main([*args, "--out", str(out)]) == 0
+    runs = len(list(out.rglob("digest.txt")))
     per_run = max(helper.worker_count(nodes, cpus) - 1, 0) + (fine_tune and cpus > 1)
-    assert len(forks) == len(arms) * per_run
+    assert runs and len(forks) == runs * per_run
     got, want = run_files(out), serial_files(args)
     assert got.keys() == want.keys()
     assert [name for name in want if got[name] != want[name]] == []
     assert os.sched_getaffinity(0) == cpus_before
     assert nn._openblas_thread_calls()[0]() == threads
+    return runs
 
 
 @settings(PROPERTY, max_examples=30)
-@given(nodes=st.integers(1, 8), cpus=st.integers(1, 4),
+@given(nodes=st.integers(1, 8), cpus=st.integers(1, 4), eta=st.sampled_from([0.05, 0.5]),
        arm=st.sampled_from(["fedavg", "fedmoco"]), fine_tune=st.booleans())
-@example(nodes=7, cpus=4, arm="fedmoco", fine_tune=False)  # W = 7
-@example(nodes=5, cpus=4, arm="fedavg", fine_tune=True)  # W = 5
-@example(nodes=8, cpus=4, arm="fedmoco", fine_tune=True)  # W = 4, pinned, cycled over the CPUs
-@example(nodes=1, cpus=2, arm="fedavg", fine_tune=True)  # W = 0
+@example(nodes=7, cpus=4, eta=0.5, arm="fedmoco", fine_tune=False)  # W = 7
+@example(nodes=5, cpus=4, eta=0.05, arm="fedavg", fine_tune=True)  # W = 5
+@example(nodes=8, cpus=4, eta=0.5, arm="fedmoco", fine_tune=True)  # W = 4, pinned, cycled
+@example(nodes=3, cpus=2, eta=0.5, arm="fedmoco", fine_tune=True)  # W = 3
+@example(nodes=4, cpus=2, eta=0.05, arm="fedmoco", fine_tune=False)  # W = 2, pinned
+@example(nodes=1, cpus=2, eta=0.5, arm="fedavg", fine_tune=True)  # W = 0
 def test_any_process_count_writes_the_serial_bytes(serial_files, tmp_path_factory, hang_guard,
-                                                   nodes, cpus, arm, fine_tune):
-    assert_serial_bytes(serial_files, tmp_path_factory.mktemp("forked"), nodes, cpus, (arm,),
-                        fine_tune)
+                                                   nodes, cpus, eta, arm, fine_tune):
+    """eta 0.5 gives each node at least two draws per peer for K <= 8; eta
+    0.05 gives none for K > 2."""
+    args = (*SMALL, "--arms", arm, "--set", f"eta={eta}", "--set", f"nodes={nodes}",
+            *(SKEW if nodes > 1 else ()), *(FINE_TUNE if fine_tune else ()))
+    out = tmp_path_factory.mktemp("forked")
+    assert assert_serial_bytes(serial_files, out, args, nodes, cpus, fine_tune) == 1
 
 
-@pytest.mark.parametrize("nodes, arms", [
-    pytest.param(3, ("fedavg", "fedmoco"), id="smoke"),  # W = 3, unpinned
-    pytest.param(3, ("fedmoco",), id="label-skew-3"),
-    pytest.param(4, ("fedmoco",), id="label-skew-4"),  # W = 2, pinned
+@pytest.mark.parametrize("args, nodes", [
+    pytest.param(SMOKE, 3, id="smoke"),  # W = 3, unpinned
+    *[pytest.param((*SMALL, "--arms", "fedmoco", "--set", f"nodes={k}", *SKEW,
+                    "--set", "eta=0.2"), k, id=f"label-skew-{k}") for k in (3, 4)],  # W = 3, 2
 ])
 def test_serial_and_two_process_runs_write_the_same_bytes(serial_files, tmp_path, hang_guard,
-                                                          nodes, arms):
-    assert_serial_bytes(serial_files, tmp_path, nodes, 2, arms, False)
+                                                          args, nodes):
+    assert_serial_bytes(serial_files, tmp_path, args, nodes, 2, False)
 
 
 def test_a_forked_evaluation_writes_the_same_bytes_as_a_serial_one(serial_files, tmp_path,
                                                                    hang_guard):
-    assert_serial_bytes(serial_files, tmp_path, 3, 2, ("fedavg", "fedmoco"), True)
+    assert assert_serial_bytes(serial_files, tmp_path, (*SMOKE, *FINE_TUNE), 3, 2, True) == 2
 
 
 def test_a_run_gives_back_its_cpus_and_blas_threads(forks):

@@ -17,8 +17,9 @@ loss) stops the command with an ``error:`` line and exit 1; the run
 directories finished before it stay.
 
 `audit` checks each logged message against ``federation.CONTRACT`` (kind,
-direction, payload tag), the message counts against
-``federation.expected_counts`` of the run's config.yaml, and digest.txt
+direction, payload tag), its round and parties against the run's
+config.yaml and the round before it, the message counts against
+``federation.expected_counts`` of that config, and digest.txt
 against ``federation.run_digest``; any mismatch, missing file, damaged
 messages.log line or config.yaml that does not load is a FAIL, and a tree of
 runs is audited to the end.
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import datagen, evaluate, federation, helper, metadata, nn
+from . import datagen, evaluate, federation, helper, metadata
 from .config import (ARMS, ExperimentConfig, PRESETS, YamlLoader, _is_number, apply_arm,
                      from_dict, load_config, preset_config, save_config, to_dict)
 from .errors import ConfigError, HelperError, ProtocolError
@@ -85,12 +86,13 @@ def _write_training_artifacts(run_dir: Path, config: ExperimentConfig, result) -
 
 def _finish_run(run_dir: Path, config: ExperimentConfig, result, model: str) -> list[dict]:
     """Evaluate a trained run and write its run directory; returns the
-    eval.jsonl records. BLAS is held at one thread, as in training, so the
-    scores do not depend on its thread count. A run that fine-tunes probes
-    and writes its training artifacts in a forked process while this one
-    fine-tunes (``helper.beside``); eval.jsonl and then digest.txt are
-    written once both are done. A previous run's two are removed first, so
-    a rerun that stops midway leaves no completion marker."""
+    eval.jsonl records. The probe, with the training artifacts written first,
+    and a fine-tune are two jobs of ``helper.forked``: on two usable CPUs or
+    more a run that fine-tunes probes and writes in a forked process while
+    this one fine-tunes, each under one BLAS thread as in training, so the
+    scores do not depend on its thread count. eval.jsonl and then digest.txt
+    are written once both are done. A previous run's two are removed first,
+    so a rerun that stops midway leaves no completion marker."""
     theta, seed = result.theta0, config.seed
     train, test = datagen.make_eval_split(config.data, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -107,8 +109,6 @@ def _finish_run(run_dir: Path, config: ExperimentConfig, result, model: str) -> 
                   for cls, acc in sorted(probe.per_class_accuracy.items()))]
 
     def fine_tune() -> list[dict]:
-        if not config.run_fine_tune:
-            return []
         ft = evaluate.fine_tune(theta, config.fine_tune_fraction, train, test,
                                 config.fine_tune, seed)
         # finetune_best_accuracy, equal to the final accuracy, is kept only
@@ -116,10 +116,10 @@ def _finish_run(run_dir: Path, config: ExperimentConfig, result, model: str) -> 
         return [{"metric": "finetune_final_accuracy", "value": ft.final_accuracy},
                 {"metric": "finetune_best_accuracy", "value": ft.final_accuracy}]
 
-    with nn.one_blas_thread() as held:
-        probed, tuned = helper.beside(probe_and_write, fine_tune, held and config.run_fine_tune,
-                                      f"probing and writing {run_dir}")
-    records = [{"model": model, "seed": seed, **rec} for rec in probed + tuned]
+    jobs = [probe_and_write, *([fine_tune] if config.run_fine_tune else [])]
+    with helper.forked(lambda share: (jobs[i]() for i in share), len(jobs)) as run:
+        records = [{"model": model, "seed": seed, **rec}
+                   for done in run(f"evaluating {run_dir}") for rec in done]
     federation.write_jsonl(records, run_dir / "eval.jsonl")
     federation.write_atomic(run_dir / "digest.txt", federation.run_digest(run_dir) + "\n")
     return records
@@ -289,16 +289,18 @@ def cmd_audit(args) -> int:
     return worst
 
 
-_LOG_FIELDS = {"kind": "string", "sender": "string", "payload": "string"}
+_LOG_FIELDS = {"kind": "string", "sender": "string", "receiver": "string", "round": "integer",
+               "payload": "string"}
 _EVAL_FIELDS = {"model": "string", "metric": "string", "value": "number"}
-_FIELD_KINDS = {"string": lambda v: isinstance(v, str), "number": _is_number}
+_FIELD_KINDS = {"string": lambda v: isinstance(v, str), "number": _is_number,
+                "integer": lambda v: type(v) is int}
 
 
 def _jsonl_records(path: Path, required: dict[str, str]) -> list[dict]:
     """The records of a JSON-lines file. Raises ``ValueError("line N: ...")``
     at the first line that is not a JSON object holding each ``required``
-    field with a value of its kind: a string, or a finite number that is not
-    a bool."""
+    field with a value of its kind: a string, a finite number that is not a
+    bool, or an integer that is not a bool."""
     records = []
     for n, line in enumerate(path.read_bytes().splitlines(), 1):
         if not line.strip():
@@ -316,6 +318,34 @@ def _jsonl_records(path: Path, required: dict[str, str]) -> list[dict]:
     return records
 
 
+def _message_problems(records: list[dict], config) -> list[str]:
+    """A ``message i: ...`` line for each way a logged message breaks the
+    protocol: its kind, direction or payload tag
+    (``federation.contract_violation``), or a round below the previous
+    message's, which ``MessageChannel.send`` refuses; and with the run's
+    ``config``, a round outside [1, rounds], or parties other than the server
+    and a node of the run in the direction its kind fixes."""
+    nodes = {f"node-{k}" for k in range(config.nodes)} if config else set()
+    problems = []
+    for i, rec in enumerate(records):
+        kind, sender, receiver, round_index = (rec[key] for key in
+                                               ("kind", "sender", "receiver", "round"))
+        found = [federation.contract_violation(kind, sender, rec["payload"])]
+        if i and round_index < (last := records[i - 1]["round"]):
+            found.append(f"round {round_index} after round {last}")
+        if config is not None:
+            if not 1 <= round_index <= config.rounds:
+                found.append(f"round {round_index} outside [1, {config.rounds}]")
+            if kind in federation.CONTRACT:
+                server, node = ((sender, receiver) if federation.CONTRACT[kind][1]
+                                else (receiver, sender))
+                if server != federation.SERVER or node not in nodes:
+                    found.append(f"{kind} from {sender!r} to {receiver!r}: not the server "
+                                 f"and a node of {config.nodes}")
+        problems += [f"message {i}: {problem}" for problem in found if problem]
+    return problems
+
+
 def _audit_one(run_dir: Path) -> int:
     try:
         records = _jsonl_records(run_dir / "messages.log", _LOG_FIELDS)
@@ -323,24 +353,20 @@ def _audit_one(run_dir: Path) -> int:
         print(f"FAIL messages.log: {exc}")
         return 1
     counts = Counter(rec["kind"] for rec in records)
-    problems: list[str] = []
-    for i, rec in enumerate(records):
-        problem = federation.contract_violation(rec["kind"], rec["sender"], rec["payload"])
-        if problem is not None:
-            problems.append(f"message {i}: {problem}")
-
+    config, problems = None, []
     config_path = run_dir / "config.yaml"
     if config_path.exists():
         try:
             config = load_config(config_path)
         except ConfigError as exc:
             problems.append(f"config.yaml: {exc}")
-        else:
-            for kind, want in federation.expected_counts(config).items():
-                if counts[kind] != want:
-                    problems.append(f"count {kind}: expected {want}, found {counts[kind]}")
     else:
         problems.append("config.yaml missing: message counts cannot be checked")
+    problems += _message_problems(records, config)
+    if config is not None:
+        for kind, want in federation.expected_counts(config).items():
+            if counts[kind] != want:
+                problems.append(f"count {kind}: expected {want}, found {counts[kind]}")
 
     try:
         recorded = (run_dir / "digest.txt").read_text().strip()

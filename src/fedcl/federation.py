@@ -14,15 +14,11 @@ the node's features under the broadcast encoder.
 Nodes train independently from the broadcast. A process's part of a
 round is one generator, ``_node_results``: it draws its nodes' synthetic
 negatives, factoring each peer covariance they sample once, then yields
-each node's local update, upload and RSA score. ``run_training`` forks the
-workers of ``helper`` after ``build_nodes``, so they inherit every shard;
-with them, this process is one of ``helper.worker_count`` that share each
-round's nodes (three for three nodes on two CPUs). This process still
-sends every message and aggregates, in node order, so a run's bytes do not
-depend on which process trained a node. For the span of the run numpy's
-bundled OpenBLAS is held at one thread. With one node or one usable CPU, no
-``fork`` or ``prctl``, BLAS that cannot be held or another thread alive,
-every node trains here, in node order.
+each node's local update, upload and RSA score. ``run_training`` runs it
+through ``helper.forked`` after ``build_nodes``, so forked processes inherit
+every shard, and gets every node's result back in node order. This process
+still sends every message and aggregates, so a run's bytes do not depend on
+which process trained a node.
 
 The wire contract (``CONTRACT``) and the run artifacts are defined here too.
 """
@@ -240,41 +236,14 @@ def _node_results(shards, config: ExperimentConfig, nodes, theta, round_index: i
         yield theta_k, loss, len(negatives), upload, score
 
 
-def _train_nodes(theta, shards, config: ExperimentConfig, round_index: int, store,
-                 workers) -> list[tuple]:
-    """Every node's ``_node_results`` result, in node order. With W - 1
-    ``workers``, node k trains in ``workers[k % W]``, or here when
-    k % W = W - 1, each of ours before the workers' results for the nodes
-    below it are read. An error raised by a node, here or in a worker, is
-    raised here; if several nodes raise, the first in node order wins, as
-    when one process trains them all."""
-    w = len(workers) + 1
-    own = range(w - 1, len(shards), w)
-    mine = _node_results(shards, config, own, theta, round_index, store)
-    results: list[tuple] = []
-
-    def receive_below(k: int) -> None:  # the workers' results for the nodes below k
-        while len(results) < k:
-            n = len(results)
-            results.append(workers[n % w].receive(f"node {n}'s round {round_index} result"))
-
-    for k in own:
-        try:
-            result = next(mine)
-        finally:
-            receive_below(k)
-        results.append(result)
-    receive_below(len(shards))
-    return results
-
-
 def run_round(server: ServerState, shards, config: ExperimentConfig, round_index: int,
-              channel: MessageChannel, workers=()) -> list[dict]:
+              channel: MessageChannel, train=None) -> list[dict]:
     """Advance one synchronization round. Node k trains on ``shards[k]`` from
-    the seed ``config.node_seed(k)``, here or in one of ``workers`` (the
-    ``helper.Worker``s that ``run_training`` forked; see ``_train_nodes``).
-    Mutates ``server`` in place and returns the round's ``metrics.jsonl``
-    records, one per node in node order; nodes carry no state between rounds.
+    the seed ``config.node_seed(k)``, through ``train``, the ``run`` of the
+    ``helper.forked`` that ``run_training`` enters, or here with no
+    ``train``. Mutates ``server`` in place and returns the round's
+    ``metrics.jsonl`` records, one per node in node order; nodes carry no
+    state between rounds.
     """
     if not 1 <= round_index <= config.rounds:
         raise ValueError(f"round {round_index} outside [1, {config.rounds}]")
@@ -289,10 +258,9 @@ def run_round(server: ServerState, shards, config: ExperimentConfig, round_index
             _send(channel, MessageKind.METADATA_DOWN, k, round_index,
                   [meta for j, meta in sorted(store.items()) if j != k])
 
-    for worker in workers:
-        worker.start(f"round {round_index}", theta, round_index, store)
-    trained, losses, counts, uploads, scores = zip(
-        *_train_nodes(theta, shards, config, round_index, store, workers))
+    trained, losses, counts, uploads, scores = zip(*(
+        train(f"round {round_index}", theta, round_index, store) if train else
+        _node_results(shards, config, range(len(shards)), theta, round_index, store)))
 
     if round_index in config.metadata_rounds():
         for k, upload in enumerate(uploads):
@@ -340,11 +308,10 @@ def run_training(config: ExperimentConfig) -> RunResult:
     channel = MessageChannel()
     metrics: list[list[dict]] = []
     wall_times: list[float] = []
-    with (nn.one_blas_thread() as held,
-          forked(functools.partial(_node_results, shards, config), config.nodes, held) as workers):
+    with forked(functools.partial(_node_results, shards, config), config.nodes) as train:
         for t in range(1, config.rounds + 1):
             started = time.perf_counter()
-            metrics.append(run_round(server, shards, config, t, channel, workers))
+            metrics.append(run_round(server, shards, config, t, channel, train))
             wall_times.append(time.perf_counter() - started)
     return RunResult(server.theta0, metrics, channel.messages, wall_times, config)
 

@@ -1,19 +1,10 @@
-"""Forked worker processes that work beside this one.
+"""Independent jobs run over forked processes, their results read in order.
 
-A ``Worker`` is forked with a job function and runs it on each argument
-tuple that ``Worker.start`` sends, answering with each of the job's results,
-which ``Worker.receive`` reads. Two callers use it, and both fork only where
-``_may_fork`` allows:
-
-- ``federation.run_training`` forks W - 1 workers (``forked``) after
-  ``build_nodes``, so each inherits every shard. Of W = ``worker_count``
-  processes, worker i trains nodes i, i + W, ... and the parent nodes
-  W - 1, 2W - 1, ... Each round a worker is sent the broadcast θ, the round
-  index and the metadata store, and sends back what its nodes' generator,
-  ``federation._node_results``, yields: one result per node.
-- ``cli`` finishes a run that fine-tunes through ``beside``: one worker
-  probes the encoder and writes the training artifacts it inherited while
-  the parent fine-tunes, and answers with the probe records.
+``forked`` is the one way to do so: ``federation.run_training`` runs a
+round's nodes through it, and ``cli._finish_run`` a run's probe and
+fine-tune. It holds numpy's bundled OpenBLAS at one thread throughout, so no
+result depends on its thread count, and forks ``Worker``s only where that
+hold took and ``_may_fork`` allows; otherwise every job runs here, in order.
 
 Every message crosses its pipe as one protocol-5 pickle, so each array is
 read once, into the buffer of the array it becomes; an error the job raised
@@ -67,15 +58,16 @@ class Worker:
     killed when its parent dies, and exits if the parent died before that."""
 
     def __init__(self, job, cpus, inherited) -> None:
-        parent = os.getpid()
-        down_r, down_w = os.pipe()
-        up_r, up_w = os.pipe()
+        parent, fds = os.getpid(), []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             self.pid = os.fork()
         except OSError:
-            for fd in (down_r, down_w, up_r, up_w):
+            for fd in fds:
                 os.close(fd)
             raise
+        down_r, down_w, up_r, up_w = fds
         if self.pid == 0:  # the worker: never returns into the caller's stack
             code = 1
             try:
@@ -139,64 +131,75 @@ class Worker:
             self._down.close()
 
 
-def worker_count(nodes: int, cpus: int) -> int:
-    """Processes to train ``nodes`` nodes on ``cpus`` CPUs, or 0 for one: the
+def worker_count(jobs: int, cpus: int) -> int:
+    """Processes to run ``jobs`` jobs on ``cpus`` CPUs, or 0 for one: the
     fewest, at least one per CPU, none given more than a CPU's even share."""
-    c = min(cpus, nodes)
-    return 0 if c < 2 else next(w for w in range(c, nodes + 1) if -(-nodes // w) * c <= nodes)
+    c = min(cpus, jobs)
+    return 0 if c < 2 else next(w for w in range(c, jobs + 1) if -(-jobs // w) * c <= jobs)
 
 
-def _may_fork(wanted: bool) -> bool:
-    """Whether to fork a worker: only if ``wanted``, the caller's own test,
-    which includes that the BLAS hold took; not on one usable CPU, without a
-    ``fork``, affinity or ``prctl`` call, or with another thread alive, which
-    a fork would leave holding its locks."""
-    return (wanted and nn._usable_cpus() > 1 and hasattr(os, "fork")
-            and hasattr(os, "sched_setaffinity") and _prctl is not None
+def _may_fork() -> bool:
+    """Whether to fork a worker: not without a ``fork``, affinity or
+    ``prctl`` call, or with another thread alive, which a fork would leave
+    holding its locks."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_setaffinity") and _prctl is not None
             and threading.active_count() == 1)
 
 
 @contextlib.contextmanager
-def forked(train, nodes: int, wanted: bool):
-    """W - 1 ``Worker``s, W = ``worker_count``, worker i running ``train(range(i,
-    nodes, W), theta, round_index, store)`` each round, or none: with one
-    node, or where ``_may_fork`` says no. If W ≤ the usable CPUs, process i
+def forked(share, count: int):
+    """Yields ``run(what, *args)``, which returns ``share(range(count),
+    *args)``'s results in order; ``share`` yields one result per index it is
+    given. Of W = ``worker_count(count, usable CPUs)`` processes, W - 1
+    ``Worker``s run the shares i, i + W, ... and this one W - 1, 2W - 1, ...;
+    with no fork, this one runs them all. If W ≤ the usable CPUs, process i
     (this one being W - 1) runs on this one's i-th CPU, cyclically, till
-    exit; workers are reaped on exit or a failed fork."""
-    count = worker_count(nodes, usable := nn._usable_cpus())
-    if not (count and _may_fork(wanted)):
-        yield []
-        return
-    cpus = os.sched_getaffinity(0)
-    places = [{sorted(cpus)[i % len(cpus)]} if count <= usable else cpus for i in range(count)]
-    workers: list[Worker] = []
-    try:
-        for i in range(count - 1):
-            inherited = [f.fileno() for w in workers for f in (w._down, w._up)]
-            workers.append(Worker(functools.partial(train, range(i, nodes, count)),
-                                  places[i], inherited))
-        os.sched_setaffinity(0, places[-1])
-        yield workers
-    finally:
-        for worker in workers:
-            worker.close()
-        os.sched_setaffinity(0, cpus)
-
-
-def beside(job, work, wanted: bool, name: str) -> tuple:
-    """``(job(), work())``: ``job`` run in one forked ``Worker`` on this
-    process's CPUs while ``work`` runs here, or here first where ``_may_fork``
-    says no. The worker is waited for even when ``work`` raises, then reaped;
-    ``name`` names ``job`` in the error if the worker dies."""
-    if not _may_fork(wanted):
-        return job(), work()
-    worker = Worker(lambda: [job()], os.sched_getaffinity(0), ())
-    try:
-        worker.start(name)
+    exit. Workers are reaped on exit or a failed fork."""
+    with nn.one_blas_thread() as held:
+        processes = worker_count(count, usable := nn._usable_cpus())
+        if not (processes and held and _may_fork()):
+            yield functools.partial(_run, share, count, [])
+            return
+        cpus = os.sched_getaffinity(0)
+        places = [{sorted(cpus)[i % len(cpus)]} if processes <= usable else cpus
+                  for i in range(processes)]
+        workers: list[Worker] = []
         try:
-            done = work()
+            for i in range(processes - 1):
+                inherited = [f.fileno() for w in workers for f in (w._down, w._up)]
+                workers.append(Worker(functools.partial(share, range(i, count, processes)),
+                                      places[i], inherited))
+            os.sched_setaffinity(0, places[-1])
+            yield functools.partial(_run, share, count, workers)
         finally:
-            got = worker.receive(f"the result of {name}")
-        return got, done
-    finally:
-        worker.close()
+            for worker in workers:
+                worker.close()
+            os.sched_setaffinity(0, cpus)
+
+
+def _run(share, count: int, workers, what: str, *args) -> list:
+    """``forked``'s ``run``: result i comes from ``workers[i % W]``, or from
+    here when i % W = W - 1, each of ours before the workers' results below
+    it are read. An error raised by a job, here or in a worker, is raised
+    here; if several raise, the first in order wins, as when one process runs
+    them all. ``what`` names the call in the error for a dead worker."""
+    w = len(workers) + 1
+    for worker in workers:
+        worker.start(what, *args)
+    own = range(w - 1, count, w)
+    mine = share(own, *args)
+    results: list = []
+
+    def receive_below(k: int) -> None:  # the workers' results below k
+        while len(results) < k:
+            n = len(results)
+            results.append(workers[n % w].receive(f"result {n} of {what}"))
+
+    for k in own:
+        try:
+            result = next(mine)
+        finally:
+            receive_below(k)
+        results.append(result)
+    receive_below(count)
+    return results

@@ -331,6 +331,33 @@ def test_audit_fails_on_message_sent_the_wrong_way(tmp_path, capsys):
     assert f"FAIL message {i}: params_up sent by 'server'" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("at, key, value, fail", [
+    (-1, "round", 1, "message {i}: round 1 after round 2"),
+    (-1, "round", 99, "message {i}: round 99 outside [1, 2]"),
+    (0, "round", "two", "messages.log: line {n}: no integer 'round' field"),
+    (0, "round", True, "messages.log: line {n}: no integer 'round' field"),
+    (0, "receiver", "node-77",
+     "message {i}: params_down from 'server' to 'node-77': not the server and a node of 3"),
+    (-1, "sender", "node-3",
+     "message {i}: params_up from 'node-3' to 'server': not the server and a node of 3"),
+], ids=["backward_round", "round_past_the_last", "round_not_a_number", "round_a_bool",
+        "unknown_receiver", "sender_past_the_last_node"])
+def test_audit_fails_on_a_forged_round_or_party(tmp_path, capsys, at, key, value, fail):
+    """One forged field of the first or last message fails that message by
+    index, or by line when its round is not an integer, and nothing else."""
+    assert run_smoke(tmp_path / "runs") == 0
+    run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
+    records = _jsonl_records(run_dir / "messages.log", {})
+    i = at % len(records)
+    records[i][key] = value
+    write_jsonl(records, run_dir / "messages.log")
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL " + fail.format(i=i, n=i + 1)]
+
+
 def test_audit_recomputes_the_digest(tmp_path, capsys):
     assert run_smoke(tmp_path / "runs") == 0
     run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"

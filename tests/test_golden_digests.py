@@ -67,8 +67,8 @@ spec.loader.exec_module(run)
 
 # Builds each config the way bench/child.py's `fedcl run --arms fedmoco`
 # does, and evaluates the trained encoder into a run directory through the
-# entry point `fedcl run` uses for eval.jsonl: forked beside the fine-tune on
-# two CPUs, serially under `taskset -c 0`.
+# entry point `fedcl run` uses for eval.jsonl: the probe forked while the
+# parent fine-tunes on two CPUs, serially under `taskset -c 0`.
 CHILD = LOAD_WORKLOADS + """
 from fedcl import cli, federation
 from fedcl.config import apply_arm, from_dict

@@ -1,10 +1,11 @@
 """The golden-digest child at two OpenBLAS threads.
 
-``federation.run_training`` holds numpy's bundled OpenBLAS at one thread for
-the span of a run, and ``cli._finish_run`` for its evaluation, so every
-workload's seed-13 run, wide's included, must give its pinned digest and its
-pinned probe and fine-tune records at two threads too. On two CPUs wide's
-probe runs in a process forked inside that hold, which it inherits. A change
+``helper.forked`` holds numpy's bundled OpenBLAS at one thread over the
+rounds of ``federation.run_training`` and over ``cli._finish_run``'s
+evaluation, so every workload's seed-13 run, wide's included, must give its
+pinned digest and its pinned probe and fine-tune records at two threads
+too. On two CPUs the workers are forked inside that hold, which they
+inherit. A change
 that makes a trained bit depend on the BLAS thread count, or on which
 process trains a node or probes, fails here.
 """

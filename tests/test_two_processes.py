@@ -1,12 +1,14 @@
-"""Rounds trained in several processes: of W = ``helper.worker_count``,
-``run_training`` forks W - 1 workers, worker i training nodes i, i + W, ...,
-while the parent trains the last share. A run that fine-tunes then forks one
-worker to probe and write while the parent fine-tunes. ``nn._usable_cpus``
-is patched to force the workers, which may then share a CPU, or to 1 to
-force the serial path. Every test that forks checks that no child is left.
+"""Jobs run in several processes through ``helper.forked``: of W =
+``helper.worker_count``, ``run_training`` forks W - 1 workers, worker i
+training nodes i, i + W, ..., while the parent trains the last share. A run
+that fine-tunes then forks one worker to probe and write while the parent
+fine-tunes. ``nn._usable_cpus`` is patched to force the workers, which may
+then share a CPU, or to 1 to force the serial path. Every test that forks
+checks that no child is left.
 """
 
 import contextlib
+import errno
 import os
 import pickle
 import re
@@ -121,9 +123,10 @@ def serial_files(tmp_path_factory):
 def assert_serial_bytes(serial_files, out: Path, args: tuple, nodes: int, cpus: int,
                         fine_tune: bool) -> int:
     """Each run of ``main(args)`` forks W - 1 workers for training, W =
-    ``worker_count(nodes, cpus)``, and one more to probe and write beside a
-    fine-tune; every file but timing.jsonl holds the one-CPU run's bytes, and
-    the CPUs and BLAS threads are given back. Returns the number of runs."""
+    ``worker_count(nodes, cpus)``, and one more to probe and write while the
+    parent fine-tunes; every file but timing.jsonl holds the one-CPU run's
+    bytes, and the CPUs and BLAS threads are given back. Returns the number
+    of runs."""
     cpus_before, threads = os.sched_getaffinity(0), nn._openblas_thread_calls()[0]()
     with usable_cpus(cpus) as forks:
         assert main([*args, "--out", str(out)]) == 0
@@ -206,8 +209,8 @@ def test_the_first_failing_node_in_node_order_fails_the_run(hang_guard, case):
     config = from_dict({**TINY, "nodes": nodes, "data": {**TINY["data"], "scenario": scenario}})
     if failure in ("exit", "half"):
         error = HelperError
-        message = (rf"worker process \d+ exited before sending node {min(failing)}'s "
-                   rf"round {round_index} result")
+        message = (rf"worker process \d+ exited before sending result {min(failing)} "
+                   rf"of round {round_index}")
     else:
         with pytest.MonkeyPatch.context() as mp, usable_cpus(1):
             fail(mp, config.seed, failing, failure, round_index)
@@ -244,7 +247,7 @@ def test_a_helper_that_dies_mid_round_is_a_named_error(forks, monkeypatch, failu
     or sends half of that result and exits."""
     fail(monkeypatch, from_dict(TINY).seed, {0}, failure, 2)
     with pytest.raises(HelperError, match=r"^worker process \d+ exited before sending "
-                                          r"node 0's round 2 result$"):
+                                          r"result 0 of round 2$"):
         federation.run_training(from_dict(TINY))
 
 
@@ -295,8 +298,8 @@ def dies_in_evaluation(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("die, owed", [
-    (lambda mp: fail(mp, 4, {0}, "exit", 2), "node 0's round 2 result"),
-    (dies_in_evaluation, "the result of probing and writing "),
+    (lambda mp: fail(mp, 4, {0}, "exit", 2), "result 0 of round 2"),
+    (dies_in_evaluation, "result 0 of evaluating "),
 ], ids=["dies_in_training", "dies_in_evaluation"])
 def test_a_dead_worker_is_an_error_line(tmp_path, forks, monkeypatch, capsys, die, owed):
     """One ``error:`` line and exit 1, as for a diverged run; the run
@@ -361,50 +364,128 @@ def echo(nodes, theta, round_index, store):
         yield theta, 0.0, 0, None, 0.0
 
 
-def fd_target(pid, fd) -> str:
-    return os.readlink(f"/proc/{pid}/fd/{fd}")
+def worker_pids(monkeypatch) -> list[int]:
+    """The pids of the processes forked from here on."""
+    pids, counting = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(pid := counting()) or pid)
+    return pids
+
+
+def pipe_ends(pid) -> set[str]:
+    """The pipes, as ``pipe:[inode]``, that process ``pid`` holds an fd of."""
+    ends = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        with contextlib.suppress(FileNotFoundError):  # the fd listdir itself used
+            if (target := os.readlink(f"/proc/{pid}/fd/{fd}")).startswith("pipe:"):
+                ends.add(target)
+    return ends
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd")
 @pytest.mark.parametrize("nodes", [3, 4])
-def test_each_worker_holds_its_own_pipe_ends_and_one_cpu_when_pinned(forks, nodes):
+def test_each_worker_holds_its_own_pipe_ends_and_one_cpu_when_pinned(forks, monkeypatch,
+                                                                      nodes):
     """Three processes on two CPUs share both; two keep one each, taken in
     turn from the parent's CPUs, so they share CPU 0 under ``taskset -c 0``."""
-    config = from_dict({**TINY, "nodes": nodes})
-    theta = nn.init_params(config.encoder_shapes(), 0)
-    cpus = os.sched_getaffinity(0)
+    pids = worker_pids(monkeypatch)
+    theta = nn.init_params(from_dict({**TINY, "nodes": nodes}).encoder_shapes(), 0)
+    cpus, before = os.sched_getaffinity(0), pipe_ends("self")
     count = helper.worker_count(nodes, 2)
-    with helper.forked(echo, config.nodes, True) as workers:
-        assert len(workers) == len(forks) == count - 1
-        for worker in workers:  # a round trip: each worker has closed its fds
-            worker.start("round 1", theta, 1, {})
-        results = [workers[k % count].receive(f"node {k}'s round 1 result")
-                   for k in range(nodes) if k % count < count - 1]
-        assert [r[0].values.tobytes() for r in results] == [theta.values.tobytes()] * len(results)
-        own = {w.pid: sorted(fd_target("self", f.fileno()) for f in (w._down, w._up))
-               for w in workers}
-        pipes = {end for ends in own.values() for end in ends}
+    with helper.forked(echo, nodes) as run:
+        results = run("round 1", theta, 1, {})  # a round trip: each worker has closed its fds
+        assert len(pids) == len(forks) == count - 1
+        assert [r[0].values.tobytes() for r in results] == [theta.values.tobytes()] * nodes
+        new = pipe_ends("self") - before  # two per worker, its own
+        held = [pipe_ends(pid) & new for pid in pids]
+        assert [len(ends) for ends in held] == [2] * len(pids)
+        assert set().union(*held) == new and len(new) == 2 * len(pids)
         ordered = sorted(cpus)
-        for i, worker in enumerate(workers):
-            held = [fd_target(worker.pid, fd) for fd in os.listdir(f"/proc/{worker.pid}/fd")]
-            assert sorted(end for end in held if end in pipes) == own[worker.pid]
+        for i, pid in enumerate(pids):
             pinned = {ordered[i % len(ordered)]} if count <= 2 else cpus
-            assert os.sched_getaffinity(worker.pid) == pinned
+            assert os.sched_getaffinity(pid) == pinned
         assert os.sched_getaffinity(0) == ({ordered[1 % len(ordered)]} if count <= 2 else cpus)
     assert os.sched_getaffinity(0) == cpus
 
 
-def test_a_helper_that_died_between_rounds_is_a_named_error(forks):
+def test_a_helper_that_died_between_rounds_is_a_named_error(forks, monkeypatch):
     """The worker is dead but not yet reaped when round 2 starts; its parent
     end then holds bytes that ``close`` cannot flush."""
-    config = from_dict(TINY)
-    theta = nn.init_params(config.encoder_shapes(), 0)
-    with helper.forked(echo, config.nodes, True) as workers:
-        pid = workers[0].pid
+    pids = worker_pids(monkeypatch)
+    theta = nn.init_params(from_dict(TINY).encoder_shapes(), 0)
+    with helper.forked(echo, TINY["nodes"]) as run:
+        run("round 1", theta, 1, {})
+        [pid] = pids
         os.kill(pid, signal.SIGKILL)
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         with pytest.raises(HelperError, match=f"^worker process {pid} exited before round 2$"):
-            workers[0].start("round 2", theta, 2, {})
+            run("round 2", theta, 2, {})
+
+
+@pytest.mark.skipif(nn._openblas_thread_calls() is None, reason="numpy links another BLAS")
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+def test_every_share_runs_under_one_blas_thread(hang_guard, cpus):
+    """Here and in a worker OpenBLAS runs one thread inside ``forked``, and
+    has its own count back after."""
+    get_threads, set_threads = nn._openblas_thread_calls()
+    threads = get_threads()
+
+    def share(jobs):
+        for _ in jobs:
+            yield os.getpid(), get_threads()
+
+    set_threads(2)
+    try:
+        with usable_cpus(cpus) as forks, helper.forked(share, 2) as run:
+            got = run("reading the thread count")
+        assert len(forks) == cpus - 1
+        assert [n for _, n in got] == [1, 1]
+        assert (got[0][0] != PARENT) == (cpus > 1) and got[1][0] == PARENT
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+
+
+def test_a_forked_evaluation_probes_and_fine_tunes_on_a_cpu_each(tmp_path, forks,
+                                                                 monkeypatch):
+    """The probe runs in the worker on the parent's first CPU, the fine-tune
+    here on its second, cycled as ``forked`` places processes."""
+    cpus, tuned_on = os.sched_getaffinity(0), []
+    ordered, probed_on = sorted(cpus), tmp_path / "probed_on"
+    real_probe, real_tune = evaluate.linear_probe, evaluate.fine_tune
+
+    def probe(*args):
+        probed_on.write_text(repr(sorted(os.sched_getaffinity(0))))
+        return real_probe(*args)
+
+    def fine_tune(*args):
+        tuned_on.append(os.sched_getaffinity(0))
+        return real_tune(*args)
+
+    monkeypatch.setattr(evaluate, "linear_probe", probe)
+    monkeypatch.setattr(evaluate, "fine_tune", fine_tune)
+    assert main([*SMALL, "--arms", "fedmoco", *FINE_TUNE,
+                 "--out", str(tmp_path / "runs")]) == 0
+    assert len(forks) == helper.worker_count(3, 2)
+    assert probed_on.read_text() == repr([ordered[0]])
+    assert tuned_on == [{ordered[1 % len(ordered)]}]
+    assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_a_failed_second_pipe_closes_the_first(monkeypatch):
+    real, calls = os.pipe, []
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EMFILE, "too many open files")
+        return real()
+
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "pipe", second_fails)
+    with pytest.raises(OSError, match="too many open files"):
+        helper.Worker(echo, os.sched_getaffinity(0), ())
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_a_failed_fork_reaps_the_workers_already_forked(forks, monkeypatch):

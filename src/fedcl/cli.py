@@ -13,14 +13,17 @@ metrics and wall times, the message log with its audit verdict, evaluation
 scores, and a digest of the checkpoint and metrics. Every file goes through
 ``federation.write_atomic``, so an interrupted run never leaves a
 half-written artifact behind. A run that diverges (a non-finite payload or
-loss) stops the command with an ``error:`` line and exit 1; the run
-directories finished before it stay.
+loss) stops the command with an ``error:`` line and exit 1; SIGTERM stops it
+with one ``error:`` line and exit 143 (128 + 15), once its forked workers
+are reaped. The run directories finished before it stay.
 
 `audit` checks each logged message against ``federation.CONTRACT`` (kind,
 direction, payload tag), its round and parties against the run's
-config.yaml and the round before it, the message counts against
-``federation.expected_counts`` of that config, and digest.txt
-against ``federation.run_digest``; any mismatch, missing file, damaged
+config.yaml and the round before it; once each message passes, the log's
+order against ``federation.message_order`` of that config, naming the first
+message that differs; the message counts against
+``federation.expected_counts`` of that config; and digest.txt against
+``federation.run_digest``; any mismatch, missing file, damaged
 messages.log line or config.yaml that does not load is a FAIL, and a tree of
 runs is audited to the end.
 """
@@ -28,8 +31,11 @@ runs is audited to the end.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
@@ -154,6 +160,28 @@ def _quota_warning(config: ExperimentConfig, label: str) -> str | None:
             f"per peer; metadata is sent but no synthetic negatives are mixed in")
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised wherever a run's main thread is when it comes. Like
+    ``KeyboardInterrupt`` it is no ``Exception``, so no job's error handling
+    takes it for the job's own error."""
+
+
+@contextlib.contextmanager
+def _sigterm_raises():
+    """Raise ``_Terminated`` on SIGTERM over the block, then restore the
+    handler before it. The ``finally`` blocks it passes on the way out run:
+    ``helper.forked`` reaps its workers, ``federation.write_atomic`` removes
+    its temporary file."""
+    def terminate(signum, frame):
+        raise _Terminated("terminated by SIGTERM")
+
+    before = signal.signal(signal.SIGTERM, terminate)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, before)
+
+
 def cmd_run(args) -> int:
     for flag, values in (("--seed", args.seed), ("--arms", args.arms)):
         repeated = [value for value, n in Counter(values or ()).items() if n > 1]
@@ -189,14 +217,16 @@ def cmd_run(args) -> int:
         # numpy's warnings on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                eval_records = _finish_run(run_dir, run_cfg, federation.run_training(run_cfg),
-                                           label)
-            except (ProtocolError, FloatingPointError, HelperError) as exc:
+                with _sigterm_raises():
+                    eval_records = _finish_run(run_dir, run_cfg,
+                                               federation.run_training(run_cfg), label)
+            except (ProtocolError, FloatingPointError, HelperError, _Terminated) as exc:
                 # the run diverged (the channel refused a non-finite payload,
-                # or a node's loss was not finite), or a worker process died
+                # or a node's loss was not finite), a worker process died, or
+                # the command was terminated
                 print("failed", flush=True)
                 print(f"error: {label} seed={seed}: {exc}", file=sys.stderr)
-                return 1
+                return 128 + signal.SIGTERM if isinstance(exc, _Terminated) else 1
         headline = next((r for r in eval_records if r["metric"] == "probe_accuracy"), None)
         if headline is None:
             headline = next(iter(eval_records), None)
@@ -346,6 +376,26 @@ def _message_problems(records: list[dict], config) -> list[str]:
     return problems
 
 
+def _order_problems(records: list[dict], config) -> list[str]:
+    """The first message, by index, where the log leaves the (round, kind,
+    sender, receiver) order a run of ``config`` sends in; none without a
+    ``config``."""
+    if config is None:
+        return []
+    got = [(rec["round"], rec["kind"], rec["sender"], rec["receiver"]) for rec in records]
+    for i, (found, want) in enumerate(itertools.zip_longest(got, federation.message_order(config))):
+        if found != want:
+            return [f"message {i}: {_describe(found)}, expected {_describe(want)}"]
+    return []
+
+
+def _describe(message) -> str:
+    if message is None:
+        return "the end of the log"
+    round_index, kind, sender, receiver = message
+    return f"{kind} of round {round_index} from {sender!r} to {receiver!r}"
+
+
 def _audit_one(run_dir: Path) -> int:
     try:
         records = _jsonl_records(run_dir / "messages.log", _LOG_FIELDS)
@@ -362,7 +412,7 @@ def _audit_one(run_dir: Path) -> int:
             problems.append(f"config.yaml: {exc}")
     else:
         problems.append("config.yaml missing: message counts cannot be checked")
-    problems += _message_problems(records, config)
+    problems += _message_problems(records, config) or _order_problems(records, config)
     if config is not None:
         for kind, want in federation.expected_counts(config).items():
             if counts[kind] != want:

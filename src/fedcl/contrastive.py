@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ShapeError
-from .nn import BLOCK, EncoderParams, blockwise, forward_batch, loss_and_grad, sgd_step
+from .nn import EncoderParams, forward_batch, loss_and_grad, sgd_step
 from .seeding import rng_for
 
 
@@ -156,15 +156,14 @@ def local_update(theta: EncoderParams, images, synthetic, config: ExperimentConf
     theta_d = theta.copy()
     queue = NegativeQueue(config.queue_capacity)
     buf = np.zeros_like(theta_q.values)
-    grad = np.empty_like(theta_q.values)
-    scratch = np.empty(min(BLOCK, grad.size))
     rng = rng_for(rng_seed, "local-update", round_index)
 
-    def step(q, g, v, k):
-        # theta_d's update reads this block of the new theta_q from cache.
-        s = scratch[: q.size]
-        sgd_step(q, g, v, lr, config.sgd_momentum, config.weight_decay, s)
-        _momentum_step(k, q, config.momentum_coeff, s)
+    def step(lo, hi, g):
+        # One gradient block, stepped as it is made: theta_d's update reads
+        # this block of the new theta_q from cache.
+        q, s = theta_q.values[lo:hi], np.empty_like(g)
+        sgd_step(q, g, buf[lo:hi], lr, config.sgd_momentum, config.weight_decay, s)
+        _momentum_step(theta_d.values[lo:hi], q, config.momentum_coeff, s)
 
     n = images.shape[0]
     losses: list[float] = []
@@ -175,8 +174,7 @@ def local_update(theta: EncoderParams, images, synthetic, config: ExperimentConf
             pairs = augment(images[idx], rng, views=2)
             keys = forward_batch(theta_d, pairs[:, 1])
             loss, _ = loss_and_grad(theta_q, pairs[:, 0], keys, queue.as_matrix(d), synthetic,
-                                    config.temperature, out=grad)
-            blockwise(step, theta_q.values, grad, buf, theta_d.values)
+                                    config.temperature, update=step)
             queue.push(keys)
             losses.append(loss)
 

@@ -149,12 +149,11 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
     buf_p = np.zeros_like(params.values)
     buf_w = np.zeros_like(w)
     buf_b = np.zeros_like(b)
-    grad_p = np.empty_like(params.values)
-    scratch_p = np.empty(min(nn.BLOCK, grad_p.size))
     scratch_w = np.empty_like(w)
 
-    def step_p(v, g, m):
-        nn.sgd_step(v, g, m, _FT_LR, _FT_MOMENTUM, _FT_WEIGHT_DECAY, scratch_p[: v.size])
+    def step_p(lo, hi, g):
+        nn.sgd_step(params.values[lo:hi], g, buf_p[lo:hi], _FT_LR, _FT_MOMENTUM,
+                    _FT_WEIGHT_DECAY, np.empty_like(g))
 
     n = len(chosen)
     for _ in range(config.epochs):
@@ -168,12 +167,11 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
             p /= idx.size
             gw = p.T @ z
             gb = p.sum(axis=0)
-            nn.backward_features(params, cache, p @ w, out=grad_p)
+            nn.backward_features(params, cache, p @ w, update=step_p)
             nn.sgd_step(w, gw, buf_w, _FT_LR, _FT_MOMENTUM, _FT_WEIGHT_DECAY, scratch_w)
             buf_b *= _FT_MOMENTUM
             buf_b += gb
             b -= _FT_LR * buf_b
-            nn.blockwise(step_p, params.values, grad_p, buf_p)
 
     pred = np.argmax(nn.forward_batch(params, test.pixels) @ w.T + b, axis=1)
     hit = pred == np.searchsorted(classes, test.labels)

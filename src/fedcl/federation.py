@@ -126,12 +126,33 @@ def payload_violation(message: Message) -> str | None:
     return problem
 
 
+def _parties(kind: MessageKind, node_id: int) -> tuple[str, str]:
+    """(sender, receiver) of a ``kind`` message between the server and node
+    ``node_id``, in the direction ``CONTRACT`` fixes for it."""
+    node = f"node-{node_id}"
+    return (SERVER, node) if CONTRACT[kind][1] else (node, SERVER)
+
+
+def message_order(config: ExperimentConfig) -> list[tuple[int, str, str, str]]:
+    """The (round, kind, sender, receiver) of every message a complete run
+    logs, in log order (``run_round``): per round, parameters down to each
+    node, then in a metadata round metadata down to each node and, after
+    training, up from each; then parameters up from each node."""
+    metadata = (MessageKind.METADATA_DOWN, MessageKind.METADATA_UP)
+    return [(t, kind.value, *_parties(kind, k))
+            for t in range(1, config.rounds + 1)
+            for kind in (MessageKind.PARAMS_DOWN, *(metadata if t in config.metadata_rounds()
+                                                    else ()), MessageKind.PARAMS_UP)
+            for k in range(config.nodes)]
+
+
 def expected_counts(config: ExperimentConfig) -> dict[str, int]:
     """Messages of each kind a complete run sends: every node downloads and
     uploads parameters each round; metadata flows only after warm-up."""
-    k, t, m = config.nodes, config.rounds, len(config.metadata_rounds())
-    return {"params_down": k * t, "params_up": k * t,
-            "metadata_down": k * m, "metadata_up": k * m}
+    counts = dict.fromkeys((kind.value for kind in MessageKind), 0)
+    for _, kind, _, _ in message_order(config):
+        counts[kind] += 1
+    return counts
 
 
 class MessageChannel:
@@ -182,9 +203,7 @@ class ServerState:
 def _send(channel, kind: MessageKind, node_id: int, round_index: int, payload) -> None:
     """Send ``payload`` between the server and node ``node_id``, in the
     direction ``CONTRACT`` fixes for ``kind``."""
-    node = f"node-{node_id}"
-    sender, receiver = (SERVER, node) if CONTRACT[kind][1] else (node, SERVER)
-    channel.send(Message(kind, sender, receiver, round_index, payload))
+    channel.send(Message(kind, *_parties(kind, node_id), round_index, payload))
 
 
 def _synthetic_negatives(store, nodes, config: ExperimentConfig,
@@ -320,13 +339,18 @@ def run_training(config: ExperimentConfig) -> RunResult:
 
 def write_atomic(path, *chunks) -> None:
     """Write str or bytes-like chunks to a temporary sibling of ``path``,
-    then ``os.replace`` it, so ``path`` is never left half-written."""
+    then ``os.replace`` it, so ``path`` is never left half-written. A write
+    that fails or is interrupted removes the temporary file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def payload_digest(payload, memo=None) -> str:

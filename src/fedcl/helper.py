@@ -182,7 +182,9 @@ def _run(share, count: int, workers, what: str, *args) -> list:
     here when i % W = W - 1, each of ours before the workers' results below
     it are read. An error raised by a job, here or in a worker, is raised
     here; if several raise, the first in order wins, as when one process runs
-    them all. ``what`` names the call in the error for a dead worker."""
+    them all. An interrupt here (a ``BaseException`` that is no
+    ``Exception``, such as ``KeyboardInterrupt``) is raised at once. ``what``
+    names the call in the error for a dead worker."""
     w = len(workers) + 1
     for worker in workers:
         worker.start(what, *args)
@@ -198,8 +200,10 @@ def _run(share, count: int, workers, what: str, *args) -> list:
     for k in own:
         try:
             result = next(mine)
-        finally:
+        except Exception:
             receive_below(k)
+            raise
+        receive_below(k)
         results.append(result)
     receive_below(count)
     return results

@@ -250,21 +250,50 @@ def one_blas_thread():
         set_threads(before)
 
 
+# Values per gradient block that ``backward_features`` hands to an
+# ``update``: one block of each vector a step touches (256 KB each) stays in
+# a 2 MB per-core L2 cache between the step's passes. On 1.18M-value
+# vectors, an SGD plus key-encoder step took 7.2-8.0 ms in blocks of this
+# size, 10.7 ms on the whole vectors, and 8.5-11 ms at 1 << 12 or 1 << 18.
+BLOCK = 1 << 15
+
+
+def _layer_blocks(shape: LayerShape) -> list[tuple[int, int, bool]]:
+    """The ``(r0, r1, bias)`` blocks ``backward_features`` makes one layer's
+    gradient in: its weight rows r0..r1, then its bias if ``bias``."""
+    if shape.size <= BLOCK:
+        return [(0, shape.rows, True)]
+    count = max(1, min(-(-shape.rows // max(2, BLOCK // shape.cols)), shape.rows // 2))
+    return [(shape.rows * j // count, shape.rows * (j + 1) // count, False)
+            for j in range(count)] + [(shape.rows, shape.rows, True)]
+
+
 def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
-                      out=None) -> np.ndarray:
+                      out=None, update=None):
     """Gradient of a scalar loss w.r.t. the flat parameter vector, given the
     loss gradient w.r.t. the normalized output features.
 
-    Each layer's gradient is written into its view of ``out``, a float64
-    vector as long as ``params.values`` that is returned; a new one is made
-    when it is ``None``, so a training loop can reuse one buffer per step.
+    The gradient is made in blocks, layers last first, each layer once its
+    error has gone back through its weights: a layer of at most ``BLOCK``
+    values in one block, bias included; a larger one in near-equal row
+    blocks of at most ``BLOCK`` values, then its bias. No block is one row
+    of a larger layer, a product that can take BLAS's vector path. A row
+    block may take another BLAS kernel than its whole layer, so the blocks
+    are the same whatever the caller asks for.
+
+    Each block is written into its view of ``out``, a float64 vector as long
+    as ``params.values`` that is returned. With an ``update``, each is also
+    handed to ``update(lo, hi, g)`` as it is made, ``g`` being the gradient
+    of ``params.values[lo:hi]``, which ``update`` may step in place. With no
+    ``out``, ``out`` is a new vector, or, given an ``update``, ``g`` is one
+    block-sized buffer that the next block overwrites and None is returned.
 
     Rows whose pre-normalization activation is exactly zero propagate no
     gradient, matching the zero-maps-to-zero head rule.
     """
-    if out is None:
+    if out is None and update is None:
         out = np.empty_like(params.values)
-    elif out.dtype != np.float64 or out.shape != params.values.shape:
+    elif out is not None and (out.dtype != np.float64 or out.shape != params.values.shape):
         raise ShapeError(f"gradient buffer must be float64 of shape {params.values.shape}, "
                          f"got {out.dtype} {out.shape}")
     d_feats = np.asarray(d_features, dtype=np.float64)
@@ -276,38 +305,29 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
     inner = np.einsum("ij,ij->i", d_feats[nz], z)
     da[nz] = (d_feats[nz] - inner[:, None] * z) / norms[nz, None]
 
+    blocks = [_layer_blocks(s) for s in params.shapes]
+    scratch = None if out is not None else np.empty(max(
+        (r1 - r0) * s.cols + s.rows * bias
+        for s, layer in zip(params.shapes, blocks) for r0, r1, bias in layer))
     weights = layer_views(params)
-    grads = layer_views(params, out)
+    offset = params.values.size
     for i in range(len(weights) - 1, -1, -1):
+        shape = params.shapes[i]
+        offset -= shape.size
         dh = da * (cache.activations[i + 1] > 0.0)
-        gw, gb = grads[i]
-        np.matmul(dh.T, cache.activations[i], out=gw)
-        np.sum(dh, axis=0, out=gb)
         if i > 0:
             da = dh @ weights[i][0]
+        for r0, r1, bias in blocks[i]:
+            lo, n = offset + r0 * shape.cols, (r1 - r0) * shape.cols
+            hi = lo + n + shape.rows * bias
+            g = out[lo:hi] if scratch is None else scratch[: hi - lo]
+            if n:
+                np.matmul(dh[:, r0:r1].T, cache.activations[i], out=g[:n].reshape(r1 - r0, -1))
+            if bias:
+                np.sum(dh, axis=0, out=g[n:])
+            if update is not None:
+                update(lo, hi, g)
     return out
-
-
-# Values per slice in ``blockwise``: one block of each vector a step touches
-# (256 KB each) stays in a 2 MB per-core L2 cache between the step's passes.
-# On 1.18M-value vectors, an SGD plus key-encoder step took 7.2-8.0 ms at
-# this size, 10.7 ms on the whole vectors, and 8.5-11 ms at 1 << 12 or 1 << 18.
-BLOCK = 1 << 15
-
-
-def blockwise(step, *arrays) -> None:
-    """Run the element-wise in-place ``step`` over equal-length 1-D
-    ``arrays``, ``BLOCK`` values at a time: ``step`` gets the matching slice
-    of each array. Bit-equal to one call on the whole arrays, since no value
-    depends on another; each block is read from memory once, not once per
-    pass of ``step``.
-    """
-    n = arrays[0].shape[0]
-    if any(a.ndim != 1 or a.shape[0] != n for a in arrays):
-        raise ShapeError(f"blockwise needs equal-length vectors, got "
-                         f"{[a.shape for a in arrays]}")
-    for start in range(0, n, BLOCK):
-        step(*(a[start : start + BLOCK] for a in arrays))
 
 
 def sgd_step(values, grad, buf, lr, momentum, weight_decay, scratch) -> None:
@@ -335,7 +355,7 @@ def _as_key_rows(keys, d: int, name: str) -> np.ndarray:
 
 
 def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negatives, temperature,
-                  out=None):
+                  out=None, update=None):
     """Mean contrastive loss over the query batch and its exact gradient.
 
     ``positives``, ``negatives`` and ``synthetic_negatives`` are key-side
@@ -345,7 +365,8 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     softmax has a single term and the loss is exactly zero.
 
     Returns ``(loss, grad)`` with ``grad`` aligned with ``params_q.values``;
-    ``grad`` is ``out`` when given (see ``backward_features``).
+    ``out`` and ``update`` go to ``backward_features``, which says what
+    ``grad`` then is.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -377,4 +398,4 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     dlogits[:, 0] -= 1.0
     dlogits /= batch * tau
     d_z = dlogits[:, :1] * pos + dlogits[:, 1:] @ negs
-    return loss, backward_features(params_q, cache, d_z, out)
+    return loss, backward_features(params_q, cache, d_z, out, update)

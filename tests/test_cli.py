@@ -358,6 +358,44 @@ def test_audit_fails_on_a_forged_round_or_party(tmp_path, capsys, at, key, value
         "FAIL " + fail.format(i=i, n=i + 1)]
 
 
+def _swap_first_two(records):
+    records[0], records[1] = records[1], records[0]
+    return 0
+
+
+def _first_params_up_on_top(records):
+    i = next(i for i, r in enumerate(records) if r["kind"] == "params_up")
+    records.insert(0, records.pop(i))
+    return 0
+
+
+def _two_params_down_to_one_node(records):
+    records[1]["receiver"] = records[0]["receiver"]
+    return 1
+
+
+@pytest.mark.parametrize("forge", [_swap_first_two, _first_params_up_on_top,
+                                   _two_params_down_to_one_node])
+def test_audit_fails_on_messages_out_of_order(tmp_path, capsys, forge):
+    """Swapping the first two ``params_down`` lines, moving round 1's first
+    ``params_up`` to the top, or sending one node two ``params_down`` in a
+    round and another none keeps every message valid on its own and every
+    count; the audit names the first message out of the order the run's
+    config.yaml sends in."""
+    assert run_smoke(tmp_path / "runs") == 0
+    run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
+    records = _jsonl_records(run_dir / "messages.log", {})
+    i = forge(records)
+    write_jsonl(records, run_dir / "messages.log")
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    want = records[i]
+    assert fails == [f"FAIL message {i}: {want['kind']} of round {want['round']} from "
+                     f"{want['sender']!r} to {want['receiver']!r}, expected params_down of "
+                     f"round 1 from 'server' to 'node-{i}'"]
+
+
 def test_audit_recomputes_the_digest(tmp_path, capsys):
     assert run_smoke(tmp_path / "runs") == 0
     run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"

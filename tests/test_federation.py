@@ -16,7 +16,7 @@ from fedcl.datagen import Images
 from fedcl.errors import ProtocolError, ShapeError
 from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
                               audit_privacy, build_nodes, contract_violation,
-                              expected_counts, load_checkpoint,
+                              expected_counts, load_checkpoint, message_order,
                               metrics_records, payload_digest,
                               payload_violation,
                               run_round, run_training,
@@ -69,7 +69,10 @@ def test_message_counts_follow_round_structure():
                                        {"warmup_rounds": 3}])
 def test_expected_counts_match_the_messages_sent(overrides):
     cfg = tiny_config(**overrides)
-    assert audit_privacy(run_training(cfg).messages).counts == expected_counts(cfg)
+    messages = run_training(cfg).messages
+    assert audit_privacy(messages).counts == expected_counts(cfg)
+    assert [(m.round_index, str(m.kind), m.sender, m.receiver)
+            for m in messages] == message_order(cfg)
 
 
 def test_metadata_disabled_sends_no_metadata():
@@ -450,6 +453,17 @@ def test_write_atomic_replaces_whole_file(tmp_path):
     path.write_text("old contents, longer than the new ones")
     write_atomic(path, "head\n", b"\x00\x01", np.arange(2, dtype="<f8"))
     assert path.read_bytes() == b"head\n\x00\x01" + np.arange(2, dtype="<f8").tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_write_atomic_removes_its_temporary_file_when_a_write_fails(tmp_path):
+    """A chunk that cannot be written fails the call midway; the old file
+    stays whole and no ``.tmp`` is left beside it."""
+    path = tmp_path / "out.bin"
+    path.write_text("old")
+    with pytest.raises(TypeError):
+        write_atomic(path, "head\n", 7)
+    assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 

@@ -1,6 +1,7 @@
-"""A ``fedcl run`` killed by a signal it cannot handle, or does not, takes
-its forked workers with it: each asked the kernel to SIGKILL it when its
-parent dies (``helper.Worker``)."""
+"""A ``fedcl run`` killed by a signal takes its forked workers with it. On
+SIGKILL each worker dies with it, having asked the kernel to SIGKILL it when
+its parent dies (``helper.Worker``); on SIGTERM the run reaps its workers
+itself and exits 143 with one ``error:`` line."""
 
 import contextlib
 import os
@@ -59,7 +60,8 @@ def file_states(root: Path) -> dict:
 def test_a_killed_run_takes_its_workers_with_it(tmp_path, hang_guard, sig, stage):
     """``fedcl run``, in its own session, is killed while a worker trains or
     probes: within 5 s no process of its group is alive, and no file of its
-    run directory changed after it was reaped."""
+    run directory changed after it was reaped. SIGTERM ends it with exit 143
+    and leaves no temporary file, digest.txt or eval.jsonl."""
     marker, out = tmp_path / "stalled", tmp_path / "runs"
     src = str(Path(fedcl.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -74,8 +76,12 @@ def test_a_killed_run_takes_its_workers_with_it(tmp_path, hang_guard, sig, stage
                 time.sleep(0.01)
             killed = time.monotonic()
             run.send_signal(sig)
-            assert run.wait(timeout=10) == -sig
+            assert run.wait(timeout=10) == (143 if sig == signal.SIGTERM else -sig)
             written = file_states(out)
+            if sig == signal.SIGTERM:  # an error line, and no file half-written or final
+                assert (tmp_path / "log").read_text().count("error:") == 1
+                assert not [p for p in written if p.suffix == ".tmp"
+                            or p.name in ("digest.txt", "eval.jsonl")]
             while group_alive(run.pid):
                 assert time.monotonic() - killed < 5, "a worker outlived fedcl run by 5 s"
                 time.sleep(0.01)

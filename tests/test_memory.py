@@ -12,12 +12,14 @@ import numpy as np
 
 from fedcl.config import from_dict
 from fedcl.contrastive import local_update
-from fedcl.datagen import ScenarioSpec, generate_node_dataset
+from fedcl.datagen import Images, ScenarioSpec, generate_node_dataset
+from fedcl.evaluate import FineTuneConfig, fine_tune
 from fedcl.federation import build_nodes
 from fedcl.nn import FORWARD_BLOCK_BYTES, forward_batch, init_params, loss_and_grad, mlp_shapes
 from fedcl.seeding import rng_for
 
 THETA = init_params(mlp_shapes(256, [2048], 64), 0)
+WIDE = init_params(mlp_shapes(256, [3072], 128), 0)
 
 
 def peak_bytes(fn) -> int:
@@ -33,16 +35,29 @@ def peak_bytes(fn) -> int:
     return peak - base
 
 
-def test_local_update_keeps_four_parameter_vectors():
-    """The query and key encoders, the SGD momentum buffer and the one
-    gradient buffer; the step scratch is a single block, and the rest is
-    batch-sized. With a fresh gradient and scratch per step it was 7.5."""
+def test_local_update_keeps_three_parameter_vectors():
+    """The query and key encoders and the SGD momentum buffer, on the wide
+    benchmark workload's 256-3072-128 encoder: each gradient block is
+    stepped as ``backward_features`` makes it, so no parameter-sized
+    gradient is kept. The rest is batch- and block-sized, 3.1 MiB here; with
+    a whole gradient buffer this peaked one parameter vector higher."""
     images = rng_for(1, "memory").random((64, 16, 16))
     config = from_dict({"batch_size": 32, "lr": 0.03, "sgd_momentum": 0.9,
                         "weight_decay": 1e-4, "momentum_coeff": 0.99, "temperature": 0.2,
                         "queue_capacity": 128})
-    peak = peak_bytes(lambda: local_update(THETA, images, None, config, 1, 3))
-    assert peak < 5 * THETA.values.nbytes, peak / THETA.values.nbytes
+    peak = peak_bytes(lambda: local_update(WIDE, images, None, config, 1, 3))
+    assert peak < 3 * WIDE.values.nbytes + FORWARD_BLOCK_BYTES, peak / WIDE.values.nbytes
+
+
+def test_fine_tune_keeps_two_parameter_vectors():
+    """The fine-tuned encoder and its SGD momentum buffer, on the same
+    encoder, with no parameter-sized gradient beside them; the rest is
+    3.2 MiB here. With a whole gradient buffer this peaked one parameter
+    vector higher."""
+    rng = rng_for(2, "memory")
+    train, test = (Images(rng.random((n, 16, 16)), np.arange(n) % 2) for n in (128, 64))
+    peak = peak_bytes(lambda: fine_tune(WIDE, 0.5, train, test, FineTuneConfig(epochs=1), 5))
+    assert peak < 2 * WIDE.values.nbytes + FORWARD_BLOCK_BYTES, peak / WIDE.values.nbytes
 
 
 def test_forward_batch_keeps_one_hidden_layer():

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcl import nn
-from fedcl.contrastive import _momentum_step
 from fedcl.errors import ConfigError, ShapeError
 from fedcl.nn import (BLOCK, FORWARD_BLOCK_BYTES, EncoderParams, LayerShape,
-                      backward_features, blockwise, forward_batch, forward_cached, init_params,
+                      backward_features, forward_batch, forward_cached, init_params,
                       layer_views, loss_and_grad, mlp_shapes, normalize_rows,
                       sgd_step, validate_shapes)
 from fedcl.seeding import rng_for
@@ -177,30 +176,74 @@ def test_backward_features_fills_the_given_buffer(net):
         backward_features(p, cache, g_out, out=np.empty(p.values.size + 1))
 
 
-@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-def test_blockwise_steps_equal_whole_vector_steps(size):
-    """An SGD step, then the key-encoder step, run block by block with one
-    block of scratch, give the bytes of the two whole-vector calls."""
-    rng = rng_for(size, "blockwise")
-    values, grad, buf, key = (rng.standard_normal(size) for _ in range(4))
-    want = [a.copy() for a in (values, grad, buf, key)]
-    sgd_step(want[0], want[1], want[2], 0.03, 0.9, 1e-4, np.empty(size))
-    _momentum_step(want[3], want[0], 0.99, np.empty(size))
+@st.composite
+def block_nets(draw):
+    """A random MLP with one layer of more than ``BLOCK`` values, an input
+    batch of 2-40 rows, and the output gradient of a loss. The large layer
+    is tall, with ``BLOCK // cols`` rows per full block plus a few rows that
+    would make a short last block, or wide, with a row of a third of
+    ``BLOCK`` values or more."""
+    if draw(st.booleans()):
+        cols = draw(st.integers(64, 400))
+        rows = (BLOCK // cols) * draw(st.integers(1, 3)) + draw(st.integers(1, 3))
+    else:
+        cols, rows = draw(st.integers(BLOCK // 3, BLOCK)), draw(st.integers(1, 5))
+    dims = [*draw(st.lists(st.integers(1, 8), max_size=1)), cols, rows,
+            *draw(st.lists(st.integers(1, 8), max_size=2))]
+    shapes = tuple(LayerShape(r, c) for c, r in zip(dims, dims[1:]))
+    seed, batch = draw(st.integers(0, 2**16)), draw(st.integers(2, 40))
+    rng = rng_for(seed, "block-net")
+    return (init_params(shapes, seed), rng.random((batch, dims[0])),
+            rng.standard_normal((batch, dims[-1])))
 
-    scratch = np.empty(min(BLOCK, size))
-    calls = []
 
-    def step(q, g, v, k):
-        calls.append(q.size)
-        sgd_step(q, g, v, 0.03, 0.9, 1e-4, scratch[: q.size])
-        _momentum_step(k, q, 0.99, scratch[: q.size])
+@settings(max_examples=40, deadline=None)
+@given(block_nets())
+def test_handed_over_gradient_blocks_are_the_whole_gradient(net):
+    """The ``(lo, hi)`` spans an ``update`` gets tile the parameter vector
+    once; a layer of at most ``BLOCK`` values comes whole, a larger one in
+    blocks of at least two rows (the one row of a one-row layer aside), at
+    most ``BLOCK`` values each unless three rows hold more; their bytes are
+    those of ``out``. An update that steps the weights in place as its
+    blocks come gives the bytes of the whole gradient's step."""
+    p, x, g_out = net
+    cache = forward_cached(p, x)
+    whole = backward_features(p, cache, g_out, out=np.full_like(p.values, np.nan))
+    got = np.full_like(p.values, np.nan)
+    spans = []
 
-    blockwise(step, values, grad, buf, key)
-    for got, expected in zip((values, grad, buf, key), want):
-        assert got.tobytes() == expected.tobytes()
-    assert sum(calls) == size and all(n <= BLOCK for n in calls)
-    with pytest.raises(ShapeError, match="equal-length"):
-        blockwise(step, values, np.empty(size + 1))
+    def collect(lo, hi, g):
+        spans.append((lo, hi))
+        got[lo:hi] = g
+
+    assert backward_features(p, cache, g_out, update=collect) is None
+    cover = np.zeros(p.values.size, dtype=int)
+    for lo, hi in spans:
+        cover[lo:hi] += 1
+    assert (cover == 1).all()
+    assert got.tobytes() == whole.tobytes()
+    offsets = np.cumsum([0, *(s.size for s in p.shapes)])
+    for s, off in zip(p.shapes, offsets):
+        inside = [(lo, hi) for lo, hi in spans if off <= lo < off + s.size]
+        if s.size <= BLOCK:
+            assert inside == [(off, off + s.size)]
+            continue
+        weights = [hi - lo for lo, hi in inside[:-1]]
+        assert inside[-1] == (off + s.rows * s.cols, off + s.size)  # the bias, last
+        assert all(n >= min(2, s.rows) * s.cols for n in weights)
+        assert all(n <= max(BLOCK, 3 * s.cols) for n in weights)
+
+    lr, momentum, weight_decay = 0.03, 0.9, 1e-4
+    buf = rng_for(len(spans), "buf").standard_normal(p.values.size)
+    want, want_buf = p.values.copy(), buf.copy()
+    sgd_step(want, whole, want_buf, lr, momentum, weight_decay, np.empty_like(want))
+
+    def step(lo, hi, g):
+        sgd_step(p.values[lo:hi], g, buf[lo:hi], lr, momentum, weight_decay, np.empty_like(g))
+
+    backward_features(p, cache, g_out, update=step)
+    assert p.values.tobytes() == want.tobytes()
+    assert buf.tobytes() == want_buf.tobytes()
 
 
 def test_normalize_rows_zero_rule():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcl import nn
+from fedcl.contrastive import _momentum_step
 from fedcl.errors import ConfigError, ShapeError
 from fedcl.nn import (BLOCK, FORWARD_BLOCK_BYTES, EncoderParams, LayerShape,
                       backward_features, forward_batch, forward_cached, init_params,
@@ -174,6 +175,31 @@ def test_backward_features_fills_the_given_buffer(net):
     assert buf.tobytes() == fresh.tobytes()
     with pytest.raises(ShapeError, match="gradient buffer"):
         backward_features(p, cache, g_out, out=np.empty(p.values.size + 1))
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_blockwise_steps_equal_whole_vector_steps(size):
+    """An SGD step, then the key-encoder step, run span by span as gradient
+    blocks are handed over (near-equal spans of at most ``BLOCK`` values,
+    each with its own scratch), give the bytes of the two whole-vector
+    calls."""
+    rng = rng_for(size, "blockwise")
+    values, grad, buf, key = (rng.standard_normal(size) for _ in range(4))
+    want = [a.copy() for a in (values, grad, buf, key)]
+    sgd_step(want[0], want[1], want[2], 0.03, 0.9, 1e-4, np.empty(size))
+    _momentum_step(want[3], want[0], 0.99, np.empty(size))
+
+    def step(lo, hi, g):
+        q, s = values[lo:hi], np.empty_like(g)
+        sgd_step(q, g, buf[lo:hi], 0.03, 0.9, 1e-4, s)
+        _momentum_step(key[lo:hi], q, 0.99, s)
+
+    cuts = np.linspace(0, size, -(-size // BLOCK) + 1).astype(int)
+    for lo, hi in zip(cuts, cuts[1:]):
+        assert 0 < hi - lo <= BLOCK
+        step(lo, hi, grad[lo:hi])
+    for got, expected in zip((values, grad, buf, key), want):
+        assert got.tobytes() == expected.tobytes()
 
 
 @st.composite

@@ -146,15 +146,6 @@ def message_order(config: ExperimentConfig) -> list[tuple[int, str, str, str]]:
             for k in range(config.nodes)]
 
 
-def expected_counts(config: ExperimentConfig) -> dict[str, int]:
-    """Messages of each kind a complete run sends: every node downloads and
-    uploads parameters each round; metadata flows only after warm-up."""
-    counts = dict.fromkeys((kind.value for kind in MessageKind), 0)
-    for _, kind, _, _ in message_order(config):
-        counts[kind] += 1
-    return counts
-
-
 class MessageChannel:
     """Append-only log; a malformed or round-reversing message aborts the run."""
 

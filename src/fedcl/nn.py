@@ -96,11 +96,9 @@ def init_params(shapes, seed: int) -> EncoderParams:
     return EncoderParams(np.concatenate(chunks), shapes)
 
 
-def layer_views(params: EncoderParams, values=None):
-    """(weight, bias) array views into the flat vector, layer by layer.
-    ``values``, a vector of the same length, is laid out by ``params``'s
-    manifest in place of ``params.values`` when given."""
-    values = params.values if values is None else values
+def layer_views(params: EncoderParams):
+    """(weight, bias) array views into the flat vector, layer by layer."""
+    values = params.values
     out = []
     offset = 0
     for s in params.shapes:
@@ -268,8 +266,7 @@ def _layer_blocks(shape: LayerShape) -> list[tuple[int, int, bool]]:
             for j in range(count)] + [(shape.rows, shape.rows, True)]
 
 
-def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
-                      out=None, update=None):
+def backward_features(params: EncoderParams, cache: ForwardCache, d_features, update=None):
     """Gradient of a scalar loss w.r.t. the flat parameter vector, given the
     loss gradient w.r.t. the normalized output features.
 
@@ -281,21 +278,17 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
     block may take another BLAS kernel than its whole layer, so the blocks
     are the same whatever the caller asks for.
 
-    Each block is written into its view of ``out``, a float64 vector as long
-    as ``params.values`` that is returned. With an ``update``, each is also
-    handed to ``update(lo, hi, g)`` as it is made, ``g`` being the gradient
-    of ``params.values[lo:hi]``, which ``update`` may step in place. With no
-    ``out``, ``out`` is a new vector, or, given an ``update``, ``g`` is one
-    block-sized buffer that the next block overwrites and None is returned.
+    With no ``update``, each block is written into its view of a new vector
+    as long as ``params.values``, which is returned. Given an ``update``,
+    each is handed to ``update(lo, hi, g)`` as it is made, ``g`` being the
+    gradient of ``params.values[lo:hi]``, which ``update`` may step in place;
+    ``g`` is one block-sized buffer that the next block overwrites, and None
+    is returned.
 
     Rows whose pre-normalization activation is exactly zero propagate no
     gradient, matching the zero-maps-to-zero head rule.
     """
-    if out is None and update is None:
-        out = np.empty_like(params.values)
-    elif out is not None and (out.dtype != np.float64 or out.shape != params.values.shape):
-        raise ShapeError(f"gradient buffer must be float64 of shape {params.values.shape}, "
-                         f"got {out.dtype} {out.shape}")
+    out = np.empty_like(params.values) if update is None else None
     d_feats = np.asarray(d_features, dtype=np.float64)
     a_last = cache.activations[-1]
     norms = np.sqrt(np.einsum("ij,ij->i", a_last, a_last))
@@ -306,7 +299,7 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
     da[nz] = (d_feats[nz] - inner[:, None] * z) / norms[nz, None]
 
     blocks = [_layer_blocks(s) for s in params.shapes]
-    scratch = None if out is not None else np.empty(max(
+    scratch = None if update is None else np.empty(max(
         (r1 - r0) * s.cols + s.rows * bias
         for s, layer in zip(params.shapes, blocks) for r0, r1, bias in layer))
     weights = layer_views(params)
@@ -320,7 +313,7 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features,
         for r0, r1, bias in blocks[i]:
             lo, n = offset + r0 * shape.cols, (r1 - r0) * shape.cols
             hi = lo + n + shape.rows * bias
-            g = out[lo:hi] if scratch is None else scratch[: hi - lo]
+            g = out[lo:hi] if update is None else scratch[: hi - lo]
             if n:
                 np.matmul(dh[:, r0:r1].T, cache.activations[i], out=g[:n].reshape(r1 - r0, -1))
             if bias:
@@ -355,7 +348,7 @@ def _as_key_rows(keys, d: int, name: str) -> np.ndarray:
 
 
 def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negatives, temperature,
-                  out=None, update=None):
+                  update=None):
     """Mean contrastive loss over the query batch and its exact gradient.
 
     ``positives``, ``negatives`` and ``synthetic_negatives`` are key-side
@@ -365,8 +358,8 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     softmax has a single term and the loss is exactly zero.
 
     Returns ``(loss, grad)`` with ``grad`` aligned with ``params_q.values``;
-    ``out`` and ``update`` go to ``backward_features``, which says what
-    ``grad`` then is.
+    ``update`` goes to ``backward_features``, which says what ``grad`` then
+    is.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -398,4 +391,4 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     dlogits[:, 0] -= 1.0
     dlogits /= batch * tau
     d_z = dlogits[:, :1] * pos + dlogits[:, 1:] @ negs
-    return loss, backward_features(params_q, cache, d_z, out, update)
+    return loss, backward_features(params_q, cache, d_z, update)

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import re
@@ -8,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcl import evaluate, federation
 from fedcl.cli import _apply_overrides, _jsonl_records, main
@@ -333,23 +338,32 @@ def test_audit_fails_on_message_sent_the_wrong_way(tmp_path, capsys):
 
 @pytest.mark.parametrize("at, key, value, fail", [
     (-1, "round", 1, "message {i}: round 1 after round 2"),
-    (-1, "round", 99, "message {i}: round 99 outside [1, 2]"),
+    (-1, "round", 99, "message {i}: params_up of round 99 from 'node-2' to 'server', "
+     "expected params_up of round 2 from 'node-2' to 'server'"),
     (0, "round", "two", "messages.log: line {n}: no integer 'round' field"),
     (0, "round", True, "messages.log: line {n}: no integer 'round' field"),
-    (0, "receiver", "node-77",
-     "message {i}: params_down from 'server' to 'node-77': not the server and a node of 3"),
-    (-1, "sender", "node-3",
-     "message {i}: params_up from 'node-3' to 'server': not the server and a node of 3"),
+    (0, "receiver", "node-77", "message {i}: params_down of round 1 from 'server' to "
+     "'node-77', expected params_down of round 1 from 'server' to 'node-0'"),
+    (-1, "sender", "node-3", "message {i}: params_up of round 2 from 'node-3' to 'server', "
+     "expected params_up of round 2 from 'node-2' to 'server'"),
+    (0, "digest", None, "messages.log: line {n}: no 16-hex-digit 'digest' field"),
+    (-1, "digest", "0123456789ABCDEF", "messages.log: line {n}: no 16-hex-digit 'digest' field"),
 ], ids=["backward_round", "round_past_the_last", "round_not_a_number", "round_a_bool",
-        "unknown_receiver", "sender_past_the_last_node"])
+        "unknown_receiver", "sender_past_the_last_node", "digest_missing",
+        "digest_not_lowercase_hex"])
 def test_audit_fails_on_a_forged_round_or_party(tmp_path, capsys, at, key, value, fail):
-    """One forged field of the first or last message fails that message by
-    index, or by line when its round is not an integer, and nothing else."""
+    """One forged field of the first or last message, or its digest removed
+    (``None``) or malformed, fails that message by index, or by line when
+    its round is not an integer or its digest not 16 lowercase hex digits,
+    and nothing else."""
     assert run_smoke(tmp_path / "runs") == 0
     run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
     records = _jsonl_records(run_dir / "messages.log", {})
     i = at % len(records)
-    records[i][key] = value
+    if value is None:
+        del records[i][key]
+    else:
+        records[i][key] = value
     write_jsonl(records, run_dir / "messages.log")
     capsys.readouterr()
     assert main(["audit", str(run_dir)]) == 1
@@ -394,6 +408,65 @@ def test_audit_fails_on_messages_out_of_order(tmp_path, capsys, forge):
     assert fails == [f"FAIL message {i}: {want['kind']} of round {want['round']} from "
                      f"{want['sender']!r} to {want['receiver']!r}, expected params_down of "
                      f"round 1 from 'server' to 'node-{i}'"]
+
+
+@pytest.fixture(scope="module")
+def fedmoco_log(tmp_path_factory):
+    """One fedmoco smoke run, with metadata in its second round: its
+    directory, its message records and its round count."""
+    root = tmp_path_factory.mktemp("fedmoco")
+    assert main(["run", "--preset", "smoke", "--arms", "fedmoco", "--seed", "3",
+                 "--out", str(root), *FAST]) == 0
+    run_dir = root / "smoke" / "fedmoco" / "seed-3"
+    return (run_dir, _jsonl_records(run_dir / "messages.log", {}),
+            load_config(run_dir / "config.yaml").rounds)
+
+
+@st.composite
+def forged_logs(draw, records, rounds):
+    """``records`` with one forgery: one line's kind, sender, receiver,
+    round (-1..rounds+2) or payload tag set to a value the log holds, or to
+    an unknown kind or node; or a line dropped, duplicated or swapped with
+    another. The forgery may leave the log as it was."""
+    records = copy.deepcopy(records)
+    i = draw(st.integers(0, len(records) - 1))
+    how = draw(st.sampled_from(["set", "drop", "duplicate", "swap"]))
+    if how == "set":
+        key = draw(st.sampled_from(["kind", "sender", "receiver", "round", "payload"]))
+        unknown = {"kind": ["params_sideways"], "sender": ["node-77"],
+                   "receiver": ["node-77"], "payload": []}
+        if key == "round":
+            records[i][key] = draw(st.integers(-1, rounds + 2))
+        else:
+            own = sorted({rec[key] for rec in records})
+            records[i][key] = draw(st.sampled_from(own + unknown[key]))
+    elif how == "drop":
+        del records[i]
+    elif how == "duplicate":
+        records.insert(i, dict(records[i]))
+    else:
+        j = draw(st.integers(0, len(records) - 1))
+        records[i], records[j] = records[j], records[i]
+    return records
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_audit_passes_exactly_the_log_its_config_sends(fedmoco_log, data):
+    """Whatever one forgery does to a real log, the audit passes it if and
+    only if the records are still the ones the run wrote, and names a
+    failing message otherwise. Digests are left alone: with no payloads in
+    the run directory, the audit cannot recompute one, so a forged digest
+    of the right form is not a failure it can see."""
+    run_dir, records, rounds = fedmoco_log
+    forged = data.draw(forged_logs(records, rounds))
+    write_jsonl(forged, run_dir / "messages.log")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["audit", str(run_dir)])
+    assert (status == 0) == (forged == records)
+    if status:
+        assert "FAIL message " in out.getvalue()
 
 
 def test_audit_recomputes_the_digest(tmp_path, capsys):

@@ -162,21 +162,6 @@ def test_one_cpu_forward_batch_runs_its_blocks_here(monkeypatch, rows):
     assert got.tobytes() == forward_cached(p, x).features.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(nets())
-def test_backward_features_fills_the_given_buffer(net):
-    """The gradient lands in ``out`` itself, every value overwritten, equal
-    to a fresh allocation's, weights and biases alike."""
-    p, x, g_out = net
-    cache = forward_cached(p, x)
-    fresh = backward_features(p, cache, g_out)
-    buf = np.full_like(p.values, np.nan)
-    assert backward_features(p, cache, g_out, out=buf) is buf
-    assert buf.tobytes() == fresh.tobytes()
-    with pytest.raises(ShapeError, match="gradient buffer"):
-        backward_features(p, cache, g_out, out=np.empty(p.values.size + 1))
-
-
 @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_blockwise_steps_equal_whole_vector_steps(size):
     """An SGD step, then the key-encoder step, run span by span as gradient
@@ -230,11 +215,12 @@ def test_handed_over_gradient_blocks_are_the_whole_gradient(net):
     once; a layer of at most ``BLOCK`` values comes whole, a larger one in
     blocks of at least two rows (the one row of a one-row layer aside), at
     most ``BLOCK`` values each unless three rows hold more; their bytes are
-    those of ``out``. An update that steps the weights in place as its
-    blocks come gives the bytes of the whole gradient's step."""
+    those of the gradient returned without an ``update``. An update that
+    steps the weights in place as its blocks come gives the bytes of the
+    whole gradient's step."""
     p, x, g_out = net
     cache = forward_cached(p, x)
-    whole = backward_features(p, cache, g_out, out=np.full_like(p.values, np.nan))
+    whole = backward_features(p, cache, g_out)
     got = np.full_like(p.values, np.nan)
     spans = []
 

@@ -14,8 +14,9 @@ from .seeding import rng_for
 class NegativeQueue:
     """FIFO store of key feature rows, evicting oldest beyond ``capacity``.
 
-    The rows live in one read-only ``(m, d)`` array, oldest first; a push
-    builds a new array, so a matrix handed out earlier never changes.
+    The rows live in one read-only ``(m, d)`` array, oldest first, in the
+    dtype of the rows pushed; a push builds a new array, so a matrix handed
+    out earlier never changes.
     """
 
     def __init__(self, capacity: int):
@@ -28,7 +29,7 @@ class NegativeQueue:
         return self._rows.shape[0]
 
     def push(self, keys) -> None:
-        keys = np.asarray(keys, dtype=np.float64)
+        keys = np.asarray(keys)
         if not keys.size:
             return
         keys = keys.reshape(-1, keys.shape[-1])

@@ -23,6 +23,12 @@ from .seeding import rng_for
 # fine-tune (learning rate, batch size, SGD momentum, weight decay).
 _PROBE_LR, _PROBE_BATCH = 0.1, 64
 _FT_LR, _FT_BATCH, _FT_MOMENTUM, _FT_WEIGHT_DECAY = 0.01, 32, 0.9, 1e-4
+# The fine-tune trains its copy of the encoder, its head and its images in
+# float32: on the wide benchmark workload (256-3072-128 encoder, seed 13, one
+# CPU, one BLAS thread) it took 0.36-0.40 s against 0.58-0.61 s in float64,
+# with the same test accuracy. The probe stays float64, as does pre-training:
+# the pinned probe records and acceptance criterion 9 depend on their bits.
+_FT_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,9 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
     stratified ``train_fraction`` of the labeled split.
 
     The test split is scored once, after the last epoch, so no epoch is
-    chosen by its test accuracy. The input encoder is left untouched.
+    chosen by its test accuracy. Training and scoring run on a float32
+    copy of the encoder (``_FT_DTYPE``); the input encoder is left
+    untouched.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ValueError("train_fraction must lie in (0, 1]")
@@ -138,14 +146,14 @@ def fine_tune(encoder: nn.EncoderParams, train_fraction: float, train: Images,
     # in canonical position order, which is the canonical order of the subset
     chosen = train[order[np.sort(np.concatenate(chosen))]]
 
-    x = chosen.pixels
+    x = chosen.pixels.astype(_FT_DTYPE)
     y = np.searchsorted(classes, chosen.labels)
 
-    params = encoder.copy()
+    params = nn.EncoderParams(encoder.values.astype(_FT_DTYPE), encoder.shapes)
     n_classes, d = len(classes), encoder.feature_dim
     bound = 1.0 / np.sqrt(d)
-    w = rng.uniform(-bound, bound, (n_classes, d))
-    b = np.zeros(n_classes)
+    w = rng.uniform(-bound, bound, (n_classes, d)).astype(_FT_DTYPE)
+    b = np.zeros(n_classes, _FT_DTYPE)
     buf_p = np.zeros_like(params.values)
     buf_w = np.zeros_like(w)
     buf_b = np.zeros_like(b)

@@ -114,16 +114,21 @@ def _finite(payload) -> bool:
 def payload_violation(message: Message) -> str | None:
     """Why this message breaks the exchange contract, or None if clean.
 
-    Only finite parameter vectors and distribution metadata (or lists of it)
-    may travel, each in its own kind's direction. Images and per-sample
-    feature arrays are prohibited in any position.
+    Only finite float64 parameter vectors and distribution metadata (or
+    lists of it) may travel, each in its own kind's direction. Images and
+    per-sample feature arrays are prohibited in any position.
     """
-    if isinstance(message.payload, datagen.Images):
+    payload = message.payload
+    if isinstance(payload, datagen.Images):
         return "image payload"
-    problem = contract_violation(message.kind, message.sender, payload_tag(message.payload))
-    if problem is None and not _finite(message.payload):
+    problem = contract_violation(message.kind, message.sender, payload_tag(payload))
+    if problem is not None:
+        return problem
+    if isinstance(payload, nn.EncoderParams) and payload.values.dtype != np.float64:
+        return f"{message.kind} carries {payload.values.dtype} parameters"
+    if not _finite(payload):
         return f"{message.kind} carries non-finite values"
-    return problem
+    return None
 
 
 def _parties(kind: MessageKind, node_id: int) -> tuple[str, str]:
@@ -386,7 +391,11 @@ def write_message_log(messages, path) -> None:
 
 def save_checkpoint(params: nn.EncoderParams, path) -> None:
     """Binary checkpoint: one JSON header line (layer manifest, feature dim,
-    value count) followed by the flat vector as little-endian float64."""
+    value count) followed by the flat vector as little-endian float64. Only
+    float64 parameters are saved; any other dtype is a ``ShapeError``."""
+    if params.values.dtype != np.float64:
+        raise ShapeError(f"{path}: checkpoints hold float64 parameters, "
+                         f"got {params.values.dtype}")
     header = {
         "shapes": [[s.rows, s.cols, True] for s in params.shapes],
         "feature_dim": int(params.feature_dim),

@@ -6,6 +6,11 @@ including the last, and the output head L2-normalizes, so features live in
 the non-negative orthant with unit norm. An all-zero pre-normalization
 activation maps to the all-zero feature vector by definition, and the
 gradient through that point is taken to be zero.
+
+The math follows the parameters' dtype: a float32 ``EncoderParams`` takes
+its inputs, key rows and gradients in float32 and allocates its layer
+buffers and gradient scratch in float32; a float64 one computes exactly as
+if ``nn`` knew no other dtype.
 """
 
 from __future__ import annotations
@@ -37,13 +42,17 @@ class LayerShape:
 
 @dataclass
 class EncoderParams:
-    """Flat float64 parameter vector plus the layer manifest describing it."""
+    """Flat float32 or float64 parameter vector plus the layer manifest
+    describing it. The encoder math computes in the vector's dtype."""
 
     values: np.ndarray
     shapes: tuple[LayerShape, ...]
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        if values.dtype.type not in (np.float32, np.float64):
+            raise ShapeError(f"parameter values must be float32 or float64, got {values.dtype}")
+        self.values = np.asarray(values, dtype=values.dtype.type)  # native byte order
         self.shapes = tuple(self.shapes)
         expected = sum(s.size for s in self.shapes)
         if self.values.ndim != 1 or self.values.size != expected:
@@ -109,10 +118,12 @@ def layer_views(params: EncoderParams):
 
 
 def normalize_rows(a: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """L2-normalize rows; all-zero rows stay exactly zero, and so does a row
-    whose norm is NaN. ``in_place`` divides a float64 ``a`` itself, with no
+    """L2-normalize rows, in float32 if ``a`` is float32 and else in float64;
+    all-zero rows stay exactly zero, and so does a row whose norm is NaN.
+    ``in_place`` divides a float32 or float64 ``a`` itself, with no
     temporary of its shape; else ``a`` is left as it is."""
-    a = np.asarray(a, dtype=np.float64) if in_place else np.array(a, dtype=np.float64)
+    a = np.asarray(a)
+    a = a.astype(np.float32 if a.dtype == np.float32 else np.float64, copy=not in_place)
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     nz = norms > 0.0
     np.divide(a, norms[:, None], out=a, where=nz[:, None])
@@ -129,7 +140,7 @@ class ForwardCache:
 
 
 def _flatten_batch(params: EncoderParams, images) -> np.ndarray:
-    x = np.asarray(images, dtype=np.float64)
+    x = np.asarray(images, dtype=params.values.dtype)
     if x.ndim == 3:
         x = x.reshape(x.shape[0], -1)
     in_dim = params.shapes[0].cols
@@ -178,12 +189,12 @@ def forward_batch(params: EncoderParams, images) -> np.ndarray:
     near-equal blocks, not full blocks and a short last one.
     """
     x = _flatten_batch(params, images)
-    n = x.shape[0]
+    n, dtype = x.shape[0], x.dtype
     widest = max(s.rows for s in params.shapes)
-    blocks = max(1, -(-n // max(1, FORWARD_BLOCK_BYTES // (8 * widest))))
+    blocks = max(1, -(-n // max(1, FORWARD_BLOCK_BYTES // (dtype.itemsize * widest))))
     layers = layer_views(params)
-    features = np.empty((n, params.feature_dim))
-    hidden = [np.empty((-(-n // blocks), s.rows)) for s in params.shapes[:-1]]
+    features = np.empty((n, params.feature_dim), dtype)
+    hidden = [np.empty((-(-n // blocks), s.rows), dtype) for s in params.shapes[:-1]]
     for i in range(blocks):
         lo, hi = n * i // blocks, n * (i + 1) // blocks
         _dense_relu_layers(x[lo:hi], layers, [h[: hi - lo] for h in hidden] + [features[lo:hi]])
@@ -286,10 +297,11 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features, up
     is returned.
 
     Rows whose pre-normalization activation is exactly zero propagate no
-    gradient, matching the zero-maps-to-zero head rule.
+    gradient, matching the zero-maps-to-zero head rule. ``d_features``, the
+    gradient and its blocks take ``params.values``'s dtype.
     """
     out = np.empty_like(params.values) if update is None else None
-    d_feats = np.asarray(d_features, dtype=np.float64)
+    d_feats = np.asarray(d_features, dtype=params.values.dtype)
     a_last = cache.activations[-1]
     norms = np.sqrt(np.einsum("ij,ij->i", a_last, a_last))
     da = np.zeros_like(a_last)
@@ -301,7 +313,8 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features, up
     blocks = [_layer_blocks(s) for s in params.shapes]
     scratch = None if update is None else np.empty(max(
         (r1 - r0) * s.cols + s.rows * bias
-        for s, layer in zip(params.shapes, blocks) for r0, r1, bias in layer))
+        for s, layer in zip(params.shapes, blocks) for r0, r1, bias in layer),
+        params.values.dtype)
     weights = layer_views(params)
     offset = params.values.size
     for i in range(len(weights) - 1, -1, -1):
@@ -337,11 +350,12 @@ def sgd_step(values, grad, buf, lr, momentum, weight_decay, scratch) -> None:
     values -= scratch
 
 
-def _as_key_rows(keys, d: int, name: str) -> np.ndarray:
-    """Key features as (n, d) rows; ``None`` or an empty array is no keys."""
+def _as_key_rows(keys, d: int, name: str, dtype) -> np.ndarray:
+    """Key features as (n, d) rows of ``dtype``; ``None`` or an empty array
+    is no keys."""
     if keys is None or np.size(keys) == 0:
-        return np.zeros((0, d))
-    rows = np.asarray(keys, dtype=np.float64)
+        return np.zeros((0, d), dtype)
+    rows = np.asarray(keys, dtype=dtype)
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ShapeError(f"{name}: expected key rows of width {d}, got shape {rows.shape}")
     return rows
@@ -355,7 +369,8 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     feature rows of width ``feature_dim`` (any other width is a
     ``ShapeError``) and are treated as constants: gradients flow only through
     the query encoder. Either negative set may be empty; with both empty the
-    softmax has a single term and the loss is exactly zero.
+    softmax has a single term and the loss is exactly zero. Queries, keys
+    and logits take ``params_q``'s dtype.
 
     Returns ``(loss, grad)`` with ``grad`` aligned with ``params_q.values``;
     ``update`` goes to ``backward_features``, which says what ``grad`` then
@@ -363,13 +378,14 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    queries = np.asarray(batch_views, dtype=np.float64)
+    dtype = params_q.values.dtype
+    queries = np.asarray(batch_views, dtype=dtype)
     if queries.size == 0 or queries.shape[0] == 0:
         raise ValueError("empty query batch")
     d = params_q.feature_dim
-    pos = _as_key_rows(positives, d, "positives")
-    negs = np.vstack([_as_key_rows(negatives, d, "negatives"),
-                      _as_key_rows(synthetic_negatives, d, "synthetic negatives")])
+    pos = _as_key_rows(positives, d, "positives", dtype)
+    negs = np.vstack([_as_key_rows(negatives, d, "negatives", dtype),
+                      _as_key_rows(synthetic_negatives, d, "synthetic negatives", dtype)])
     cache = forward_cached(params_q, queries)
     z_q = cache.features
     batch = z_q.shape[0]
@@ -377,7 +393,7 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
         raise ShapeError(f"{batch} queries but {pos.shape[0]} positive keys")
 
     tau = float(temperature)
-    logits = np.empty((batch, 1 + negs.shape[0]))
+    logits = np.empty((batch, 1 + negs.shape[0]), dtype)
     logits[:, 0] = np.einsum("ij,ij->i", z_q, pos) / tau
     logits[:, 1:] = (z_q @ negs.T) / tau
 

@@ -144,8 +144,10 @@ def aggregate(thetas, weights) -> EncoderParams:
         raise ValueError(f"{len(thetas)} parameter vectors but {a.size} weights")
     first = thetas[0]
     acc = np.zeros_like(first.values)
+    term = np.empty_like(acc)  # one scratch vector for every node's weighted term
     for w, theta in zip(a, thetas):
         if theta.shapes != first.shapes:
             raise ShapeError("cannot aggregate parameters with different manifests")
-        acc += w * theta.values
+        np.multiply(theta.values, w, out=term)  # bit-equal to w * theta.values
+        acc += term
     return EncoderParams(acc, first.shapes)

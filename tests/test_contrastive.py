@@ -39,6 +39,15 @@ def test_queue_matrix_is_a_read_only_snapshot():
         first[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_queue_keeps_the_dtype_of_its_rows(dtype):
+    q = NegativeQueue(3)
+    for start in (0.0, 4.0):
+        q.push(np.arange(start, start + 4.0, dtype=dtype).reshape(2, 2))
+    assert q.as_matrix(2).dtype == dtype
+    assert q.as_matrix(2).tobytes() == np.arange(2.0, 8.0, dtype=dtype).tobytes()
+
+
 def test_queue_capacity_zero_stays_empty():
     q = NegativeQueue(0)
     q.push(np.ones(3))

@@ -171,6 +171,30 @@ def test_fine_tune_is_input_order_invariant(monkeypatch):
     assert (a.final_accuracy, a.train_size) == (b.final_accuracy, b.train_size)
 
 
+def test_fine_tune_steps_float32_arrays_and_the_probe_stays_float64(monkeypatch):
+    """The fine-tune trains a float32 copy of the encoder and a float32
+    head: every array a step touches is float32. The probe's features come
+    from the float64 encoder it is given."""
+    steps, probed = [], []
+    real_step, real_batch = nn.sgd_step, nn.forward_batch
+
+    def step(values, grad, buf, lr, momentum, weight_decay, scratch):
+        steps.append({a.dtype for a in (values, grad, buf, scratch)})
+        real_step(values, grad, buf, lr, momentum, weight_decay, scratch)
+
+    def batch(params, x):
+        probed.append(params.values.dtype)
+        return real_batch(params, x)
+
+    monkeypatch.setattr(nn, "sgd_step", step)
+    train, test = two_cluster_samples(12, seed=0), two_cluster_samples(6, seed=1)
+    fine_tune(encoder(), 0.5, train, test, FineTuneConfig(epochs=3), 0)
+    assert steps and all(dtypes == {np.dtype(np.float32)} for dtypes in steps)
+    monkeypatch.setattr(nn, "forward_batch", batch)
+    linear_probe(encoder(), train, test, ProbeConfig(epochs=2), 0)
+    assert probed == [np.float64, np.float64]
+
+
 def test_fine_tune_leaves_encoder_untouched():
     enc = encoder()
     before = enc.values.copy()

@@ -276,6 +276,24 @@ def test_payload_violation_reasons():
     assert payload_violation(bad_list) is not None
 
 
+@pytest.mark.parametrize("kind,sender,receiver", [
+    (MessageKind.PARAMS_DOWN, "server", "node-0"),
+    (MessageKind.PARAMS_UP, "node-0", "server"),
+])
+def test_channel_refuses_float32_parameters(kind, sender, receiver):
+    """Only float64 θ travels: a float32 one would be widened by the
+    payload digest's ``<f8`` cast, so its digest would not be its bytes'."""
+    theta = init_params(mlp_shapes(16, [6], 4), 0)
+    forged = Message(kind, sender, receiver, 1,
+                     EncoderParams(theta.values.astype(np.float32), theta.shapes))
+    assert payload_violation(forged) == f"{kind} carries float32 parameters"
+    assert payload_violation(Message(kind, sender, receiver, 1, theta)) is None
+    channel = MessageChannel()
+    with pytest.raises(ProtocolError, match=f"{kind} carries float32 parameters$"):
+        channel.send(forged)
+    assert channel.messages == []
+
+
 def test_contract_names_every_kind_once():
     assert set(CONTRACT) == {k.value for k in MessageKind}
     for kind, (tag, downward) in CONTRACT.items():
@@ -477,6 +495,16 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.values, params.values)
     assert back.shapes == params.shapes
     assert back.feature_dim == params.feature_dim
+
+
+def test_checkpoint_refuses_float32_parameters(tmp_path):
+    """A checkpoint holds float64 values: a float32 θ is refused, not
+    widened, and no file is written."""
+    theta = init_params(mlp_shapes(16, [6], 4), 3)
+    path = tmp_path / "model.bin"
+    with pytest.raises(ShapeError, match="checkpoints hold float64 parameters, got float32$"):
+        save_checkpoint(EncoderParams(theta.values.astype(np.float32), theta.shapes), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_rejects_truncation(tmp_path):

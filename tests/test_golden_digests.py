@@ -6,9 +6,13 @@ and so does any change to the linear probe's or the fine-tune's records, the
 rendered shards or the evaluation split. A change that means to alter the
 numerics updates ``DIGESTS``, ``PROBES``, ``FINE_TUNES`` or ``IMAGE_DIGESTS``
 and says why. The constants depend on numpy's float kernels and random
-streams, so they are stored with the numpy version they were made with.
+streams and on the BLAS kernels of its OpenBLAS, which picks them at run
+time for the CPU (the fine-tune's float32 products run on its sgemm
+kernels). So they are stored with the numpy version and the OpenBLAS
+runtime kernel they were made with.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -20,6 +24,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 NUMPY_VERSION = "2.4.6"
+BLAS_KERNEL = "SkylakeX"  # numpy's OpenBLAS, scipy_openblas_get_corename64_
 DIGESTS = {
     "desk": "bec005295169490b184e86e571d273d8e903e7269f85b561d6992f464c1b741b",
     "wide": "2acc1fe001358ad0ce51242b81b269d2d22ff3c62aa105582372442eb7d1dfbe",
@@ -37,7 +42,8 @@ PROBES = {
               "probe_accuracy_class_4": 0.75,
               "probe_accuracy_class_5": 0.8033333333333333},
 }
-# eval.jsonl's fine-tune record of the workloads that set run_fine_tune
+# eval.jsonl's fine-tune record of the workloads that set run_fine_tune, which
+# fine-tune in float32
 FINE_TUNES = {"wide": {"finetune_final_accuracy": 0.965}}
 # sha256 over the image fingerprints (pixel bytes, then label text) of every
 # node's shard in node order, and of the evaluation split's train then test part;
@@ -111,6 +117,27 @@ print(json.dumps(digests))
 """
 
 
+def blas_kernel() -> str:
+    """The runtime kernel of the OpenBLAS that numpy's wheel bundles, or
+    "unknown" where numpy links another BLAS."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob(
+            "libscipy_openblas64_-*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def made_with() -> str:
+    """Where the constants were made and where this runs: on another numpy
+    or BLAS kernel, a moved constant may be a moved sum, not a moved bit."""
+    return (f"constants made with numpy {NUMPY_VERSION} on OpenBLAS kernel {BLAS_KERNEL}, "
+            f"running numpy {np.__version__} on kernel {blas_kernel()}")
+
+
 def run_child(script: str, tmp_path) -> dict:
     """The JSON last line of ``script`` run on the workloads at ``SEED``."""
     # BLAS on one thread, as bench/run.py runs it: a threaded reduction may
@@ -129,9 +156,7 @@ def test_benchmark_workload_images_are_pinned(tmp_path):
     """Every workload's shards with their labels, and its evaluation split,
     which feeds no run digest."""
     got = run_child(IMAGES_CHILD, tmp_path)
-    assert got == IMAGE_DIGESTS, (
-        f"image digests moved (constants made with numpy {NUMPY_VERSION}, "
-        f"running numpy {np.__version__}): {got}")
+    assert got == IMAGE_DIGESTS, f"image digests moved ({made_with()}): {got}"
 
 
 def test_benchmark_workload_digests_are_pinned(tmp_path):
@@ -139,5 +164,10 @@ def test_benchmark_workload_digests_are_pinned(tmp_path):
     records."""
     got = run_child(CHILD, tmp_path)
     assert got == {"digests": DIGESTS, "probes": PROBES, "fine_tunes": FINE_TUNES}, (
-        f"run digests, probe or fine-tune records moved (constants made with numpy "
-        f"{NUMPY_VERSION}, running numpy {np.__version__}): {got}")
+        f"run digests, probe or fine-tune records moved ({made_with()}): {got}")
+
+
+def test_a_moved_pin_names_both_blas_kernels(monkeypatch):
+    monkeypatch.setitem(globals(), "blas_kernel", lambda: "Haswell")
+    assert made_with().endswith(f"on OpenBLAS kernel {BLAS_KERNEL}, running numpy "
+                                f"{np.__version__} on kernel Haswell")

@@ -15,7 +15,8 @@ from fedcl.contrastive import local_update
 from fedcl.datagen import Images, ScenarioSpec, generate_node_dataset
 from fedcl.evaluate import FineTuneConfig, fine_tune
 from fedcl.federation import build_nodes
-from fedcl.nn import FORWARD_BLOCK_BYTES, forward_batch, init_params, loss_and_grad, mlp_shapes
+from fedcl.nn import (FORWARD_BLOCK_BYTES, EncoderParams, backward_features, forward_batch,
+                      forward_cached, init_params, loss_and_grad, mlp_shapes)
 from fedcl.seeding import rng_for
 
 THETA = init_params(mlp_shapes(256, [2048], 64), 0)
@@ -58,6 +59,58 @@ def test_fine_tune_keeps_two_parameter_vectors():
     train, test = (Images(rng.random((n, 16, 16)), np.arange(n) % 2) for n in (128, 64))
     peak = peak_bytes(lambda: fine_tune(WIDE, 0.5, train, test, FineTuneConfig(epochs=1), 5))
     assert peak < 2 * WIDE.values.nbytes + FORWARD_BLOCK_BYTES, peak / WIDE.values.nbytes
+
+
+def test_fine_tune_keeps_two_float32_parameter_vectors():
+    """The fine-tune trains a float32 copy of the encoder with a float32
+    momentum buffer: two float32 vectors, as many bytes as one float64 one.
+    The rest is 1.9 MB here, so this peaked at 1.20 float64 vectors; in
+    float64 it peaked at 2.35."""
+    rng = rng_for(2, "memory")
+    train, test = (Images(rng.random((n, 16, 16)), np.arange(n) % 2) for n in (128, 64))
+    peak = peak_bytes(lambda: fine_tune(WIDE, 0.5, train, test, FineTuneConfig(epochs=1), 5))
+    assert peak < WIDE.values.nbytes + FORWARD_BLOCK_BYTES, peak / WIDE.values.nbytes
+
+
+def test_float32_encoder_math_makes_no_float64_layer():
+    """A float32 θ on the 256-3072-128 encoder, 16 rows a call: every result
+    is float32, and beside the float32 vectors a call keeps (the gradient
+    without an ``update``; the two encoders and the momentum buffer of a
+    local update) its peak stays below one float64 copy of the smallest
+    layer, 3.1 MB. So no layer, gradient or step is made in float64. Beside
+    the kept vectors the calls peaked at 0.08 (``forward_batch``) to 0.32
+    (``local_update``) such copies."""
+    theta = EncoderParams(WIDE.values.astype(np.float32), WIDE.shapes)
+    layer64 = min(s.size for s in WIDE.shapes) * 8
+    rows = rng_for(3, "memory").random((16, 256))
+    keys = forward_batch(WIDE, rng_for(4, "memory").random((16, 256)))  # float64 rows
+    queue = forward_batch(WIDE, rng_for(5, "memory").random((64, 256)))
+    cache = forward_cached(theta, rows)
+    d_features = rng_for(6, "memory").standard_normal((16, 128))
+    images = rng_for(1, "memory").random((32, 16, 16))
+    config = from_dict({"batch_size": 16, "lr": 0.03, "sgd_momentum": 0.9,
+                        "weight_decay": 1e-4, "momentum_coeff": 0.99, "temperature": 0.2,
+                        "queue_capacity": 32})
+    blocks = []
+
+    def update(lo, hi, g):
+        blocks.append(g.dtype)
+
+    calls = {
+        "forward_batch": (lambda: forward_batch(theta, rows), 0),
+        "forward_cached": (lambda: forward_cached(theta, rows).features, 0),
+        "backward_features": (lambda: backward_features(theta, cache, d_features), 1),
+        "backward_features(update)": (
+            lambda: backward_features(theta, cache, d_features, update) or blocks[-1], 0),
+        "loss_and_grad": (lambda: loss_and_grad(theta, rows, keys, queue, keys, 0.2)[1], 1),
+        "local_update": (lambda: local_update(theta, images, keys, config, 1, 3)[0].values, 3),
+    }
+    peaks = {}
+    for name, (call, vectors) in calls.items():
+        assert np.result_type(call()) == np.float32, name  # an array or a block's dtype
+        peaks[name] = (peak_bytes(call) - vectors * theta.values.nbytes) / layer64
+    assert set(blocks) == {np.dtype(np.float32)}
+    assert max(peaks.values()) < 1.0, peaks
 
 
 def test_forward_batch_keeps_one_hidden_layer():

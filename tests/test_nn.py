@@ -394,3 +394,75 @@ def test_loss_grad_matches_finite_difference():
         down = loss_at(bumped)
         fd = (up - down) / (2 * eps)
         assert abs(fd - grad[i]) <= 1e-5 * max(1.0, abs(fd), abs(grad[i]))
+
+
+# -- the math follows θ's dtype ------------------------------------------------
+
+def test_encoder_params_keep_float32_and_float64_values():
+    """float32 values stay float32, uncopied; a big-endian float64 vector
+    becomes a native one with the same values."""
+    shapes = mlp_shapes(3, [2], 2)
+    values = rng_for(30, "dtype").standard_normal(14).astype(np.float32)
+    assert EncoderParams(values, shapes).values is values
+    swapped = np.arange(14, dtype=">f8")
+    kept = EncoderParams(swapped, shapes).values
+    assert kept.dtype == np.float64 and kept.dtype.isnative
+    assert np.array_equal(kept, swapped)
+
+
+@pytest.mark.parametrize("dtype", ["int64", "float16", "bool", "complex128"])
+def test_encoder_params_refuse_other_dtypes_by_name(dtype):
+    with pytest.raises(ShapeError, match=f"float32 or float64, got {dtype}$"):
+        EncoderParams(np.zeros(14, dtype), mlp_shapes(3, [2], 2))
+
+
+def test_normalize_rows_divides_float32_in_place():
+    a = rng_for(31, "dtype").standard_normal((5, 4)).astype(np.float32)
+    a[2] = 0.0
+    want = a / np.linalg.norm(a, axis=1, keepdims=True).clip(1e-30)
+    assert normalize_rows(a).dtype == np.float32
+    assert normalize_rows(a, in_place=True) is a
+    assert np.allclose(a, want, rtol=1e-6, atol=0.0) and not a[2].any()
+
+
+def test_float32_math_agrees_with_float64_to_float32_precision():
+    """The same θ, inputs and keys in both dtypes: features, loss and
+    gradient agree to a tolerance set from float32's 6e-8 unit roundoff,
+    and every float32 result is float32."""
+    rng = rng_for(32, "dtype")
+    p64 = init_params(mlp_shapes(12, [9], 5), 32)
+    p32 = EncoderParams(p64.values.astype(np.float32), p64.shapes)
+    x = rng.random((6, 12))
+    pos = normalize_rows(rng.standard_normal((6, 5)))
+    negs = normalize_rows(rng.standard_normal((10, 5)))
+    synth = normalize_rows(rng.standard_normal((3, 5)))
+    f32, f64 = forward_batch(p32, x), forward_batch(p64, x)
+    assert f32.dtype == np.float32 and forward_cached(p32, x).features.dtype == np.float32
+    assert np.allclose(f32, f64, rtol=0.0, atol=1e-5)
+    loss32, g32 = loss_and_grad(p32, x, pos, negs, synth, 0.2)
+    loss64, g64 = loss_and_grad(p64, x, pos, negs, synth, 0.2)
+    assert g32.dtype == np.float32
+    assert abs(loss32 - loss64) <= 1e-5 * max(1.0, abs(loss64))
+    assert np.allclose(g32, g64, rtol=0.0, atol=1e-5 * np.abs(g64).max())
+
+
+@pytest.mark.parametrize("rows", [170, 341, 600])
+def test_float32_forward_batch_blocks_by_its_itemsize(monkeypatch, rows):
+    """A float32 block holds ``FORWARD_BLOCK_BYTES // (4 * 3072)`` = 341 rows
+    of the 3,072-wide layer, twice a float64 block's rows, and the blocked
+    features are bit-equal to the cached forward's."""
+    sizes = []
+    real = nn._dense_relu_layers
+
+    def recording(a, layers, outs):
+        sizes.append((a.shape[0], outs[0].nbytes))
+        return real(a, layers, outs)
+
+    monkeypatch.setattr(nn, "_dense_relu_layers", recording)
+    p64 = init_params(mlp_shapes(256, [3072], 128), 7)
+    p = EncoderParams(p64.values.astype(np.float32), p64.shapes)
+    x = rng_for(8, "blocks").random((rows, 256))
+    got = forward_batch(p, x)
+    assert got.tobytes() == forward_cached(p, x).features.tobytes()
+    assert len(sizes) == -(-rows // 341)
+    assert all(nbytes <= FORWARD_BLOCK_BYTES for _, nbytes in sizes)

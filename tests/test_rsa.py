@@ -208,6 +208,26 @@ def test_aggregate_weighted_sum():
     assert np.array_equal(out.values, 0.25 * np.arange(8.0) + 0.75)
 
 
+SIGNED_ZERO_VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
+                               st.floats(-1e100, 1e100, allow_subnormal=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(SIGNED_ZERO_VALUES, min_size=8, max_size=8), min_size=k, max_size=k),
+    st.lists(SIGNED_ZERO_VALUES.filter(lambda w: abs(w) <= 1.0), min_size=k, max_size=k))))
+def test_aggregate_is_bit_equal_to_a_temporary_per_node(case):
+    """One scratch vector for every node's term gives the bytes of
+    ``acc += w * theta.values`` from a zero start, signed zeros included."""
+    rows, weights = case
+    shapes = mlp_shapes(3, [], 2)
+    thetas = [EncoderParams(np.array(row), shapes) for row in rows]
+    want = np.zeros(8)
+    for w, theta in zip(np.asarray(weights), thetas):
+        want += w * theta.values
+    assert aggregate(thetas, weights).values.tobytes() == want.tobytes()
+
+
 def test_aggregate_validation():
     shapes = mlp_shapes(3, [], 2)
     a = EncoderParams(np.zeros(8), shapes)

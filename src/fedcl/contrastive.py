@@ -174,8 +174,8 @@ def local_update(theta: EncoderParams, images, synthetic, config: ExperimentConf
             idx = order[start : start + config.batch_size]
             pairs = augment(images[idx], rng, views=2)
             keys = forward_batch(theta_d, pairs[:, 1])
-            loss, _ = loss_and_grad(theta_q, pairs[:, 0], keys, queue.as_matrix(d), synthetic,
-                                    config.temperature, update=step)
+            loss = loss_and_grad(theta_q, pairs[:, 0], keys, queue.as_matrix(d), synthetic,
+                                 config.temperature, step)
             queue.push(keys)
             losses.append(loss)
 

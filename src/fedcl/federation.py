@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -138,17 +139,18 @@ def _parties(kind: MessageKind, node_id: int) -> tuple[str, str]:
     return (SERVER, node) if CONTRACT[kind][1] else (node, SERVER)
 
 
-def message_order(config: ExperimentConfig) -> list[tuple[int, str, str, str]]:
+def message_order(config: ExperimentConfig) -> Iterator[tuple[int, str, str, str]]:
     """The (round, kind, sender, receiver) of every message a complete run
     logs, in log order (``run_round``): per round, parameters down to each
     node, then in a metadata round metadata down to each node and, after
-    training, up from each; then parameters up from each node."""
+    training, up from each; then parameters up from each node. Made one at a
+    time, so a comparison that stops early makes no more of them."""
     metadata = (MessageKind.METADATA_DOWN, MessageKind.METADATA_UP)
-    return [(t, kind.value, *_parties(kind, k))
+    return ((t, kind.value, *_parties(kind, k))
             for t in range(1, config.rounds + 1)
             for kind in (MessageKind.PARAMS_DOWN, *(metadata if t in config.metadata_rounds()
                                                     else ()), MessageKind.PARAMS_UP)
-            for k in range(config.nodes)]
+            for k in range(config.nodes))
 
 
 class MessageChannel:

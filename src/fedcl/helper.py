@@ -22,8 +22,10 @@ import os
 import pickle
 import signal
 import threading
+from pathlib import Path
 
-from . import nn
+import numpy as np
+
 from .errors import HelperError
 
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
@@ -131,6 +133,55 @@ class Worker:
             self._down.close()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    bundles (``numpy.libs/libscipy_openblas64_-*.so``; loading it again by
+    path returns the copy numpy already uses), or None where numpy links
+    another BLAS."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob(
+            "libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread over the block, then give
+    it back its thread count; yields whether the hold took.
+
+    On one thread every product sums in the same order whatever
+    ``OPENBLAS_NUM_THREADS`` says, and two processes share two cores without
+    each starting BLAS threads of its own."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get_threads, set_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(before)
+
+
 def worker_count(jobs: int, cpus: int) -> int:
     """Processes to run ``jobs`` jobs on ``cpus`` CPUs, or 0 for one: the
     fewest, at least one per CPU, none given more than a CPU's even share."""
@@ -155,8 +206,8 @@ def forked(share, count: int):
     with no fork, this one runs them all. If W ≤ the usable CPUs, process i
     (this one being W - 1) runs on this one's i-th CPU, cyclically, till
     exit. Workers are reaped on exit or a failed fork."""
-    with nn.one_blas_thread() as held:
-        processes = worker_count(count, usable := nn._usable_cpus())
+    with one_blas_thread() as held:
+        processes = worker_count(count, usable := _usable_cpus())
         if not (processes and held and _may_fork()):
             yield functools.partial(_run, share, count, [])
             return

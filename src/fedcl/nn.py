@@ -15,12 +15,7 @@ if ``nn`` knew no other dtype.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -150,17 +145,14 @@ def _flatten_batch(params: EncoderParams, images) -> np.ndarray:
 
 
 def forward_cached(params: EncoderParams, images) -> ForwardCache:
-    """The forward pass with every layer's activations kept, each built in
-    place as in ``forward_batch``. No pre-activation is kept: the backward
-    ReLU mask ``max(h, 0) > 0`` equals ``h > 0``, NaN included."""
-    a = _flatten_batch(params, images)
-    activations = [a]
-    for w, b in layer_views(params):
-        a = a @ w.T
-        a += b
-        np.maximum(a, 0.0, out=a)
-        activations.append(a)
-    return ForwardCache(activations, normalize_rows(a))
+    """The forward pass with every layer's activations kept: one output per
+    layer, each built in place by the loop ``forward_batch`` runs. No
+    pre-activation is kept: the backward ReLU mask ``max(h, 0) > 0`` equals
+    ``h > 0``, NaN included."""
+    x = _flatten_batch(params, images)
+    activations = [x, *(np.empty((x.shape[0], s.rows), x.dtype) for s in params.shapes)]
+    _dense_relu_layers(x, layer_views(params), activations[1:])
+    return ForwardCache(activations, normalize_rows(activations[-1]))
 
 
 # Bytes of one layer's rows in flight in ``forward_batch``: inference holds
@@ -210,55 +202,6 @@ def _dense_relu_layers(a, layers, outs) -> None:
         np.maximum(a, 0.0, out=a)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
-    bundles (``numpy.libs/libscipy_openblas64_-*.so``; loading it again by
-    path returns the copy numpy already uses), or None where numpy links
-    another BLAS."""
-    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob(
-            "libscipy_openblas64_-*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold numpy's bundled OpenBLAS at one thread over the block, then give
-    it back its thread count; yields whether the hold took.
-
-    On one thread every product sums in the same order whatever
-    ``OPENBLAS_NUM_THREADS`` says, and two processes share two cores without
-    each starting BLAS threads of its own."""
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield False
-        return
-    get_threads, set_threads = calls
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield True
-    finally:
-        set_threads(before)
-
-
 # Values per gradient block that ``backward_features`` hands to an
 # ``update``: one block of each vector a step touches (256 KB each) stays in
 # a 2 MB per-core L2 cache between the step's passes. On 1.18M-value
@@ -277,30 +220,25 @@ def _layer_blocks(shape: LayerShape) -> list[tuple[int, int, bool]]:
             for j in range(count)] + [(shape.rows, shape.rows, True)]
 
 
-def backward_features(params: EncoderParams, cache: ForwardCache, d_features, update=None):
-    """Gradient of a scalar loss w.r.t. the flat parameter vector, given the
-    loss gradient w.r.t. the normalized output features.
+def backward_features(params: EncoderParams, cache: ForwardCache, d_features, update) -> None:
+    """Hand the gradient of a scalar loss w.r.t. the flat parameter vector,
+    block by block, to ``update``, given the loss gradient w.r.t. the
+    normalized output features.
 
     The gradient is made in blocks, layers last first, each layer once its
     error has gone back through its weights: a layer of at most ``BLOCK``
     values in one block, bias included; a larger one in near-equal row
     blocks of at most ``BLOCK`` values, then its bias. No block is one row
-    of a larger layer, a product that can take BLAS's vector path. A row
-    block may take another BLAS kernel than its whole layer, so the blocks
-    are the same whatever the caller asks for.
+    of a larger layer, a product that can take BLAS's vector path.
 
-    With no ``update``, each block is written into its view of a new vector
-    as long as ``params.values``, which is returned. Given an ``update``,
-    each is handed to ``update(lo, hi, g)`` as it is made, ``g`` being the
-    gradient of ``params.values[lo:hi]``, which ``update`` may step in place;
-    ``g`` is one block-sized buffer that the next block overwrites, and None
-    is returned.
+    Each block is handed to ``update(lo, hi, g)`` as it is made, ``g`` being
+    the gradient of ``params.values[lo:hi]``, which ``update`` may step in
+    place; ``g`` is one block-sized buffer that the next block overwrites.
 
     Rows whose pre-normalization activation is exactly zero propagate no
     gradient, matching the zero-maps-to-zero head rule. ``d_features``, the
     gradient and its blocks take ``params.values``'s dtype.
     """
-    out = np.empty_like(params.values) if update is None else None
     d_feats = np.asarray(d_features, dtype=params.values.dtype)
     a_last = cache.activations[-1]
     norms = np.sqrt(np.einsum("ij,ij->i", a_last, a_last))
@@ -311,7 +249,7 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features, up
     da[nz] = (d_feats[nz] - inner[:, None] * z) / norms[nz, None]
 
     blocks = [_layer_blocks(s) for s in params.shapes]
-    scratch = None if update is None else np.empty(max(
+    scratch = np.empty(max(
         (r1 - r0) * s.cols + s.rows * bias
         for s, layer in zip(params.shapes, blocks) for r0, r1, bias in layer),
         params.values.dtype)
@@ -326,14 +264,12 @@ def backward_features(params: EncoderParams, cache: ForwardCache, d_features, up
         for r0, r1, bias in blocks[i]:
             lo, n = offset + r0 * shape.cols, (r1 - r0) * shape.cols
             hi = lo + n + shape.rows * bias
-            g = out[lo:hi] if update is None else scratch[: hi - lo]
+            g = scratch[: hi - lo]
             if n:
                 np.matmul(dh[:, r0:r1].T, cache.activations[i], out=g[:n].reshape(r1 - r0, -1))
             if bias:
                 np.sum(dh, axis=0, out=g[n:])
-            if update is not None:
-                update(lo, hi, g)
-    return out
+            update(lo, hi, g)
 
 
 def sgd_step(values, grad, buf, lr, momentum, weight_decay, scratch) -> None:
@@ -362,8 +298,9 @@ def _as_key_rows(keys, d: int, name: str, dtype) -> np.ndarray:
 
 
 def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negatives, temperature,
-                  update=None):
-    """Mean contrastive loss over the query batch and its exact gradient.
+                  update) -> float:
+    """Mean contrastive loss over the query batch, returned once its exact
+    gradient has gone to ``update`` block by block (``backward_features``).
 
     ``positives``, ``negatives`` and ``synthetic_negatives`` are key-side
     feature rows of width ``feature_dim`` (any other width is a
@@ -371,10 +308,6 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     the query encoder. Either negative set may be empty; with both empty the
     softmax has a single term and the loss is exactly zero. Queries, keys
     and logits take ``params_q``'s dtype.
-
-    Returns ``(loss, grad)`` with ``grad`` aligned with ``params_q.values``;
-    ``update`` goes to ``backward_features``, which says what ``grad`` then
-    is.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -407,4 +340,5 @@ def loss_and_grad(params_q, batch_views, positives, negatives, synthetic_negativ
     dlogits[:, 0] -= 1.0
     dlogits /= batch * tau
     d_z = dlogits[:, :1] * pos + dlogits[:, 1:] @ negs
-    return loss, backward_features(params_q, cache, d_z, update)
+    backward_features(params_q, cache, d_z, update)
+    return loss

@@ -22,6 +22,8 @@ from fedcl.nn import EncoderParams, init_params, loss_and_grad, mlp_shapes, norm
 from fedcl.rsa import fedavg_weights, self_adaptive_weights, spearman
 from fedcl.seeding import rng_for, seed_for
 
+from test_nn import whole_gradient
+
 
 def report(num, name, ok, detail):
     print(f"criterion {num:>2} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})",
@@ -45,9 +47,10 @@ def test_criterion_01_gradients_match_finite_differences():
 
         def loss_at(values):
             p = EncoderParams(values, shapes)
-            return loss_and_grad(p, queries, positives, negatives, synth, 0.2)[0]
+            return whole_gradient(loss_and_grad, p, queries, positives, negatives, synth, 0.2)[0]
 
-        _, grad = loss_and_grad(params, queries, positives, negatives, synth, 0.2)
+        _, grad = whole_gradient(loss_and_grad, params, queries, positives, negatives, synth,
+                                 0.2)
         for i in rng.choice(params.values.size, size=100, replace=False):
             bumped = params.values.copy()
             bumped[i] += h

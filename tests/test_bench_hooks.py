@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fedcl import cli, evaluate, federation, helper, nn
+from fedcl import cli, evaluate, federation, helper
 from fedcl.config import apply_arm, from_dict, preset_config, save_config, to_dict
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -120,7 +120,7 @@ def test_bench_eval_check_accepts_the_eval_records_fedcl_writes(bench_modules, t
                                                                monkeypatch):
     """bench/checks.py reads eval.jsonl by metric name; a record it needs
     that `fedcl run` stops writing must fail here."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(helper, "_usable_cpus", lambda: 1)
     assert finish_smoke_run(bench_modules, tmp_path, monkeypatch) == os.getpid()
 
 
@@ -128,7 +128,7 @@ def test_the_fine_tune_runs_in_the_calling_process_beside_the_forked_probe(
         bench_modules, tmp_path, monkeypatch):
     """On two CPUs the probe and the artifacts go to a forked process, but
     the fine-tune, whose result bench/child.py captures, stays here."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(helper, "_usable_cpus", lambda: 2)
     forks = []
     real = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())

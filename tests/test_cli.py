@@ -410,6 +410,28 @@ def test_audit_fails_on_messages_out_of_order(tmp_path, capsys, forge):
                      f"round 1 from 'server' to 'node-{i}'"]
 
 
+def test_audit_stops_making_the_expected_order_at_the_first_difference(tmp_path, capsys,
+                                                                    monkeypatch):
+    """A config.yaml raised to 10,000 rounds expects some 60,000 messages
+    more than the log holds. The audit makes the expected messages one at a
+    time and fails at the end of the log, having made one more than the log
+    holds; making them all first took 1.5 s and 54 MB per 400,000."""
+    assert run_smoke(tmp_path / "runs") == 0
+    run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
+    config = yaml.safe_load((run_dir / "config.yaml").read_text())
+    config["rounds"] = 10_000
+    (run_dir / "config.yaml").write_text(yaml.safe_dump(config))
+    calls, real = [], federation._parties
+    monkeypatch.setattr(federation, "_parties", lambda *a: calls.append(a) or real(*a))
+    logged = len(_jsonl_records(run_dir / "messages.log", {}))
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL message {logged}: the end of the log, expected params_down of "
+                     f"round 3 from 'server' to 'node-0'"]
+    assert len(calls) <= logged + 1
+
+
 @pytest.fixture(scope="module")
 def fedmoco_log(tmp_path_factory):
     """One fedmoco smoke run, with metadata in its second round: its

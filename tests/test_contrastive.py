@@ -12,6 +12,8 @@ from fedcl.nn import (EncoderParams, LayerShape, forward_batch, init_params,
                       loss_and_grad, mlp_shapes, sgd_step)
 from fedcl.seeding import rng_for
 
+from test_nn import whole_gradient
+
 
 def flat_params(values):
     """One 1x1 layer: a weight, then a bias."""
@@ -252,8 +254,8 @@ def test_local_update_keys_track_momentum_encoder():
     for idx in (order[:4], order[4:]):
         pairs = augment(images[idx], rng, views=2)
         keys = forward_batch(EncoderParams(theta_d, SHAPES), pairs[:, 1])
-        loss, grad = loss_and_grad(EncoderParams(theta_q, SHAPES), pairs[:, 0],
-                                   keys, queue, None, hp.temperature)
+        loss, grad = whole_gradient(loss_and_grad, EncoderParams(theta_q, SHAPES), pairs[:, 0],
+                                    keys, queue, None, hp.temperature)
         sgd_step(theta_q, grad, buf, hp.lr, hp.sgd_momentum, hp.weight_decay, scratch)
         _momentum_step(theta_d, theta_q, hp.momentum_coeff, scratch)
         queue = np.vstack([queue, keys])

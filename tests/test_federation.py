@@ -74,7 +74,7 @@ def test_expected_counts_match_the_messages_sent(overrides):
     assert Counter(audit_privacy(messages).counts) == Counter(
         kind for _, kind, _, _ in message_order(cfg))
     assert [(m.round_index, str(m.kind), m.sender, m.receiver)
-            for m in messages] == message_order(cfg)
+            for m in messages] == list(message_order(cfg))
 
 
 def test_metadata_disabled_sends_no_metadata():

@@ -21,11 +21,11 @@ FINE_TUNE = ("--set", "run_fine_tune=true", "--set", "fine_tune_fraction=0.25",
 KILLED_RUN = """
 import os, sys, time
 from pathlib import Path
-from fedcl import nn
+from fedcl import helper
 from fedcl.cli import main
 
 parent, module, name, marker = os.getpid(), sys.argv[1], sys.argv[2], Path(sys.argv[3])
-nn._usable_cpus = lambda: 2  # fork on one CPU too
+helper._usable_cpus = lambda: 2  # fork on one CPU too
 real = getattr(sys.modules[module], name)
 
 def stalled(*args):

@@ -74,17 +74,15 @@ def test_fine_tune_keeps_two_float32_parameter_vectors():
 
 def test_float32_encoder_math_makes_no_float64_layer():
     """A float32 θ on the 256-3072-128 encoder, 16 rows a call: every result
-    is float32, and beside the float32 vectors a call keeps (the gradient
-    without an ``update``; the two encoders and the momentum buffer of a
-    local update) its peak stays below one float64 copy of the smallest
-    layer, 3.1 MB. So no layer, gradient or step is made in float64. Beside
-    the kept vectors the calls peaked at 0.08 (``forward_batch``) to 0.32
-    (``local_update``) such copies."""
+    is float32, and beside the float32 vectors a call keeps (the two
+    encoders and the momentum buffer of a local update) its peak stays below
+    one float64 copy of the smallest layer, 3.1 MB. So no layer, gradient or
+    step is made in float64. Beside the kept vectors the calls peaked at
+    0.08 (``forward_batch``) to 0.32 (``local_update``) such copies."""
     theta = EncoderParams(WIDE.values.astype(np.float32), WIDE.shapes)
     layer64 = min(s.size for s in WIDE.shapes) * 8
     rows = rng_for(3, "memory").random((16, 256))
     keys = forward_batch(WIDE, rng_for(4, "memory").random((16, 256)))  # float64 rows
-    queue = forward_batch(WIDE, rng_for(5, "memory").random((64, 256)))
     cache = forward_cached(theta, rows)
     d_features = rng_for(6, "memory").standard_normal((16, 128))
     images = rng_for(1, "memory").random((32, 16, 16))
@@ -99,10 +97,8 @@ def test_float32_encoder_math_makes_no_float64_layer():
     calls = {
         "forward_batch": (lambda: forward_batch(theta, rows), 0),
         "forward_cached": (lambda: forward_cached(theta, rows).features, 0),
-        "backward_features": (lambda: backward_features(theta, cache, d_features), 1),
         "backward_features(update)": (
             lambda: backward_features(theta, cache, d_features, update) or blocks[-1], 0),
-        "loss_and_grad": (lambda: loss_and_grad(theta, rows, keys, queue, keys, 0.2)[1], 1),
         "local_update": (lambda: local_update(theta, images, keys, config, 1, 3)[0].values, 3),
     }
     peaks = {}

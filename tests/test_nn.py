@@ -15,6 +15,18 @@ from fedcl.nn import (BLOCK, FORWARD_BLOCK_BYTES, EncoderParams, LayerShape,
 from fedcl.seeding import rng_for
 
 
+def whole_gradient(fn, params, *args):
+    """``fn(params, *args, update)``'s result and the gradient blocks it hands
+    to ``update``, collected into one vector; a value no block covers stays
+    NaN."""
+    grad = np.full_like(params.values, np.nan)
+
+    def collect(lo, hi, g):
+        grad[lo:hi] = g
+
+    return fn(params, *args, collect), grad
+
+
 def tiny_params(values):
     """Two 2x2 layers with biases; 12 parameters total."""
     shapes = (LayerShape(2, 2), LayerShape(2, 2))
@@ -132,30 +144,15 @@ DEEP_ROWS = [1, 2, 128, 129, 256, 257, 512, 513, 600, 768, 769, 1000, 6000]
     *[pytest.param((256, [3072], 128), n, id=str(n)) for n in WIDE_ROWS],
     *[pytest.param((64, [2048, 256], 32), n, id=f"64-2048-256-32-{n}") for n in DEEP_ROWS],
 ])
-def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(monkeypatch, dims, rows):
+def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(dims, rows):
     """The wide workload's 256-3072-128 encoder runs ``FORWARD_BLOCK_BYTES //
     (8 * 3072)`` = 170 rows per block (256 on the 2,048-wide one), one block
-    after another: 600 rows are four blocks of 150, and 341 and 511 would
-    leave a one-row last block after full ones, whose matrix-vector product
-    sums differently. The partition does not read the CPU count."""
-    def no_cpu_count():
-        raise AssertionError("forward_batch read the CPU count")
-
-    monkeypatch.setattr(nn, "_usable_cpus", no_cpu_count)
+    after another in the calling thread, which starts no thread: 600 rows
+    are four blocks of 150, and 341 and 511 would leave a one-row last block
+    after full ones, whose matrix-vector product sums differently."""
     p = init_params(mlp_shapes(*dims), 7)
     assert FORWARD_BLOCK_BYTES // (8 * 3072) == 170
     x = rng_for(8, "blocks").random((rows, dims[0]))
-    assert forward_batch(p, x).tobytes() == forward_cached(p, x).features.tobytes()
-
-
-@pytest.mark.parametrize("rows", [170, 171, 341, 511, 600, 1000])
-def test_one_cpu_forward_batch_runs_its_blocks_here(monkeypatch, rows):
-    """On one CPU a block holds the whole ``FORWARD_BLOCK_BYTES`` of a
-    layer, 170 rows on the 256-3072-128 encoder, every block runs in the
-    calling thread and no thread starts: the bits are the same."""
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
-    p = init_params(mlp_shapes(256, [3072], 128), 7)
-    x = rng_for(8, "blocks").random((rows, 256))
     before = threading.active_count()
     got = forward_batch(p, x)
     assert threading.active_count() == before
@@ -214,26 +211,23 @@ def test_handed_over_gradient_blocks_are_the_whole_gradient(net):
     """The ``(lo, hi)`` spans an ``update`` gets tile the parameter vector
     once; a layer of at most ``BLOCK`` values comes whole, a larger one in
     blocks of at least two rows (the one row of a one-row layer aside), at
-    most ``BLOCK`` values each unless three rows hold more; their bytes are
-    those of the gradient returned without an ``update``. An update that
-    steps the weights in place as its blocks come gives the bytes of the
-    whole gradient's step."""
+    most ``BLOCK`` values each unless three rows hold more. An update that
+    steps the weights in place as its blocks come gives the bytes of one
+    step of the whole vector the blocks make."""
     p, x, g_out = net
     cache = forward_cached(p, x)
-    whole = backward_features(p, cache, g_out)
-    got = np.full_like(p.values, np.nan)
+    whole = np.full_like(p.values, np.nan)
     spans = []
 
     def collect(lo, hi, g):
         spans.append((lo, hi))
-        got[lo:hi] = g
+        whole[lo:hi] = g
 
-    assert backward_features(p, cache, g_out, update=collect) is None
+    backward_features(p, cache, g_out, collect)
     cover = np.zeros(p.values.size, dtype=int)
     for lo, hi in spans:
         cover[lo:hi] += 1
     assert (cover == 1).all()
-    assert got.tobytes() == whole.tobytes()
     offsets = np.cumsum([0, *(s.size for s in p.shapes)])
     for s, off in zip(p.shapes, offsets):
         inside = [(lo, hi) for lo, hi in spans if off <= lo < off + s.size]
@@ -253,7 +247,7 @@ def test_handed_over_gradient_blocks_are_the_whole_gradient(net):
     def step(lo, hi, g):
         sgd_step(p.values[lo:hi], g, buf[lo:hi], lr, momentum, weight_decay, np.empty_like(g))
 
-    backward_features(p, cache, g_out, update=step)
+    backward_features(p, cache, g_out, step)
     assert p.values.tobytes() == want.tobytes()
     assert buf.tobytes() == want_buf.tobytes()
 
@@ -307,7 +301,7 @@ def test_backward_features_matches_finite_difference():
         q = EncoderParams(values, p.shapes)
         return float(np.sum(forward_batch(q, x) * g_out))
 
-    grad = backward_features(p, forward_cached(p, x), g_out)
+    _, grad = whole_gradient(backward_features, p, forward_cached(p, x), g_out)
     eps = 1e-6
     for i in rng.choice(p.values.size, size=25, replace=False):
         bumped = p.values.copy()
@@ -330,7 +324,7 @@ def test_loss_value_hand_oracle():
     queries = np.array([[1.0, 0.0], [0.0, 1.0]])
     positives = queries.copy()
     negatives = np.array([[0.0, 1.0]])
-    loss, grad = loss_and_grad(p, queries, positives, negatives, None, 0.5)
+    loss, grad = whole_gradient(loss_and_grad, p, queries, positives, negatives, None, 0.5)
     expected = 0.5 * (np.log(1.0 + np.exp(-2.0)) + np.log(2.0))
     assert abs(loss - expected) < 1e-12
     assert grad.shape == p.values.shape
@@ -340,7 +334,7 @@ def test_loss_with_no_negatives_is_zero():
     p = init_params(mlp_shapes(4, [3], 2), 0)
     queries = rng_for(0, "q").random((2, 4)) + 0.1
     positives = forward_batch(p, queries)
-    loss, grad = loss_and_grad(p, queries, positives, None, None, 0.2)
+    loss, grad = whole_gradient(loss_and_grad, p, queries, positives, None, None, 0.2)
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
@@ -350,11 +344,11 @@ def test_loss_and_grad_validation():
     q = np.ones((2, 4))
     pos = np.ones((2, 2))
     with pytest.raises(ValueError):
-        loss_and_grad(p, q, pos, None, None, 0.0)
+        whole_gradient(loss_and_grad, p, q, pos, None, None, 0.0)
     with pytest.raises(ValueError):
-        loss_and_grad(p, np.zeros((0, 4)), pos, None, None, 0.2)
+        whole_gradient(loss_and_grad, p, np.zeros((0, 4)), pos, None, None, 0.2)
     with pytest.raises(ShapeError):
-        loss_and_grad(p, q, np.ones((3, 2)), None, None, 0.2)
+        whole_gradient(loss_and_grad, p, q, np.ones((3, 2)), None, None, 0.2)
 
 
 @pytest.mark.parametrize("slot", ["positives", "negatives", "synthetic negatives"])
@@ -368,8 +362,8 @@ def test_loss_and_grad_rejects_key_rows_of_the_wrong_width(slot):
         keys = {"positives": np.ones((4, 4)), "negatives": None, "synthetic negatives": None}
         keys[slot] = bad
         with pytest.raises(ShapeError, match=f"{slot}: expected key rows of width 4"):
-            loss_and_grad(p, q, keys["positives"], keys["negatives"],
-                          keys["synthetic negatives"], 0.2)
+            whole_gradient(loss_and_grad, p, q, keys["positives"], keys["negatives"],
+                           keys["synthetic negatives"], 0.2)
 
 
 def test_loss_grad_matches_finite_difference():
@@ -382,9 +376,9 @@ def test_loss_grad_matches_finite_difference():
 
     def loss_at(values):
         q = EncoderParams(values, p.shapes)
-        return loss_and_grad(q, queries, positives, negatives, synth, 0.2)[0]
+        return whole_gradient(loss_and_grad, q, queries, positives, negatives, synth, 0.2)[0]
 
-    _, grad = loss_and_grad(p, queries, positives, negatives, synth, 0.2)
+    _, grad = whole_gradient(loss_and_grad, p, queries, positives, negatives, synth, 0.2)
     eps = 1e-6
     for i in rng.choice(p.values.size, size=25, replace=False):
         bumped = p.values.copy()
@@ -439,8 +433,8 @@ def test_float32_math_agrees_with_float64_to_float32_precision():
     f32, f64 = forward_batch(p32, x), forward_batch(p64, x)
     assert f32.dtype == np.float32 and forward_cached(p32, x).features.dtype == np.float32
     assert np.allclose(f32, f64, rtol=0.0, atol=1e-5)
-    loss32, g32 = loss_and_grad(p32, x, pos, negs, synth, 0.2)
-    loss64, g64 = loss_and_grad(p64, x, pos, negs, synth, 0.2)
+    loss32, g32 = whole_gradient(loss_and_grad, p32, x, pos, negs, synth, 0.2)
+    loss64, g64 = whole_gradient(loss_and_grad, p64, x, pos, negs, synth, 0.2)
     assert g32.dtype == np.float32
     assert abs(loss32 - loss64) <= 1e-5 * max(1.0, abs(loss64))
     assert np.allclose(g32, g64, rtol=0.0, atol=1e-5 * np.abs(g64).max())
@@ -463,6 +457,6 @@ def test_float32_forward_batch_blocks_by_its_itemsize(monkeypatch, rows):
     p = EncoderParams(p64.values.astype(np.float32), p64.shapes)
     x = rng_for(8, "blocks").random((rows, 256))
     got = forward_batch(p, x)
-    assert got.tobytes() == forward_cached(p, x).features.tobytes()
     assert len(sizes) == -(-rows // 341)
     assert all(nbytes <= FORWARD_BLOCK_BYTES for _, nbytes in sizes)
+    assert got.tobytes() == forward_cached(p, x).features.tobytes()

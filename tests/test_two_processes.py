@@ -2,9 +2,9 @@
 ``helper.worker_count``, ``run_training`` forks W - 1 workers, worker i
 training nodes i, i + W, ..., while the parent trains the last share. A run
 that fine-tunes then forks one worker to probe and write while the parent
-fine-tunes. ``nn._usable_cpus`` is patched to force the workers, which may
-then share a CPU, or to 1 to force the serial path. Every test that forks
-checks that no child is left.
+fine-tunes. ``helper._usable_cpus`` is patched to force the workers, which
+may then share a CPU, or to 1 to force the serial path. Every test that
+forks checks that no child is left.
 """
 
 import contextlib
@@ -45,10 +45,10 @@ PROPERTY = settings(deadline=None, derandomize=True, database=None,
 
 @contextlib.contextmanager
 def usable_cpus(cpus: int):
-    """``nn._usable_cpus`` patched to ``cpus``; yields the list of fork calls
-    made, and checks on exit that no child is left."""
+    """``helper._usable_cpus`` patched to ``cpus``; yields the list of fork
+    calls made, and checks on exit that no child is left."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nn, "_usable_cpus", lambda: cpus)
+        mp.setattr(helper, "_usable_cpus", lambda: cpus)
         calls, real = [], os.fork
         mp.setattr(os, "fork", lambda: calls.append(os.getpid()) or real())
         yield calls
@@ -127,7 +127,7 @@ def assert_serial_bytes(serial_files, out: Path, args: tuple, nodes: int, cpus: 
     parent fine-tunes; every file but timing.jsonl holds the one-CPU run's
     bytes, and the CPUs and BLAS threads are given back. Returns the number
     of runs."""
-    cpus_before, threads = os.sched_getaffinity(0), nn._openblas_thread_calls()[0]()
+    cpus_before, threads = os.sched_getaffinity(0), helper._openblas_thread_calls()[0]()
     with usable_cpus(cpus) as forks:
         assert main([*args, "--out", str(out)]) == 0
     runs = len(list(out.rglob("digest.txt")))
@@ -137,7 +137,7 @@ def assert_serial_bytes(serial_files, out: Path, args: tuple, nodes: int, cpus: 
     assert got.keys() == want.keys()
     assert [name for name in want if got[name] != want[name]] == []
     assert os.sched_getaffinity(0) == cpus_before
-    assert nn._openblas_thread_calls()[0]() == threads
+    assert helper._openblas_thread_calls()[0]() == threads
     return runs
 
 
@@ -177,12 +177,12 @@ def test_a_forked_evaluation_writes_the_same_bytes_as_a_serial_one(serial_files,
 
 def test_a_run_gives_back_its_cpus_and_blas_threads(forks):
     cpus = os.sched_getaffinity(0)
-    threads = nn._openblas_thread_calls()[0]()
+    threads = helper._openblas_thread_calls()[0]()
     result = federation.run_training(from_dict(TINY))
     assert forks == [PARENT]
     assert len(result.metrics) == 3
     assert os.sched_getaffinity(0) == cpus
-    assert nn._openblas_thread_calls()[0]() == threads
+    assert helper._openblas_thread_calls()[0]() == threads
 
 
 @st.composite
@@ -326,7 +326,7 @@ def test_a_live_thread_keeps_every_node_in_this_process(forks, monkeypatch):
         release.set()
         waiting.join()
     assert forks == []
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(helper, "_usable_cpus", lambda: 1)
     serial = federation.run_training(from_dict(TINY))
     assert threaded.metrics == serial.metrics
     assert threaded.theta0.values.tobytes() == serial.theta0.values.tobytes()
@@ -421,12 +421,12 @@ def test_a_helper_that_died_between_rounds_is_a_named_error(forks, monkeypatch):
             run("round 2", theta, 2, {})
 
 
-@pytest.mark.skipif(nn._openblas_thread_calls() is None, reason="numpy links another BLAS")
+@pytest.mark.skipif(helper._openblas_thread_calls() is None, reason="numpy links another BLAS")
 @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
 def test_every_share_runs_under_one_blas_thread(hang_guard, cpus):
     """Here and in a worker OpenBLAS runs one thread inside ``forked``, and
     has its own count back after."""
-    get_threads, set_threads = nn._openblas_thread_calls()
+    get_threads, set_threads = helper._openblas_thread_calls()
     threads = get_threads()
 
     def share(jobs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcl import nn
+from fedcl import helper, nn
 from fedcl.contrastive import _momentum_step
 from fedcl.errors import ConfigError, ShapeError
 from fedcl.nn import (BLOCK, FORWARD_BLOCK_BYTES, EncoderParams, LayerShape,
@@ -153,6 +153,22 @@ def test_blocked_forward_batch_is_bit_equal_to_the_cached_forward(dims, rows):
     p = init_params(mlp_shapes(*dims), 7)
     assert FORWARD_BLOCK_BYTES // (8 * 3072) == 170
     x = rng_for(8, "blocks").random((rows, dims[0]))
+    before = threading.active_count()
+    got = forward_batch(p, x)
+    assert threading.active_count() == before
+    assert got.tobytes() == forward_cached(p, x).features.tobytes()
+
+
+@pytest.mark.parametrize("rows", [170, 171, 341, 511, 600, 1000])
+def test_one_cpu_forward_batch_runs_its_blocks_here(monkeypatch, rows):
+    """With the process held to one CPU (``helper._usable_cpus``, the one
+    place that counts them, patched to 1) a block still holds the whole
+    ``FORWARD_BLOCK_BYTES`` of a layer, 170 rows on the 256-3072-128
+    encoder, every block runs in the calling thread and no thread starts:
+    the bits are the same."""
+    monkeypatch.setattr(helper, "_usable_cpus", lambda: 1)
+    p = init_params(mlp_shapes(256, [3072], 128), 7)
+    x = rng_for(8, "blocks").random((rows, 256))
     before = threading.active_count()
     got = forward_batch(p, x)
     assert threading.active_count() == before

@@ -17,8 +17,8 @@ from .errors import ConfigError, HelperError, ProtocolError, ShapeError
 from .evaluate import (FineTuneConfig, FineTuneResult, ProbeConfig,
                        ProbeResult, fine_tune, linear_probe)
 from .federation import (AuditReport, Message, MessageChannel, MessageKind,
-                         RunResult, ServerState, audit_privacy, load_checkpoint,
-                         run_round, run_training, save_checkpoint)
+                         RunResult, audit_privacy, load_checkpoint, run_round,
+                         run_training, save_checkpoint)
 from .metadata import (NodeMetadata, boxcox, compute_metadata, inv_boxcox,
                        sample_gaussian, sample_synthetic, synthetic_quota)
 from .nn import (EncoderParams, LayerShape, forward_batch,
@@ -35,7 +35,7 @@ __all__ = [
     "HEALTHY_CLASS", "HelperError", "Images", "LayerShape", "Message",
     "MessageChannel", "MessageKind", "NegativeQueue", "NodeMetadata",
     "PRESETS", "PRETRAIN_CLASSES", "ProbeConfig", "ProbeResult",
-    "ProtocolError", "RunResult", "ScenarioSpec", "ServerState", "ShapeError",
+    "ProtocolError", "RunResult", "ScenarioSpec", "ShapeError",
     "aggregate", "apply_arm", "audit_privacy", "augment", "boxcox",
     "compute_metadata", "compute_rdm", "export_dataset", "fedavg_weights",
     "fine_tune", "forward_batch", "generate_node_dataset", "init_params",

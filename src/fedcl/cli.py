@@ -65,7 +65,7 @@ def _apply_overrides(raw: dict, assignments: list[str]) -> dict:
                 raise ConfigError(f"--set {key}: {part} is not a section")
         try:
             target[parts[-1]] = yaml.load(value, Loader=YamlLoader)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             raise ConfigError(f"--set {key}: value {value!r} is not valid YAML "
                               f"({exc})") from exc
     return raw
@@ -78,7 +78,7 @@ def _model_label(arm: str, node_count: int | None) -> str:
 def _write_training_artifacts(run_dir: Path, config: ExperimentConfig, result) -> None:
     save_config(config, run_dir / "config.yaml")
     federation.save_checkpoint(result.theta0, run_dir / "checkpoint.bin")
-    federation.write_jsonl(federation.metrics_records(result.metrics), run_dir / "metrics.jsonl")
+    federation.write_jsonl(result.metrics, run_dir / "metrics.jsonl")
     timing = [{"round": i + 1, "seconds": s} for i, s in enumerate(result.wall_times)]
     federation.write_jsonl(timing, run_dir / "timing.jsonl")
     federation.write_message_log(result.messages, run_dir / "messages.log")
@@ -340,7 +340,7 @@ def _jsonl_records(path: Path, required: dict[str, str]) -> list[dict]:
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"line {n}: not JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ValueError(f"line {n}: not a JSON object")

@@ -224,10 +224,12 @@ YamlLoader.add_implicit_resolver(
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=YamlLoader)
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YamlLoader)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except yaml.YAMLError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     try:
         cfg = from_dict(raw)

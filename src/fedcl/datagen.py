@@ -261,7 +261,7 @@ def load_dataset(path) -> Images:
     sidecar = Path(str(path) + ".labels")
     try:
         labels = json.loads(sidecar.read_bytes())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ShapeError(f"{sidecar}: not JSON ({exc})") from exc
     if not (isinstance(labels, list)
             and all(type(v) is int and -1 <= v < 2 ** 63 for v in labels)):

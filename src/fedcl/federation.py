@@ -16,9 +16,9 @@ round is one generator, ``_node_results``: it draws its nodes' synthetic
 negatives, factoring each peer covariance they sample once, then yields
 each node's local update, upload and RSA score. ``run_training`` runs it
 through ``helper.forked`` after ``build_nodes``, so forked processes inherit
-every shard, and gets every node's result back in node order. This process
-still sends every message and aggregates, so a run's bytes do not depend on
-which process trained a node.
+every shard, and gets every node's result back in node order. The server's
+round, ``run_round``, holds no shard: it sends every message and aggregates,
+so a run's bytes do not depend on which process trained a node.
 
 The wire contract (``CONTRACT``) and the run artifacts are defined here too.
 """
@@ -31,7 +31,7 @@ import json
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -192,26 +192,20 @@ def audit_privacy(message_log) -> AuditReport:
     return AuditReport(not violations, counts, violations)
 
 
-@dataclass
-class ServerState:
-    theta0: nn.EncoderParams
-    metadata_store: dict[int, md.NodeMetadata] = field(default_factory=dict)
-
-
 def _send(channel, kind: MessageKind, node_id: int, round_index: int, payload) -> None:
     """Send ``payload`` between the server and node ``node_id``, in the
     direction ``CONTRACT`` fixes for ``kind``."""
     channel.send(Message(kind, *_parties(kind, node_id), round_index, payload))
 
 
-def _synthetic_negatives(store, nodes, config: ExperimentConfig,
+def _synthetic_negatives(uploads, nodes, config: ExperimentConfig,
                          round_index: int) -> dict[int, np.ndarray]:
     """Each node of ``nodes``'s synthetic negatives this round, by node id:
-    its quota of draws from every peer's metadata in ``store``, in peer
+    its quota of draws from every peer's upload in ``uploads``, in node
     order, from the node's own stream. A covariance these nodes sample is
     factored once; no factor outlives the call, so none is held in training."""
     per_peer = md.synthetic_quota(config.queue_capacity, config.eta, config.nodes)
-    peers = sorted(store.items()) if per_peer and round_index in config.metadata_rounds() else []
+    peers = list(enumerate(uploads)) if per_peer else []
     factors = {j: md.psd_factor(meta.sigma) for j, meta in peers if any(k != j for k in nodes)}
     out = {}
     for k in nodes:
@@ -231,13 +225,13 @@ def _probe_images(shard: np.ndarray, node_id: int, config: ExperimentConfig,
     return shard[np.sort(idx)]
 
 
-def _node_results(shards, config: ExperimentConfig, nodes, theta, round_index: int, store):
+def _node_results(shards, config: ExperimentConfig, nodes, theta, round_index: int, uploads):
     """One process's part of a round: per node k of ``nodes``, in turn, its
     local update from the broadcast ``theta`` with its synthetic negatives
-    (all drawn first), in a metadata round the upload that summarizes its
-    features under ``theta``, and its RSA score. Yields ``(trained θ, mean
-    loss, synthetic row count, upload or None, score)``."""
-    synth = _synthetic_negatives(store, nodes, config, round_index)
+    from the peers' ``uploads`` (all drawn first), in a metadata round the
+    upload that summarizes its features under ``theta``, and its RSA score.
+    Yields ``(trained θ, mean loss, synthetic row count, upload or None, score)``."""
+    synth = _synthetic_negatives(uploads, nodes, config, round_index)
     for k in nodes:
         shard, negatives = shards[k], synth.pop(k)
         theta_k, batch_losses = contrastive.local_update(
@@ -253,47 +247,44 @@ def _node_results(shards, config: ExperimentConfig, nodes, theta, round_index: i
         yield theta_k, loss, len(negatives), upload, score
 
 
-def run_round(server: ServerState, shards, config: ExperimentConfig, round_index: int,
-              channel: MessageChannel, train=None) -> list[dict]:
-    """Advance one synchronization round. Node k trains on ``shards[k]`` from
-    the seed ``config.node_seed(k)``, through ``train``, the ``run`` of the
-    ``helper.forked`` that ``run_training`` enters, or here with no
-    ``train``. Mutates ``server`` in place and returns the round's
-    ``metrics.jsonl`` records, one per node in node order; nodes carry no
-    state between rounds.
+def run_round(theta: nn.EncoderParams, uploads, config: ExperimentConfig, round_index: int,
+              channel: MessageChannel, train) -> tuple[nn.EncoderParams, tuple, list[dict]]:
+    """One synchronization round from the broadcast ``theta`` and ``uploads``,
+    the previous round's metadata in node order (``()`` before the first
+    metadata round). The server holds no shard: the nodes train through
+    ``train``, the ``run`` of ``run_training``'s ``helper.forked`` over
+    ``_node_results``. Returns the aggregate, this round's uploads (``()``
+    without metadata exchange) and its ``metrics.jsonl`` records, one per
+    node in node order; nodes carry no state between rounds.
     """
     if not 1 <= round_index <= config.rounds:
         raise ValueError(f"round {round_index} outside [1, {config.rounds}]")
-    theta = server.theta0
-    for k in range(len(shards)):
+    metadata_round = round_index in config.metadata_rounds()
+    peers = uploads if metadata_round else ()
+    for k in range(config.nodes):
         _send(channel, MessageKind.PARAMS_DOWN, k, round_index, theta)
-
-    store: dict[int, md.NodeMetadata] = {}
-    if round_index in config.metadata_rounds():
-        store = server.metadata_store
-        for k in range(len(shards)):
+    if metadata_round:
+        for k in range(config.nodes):
             _send(channel, MessageKind.METADATA_DOWN, k, round_index,
-                  [meta for j, meta in sorted(store.items()) if j != k])
+                  [meta for j, meta in enumerate(peers) if j != k])
 
-    trained, losses, counts, uploads, scores = zip(*(
-        train(f"round {round_index}", theta, round_index, store) if train else
-        _node_results(shards, config, range(len(shards)), theta, round_index, store)))
+    results = train(f"round {round_index}", theta, round_index, peers)
+    trained, losses, counts, uploads, scores = zip(*results)
 
-    if round_index in config.metadata_rounds():
+    if metadata_round:
         for k, upload in enumerate(uploads):
             _send(channel, MessageKind.METADATA_UP, k, round_index, upload)
-        server.metadata_store.update(enumerate(uploads))
     for k, theta_k in enumerate(trained):
         _send(channel, MessageKind.PARAMS_UP, k, round_index, theta_k)
 
     if config.aggregation_mode == "self_adaptive":
         weights = rsa.self_adaptive_weights(scores)
     else:
-        weights = rsa.fedavg_weights([len(shard) for shard in shards])
-    server.theta0 = rsa.aggregate(trained, weights)
-    return [{"round": round_index, "node": k, "lr": config.lr_at(round_index), "loss": loss,
-             "synthetic_count": count, "rsa": score, "weight": float(weight)}
-            for k, (loss, count, score, weight) in enumerate(zip(losses, counts, scores, weights))]
+        weights = rsa.fedavg_weights(config.data.node_sizes(config.nodes))
+    return rsa.aggregate(trained, weights), uploads if metadata_round else (), [
+        {"round": round_index, "node": k, "lr": config.lr_at(round_index), "loss": loss,
+         "synthetic_count": count, "rsa": score, "weight": float(weight)}
+        for k, (loss, count, score, weight) in enumerate(zip(losses, counts, scores, weights))]
 
 
 @dataclass
@@ -301,15 +292,15 @@ class RunResult:
     """Round t's aggregate is the ``params_down`` payload of round t + 1;
     the last round's is ``theta0``."""
     theta0: nn.EncoderParams
-    metrics: list  # one list of run_round records per round
+    metrics: list  # the metrics.jsonl records in order; timing-free, so reruns match
     messages: list
     wall_times: list
     config: ExperimentConfig
 
 
 def build_nodes(config: ExperimentConfig) -> list[np.ndarray]:
-    """Each node's private ``(n, H, W)`` shard, node k's at index k; nodes
-    hold no parameters."""
+    """Each node's private ``(n, H, W)`` shard, node k's at index k with
+    ``config.data.node_sizes(K)[k]`` images; nodes hold no parameters."""
     return [datagen.generate_node_dataset(config.data, config.nodes, k, config.seed).pixels
             for k in range(config.nodes)]
 
@@ -320,17 +311,18 @@ def run_training(config: ExperimentConfig) -> RunResult:
     With ``rounds == 0`` the result carries the freshly initialized
     parameters and an empty log."""
     config.validate()
-    server = ServerState(nn.init_params(config.encoder_shapes(), config.seed))
+    theta, uploads = nn.init_params(config.encoder_shapes(), config.seed), ()
     shards = build_nodes(config)
     channel = MessageChannel()
-    metrics: list[list[dict]] = []
+    metrics: list[dict] = []
     wall_times: list[float] = []
     with forked(functools.partial(_node_results, shards, config), config.nodes) as train:
         for t in range(1, config.rounds + 1):
             started = time.perf_counter()
-            metrics.append(run_round(server, shards, config, t, channel, train))
+            theta, uploads, records = run_round(theta, uploads, config, t, channel, train)
+            metrics += records
             wall_times.append(time.perf_counter() - started)
-    return RunResult(server.theta0, metrics, channel.messages, wall_times, config)
+    return RunResult(theta, metrics, channel.messages, wall_times, config)
 
 
 # -- artifacts ----------------------------------------------------------------
@@ -427,7 +419,7 @@ def load_checkpoint(path) -> nn.EncoderParams:
         line, body = fh.readline(), fh.read()
     try:
         header = json.loads(line.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ShapeError(f"{path}: header line is not JSON ({exc})") from exc
     fields = _header_fields(header)
     if fields is None:
@@ -454,13 +446,6 @@ def load_checkpoint(path) -> nn.EncoderParams:
     if not np.isfinite(values).all():
         raise ShapeError(f"{path}: body holds a NaN or infinite value")
     return nn.EncoderParams(values, shapes)
-
-
-def metrics_records(metrics) -> list[dict]:
-    """Flatten ``RunResult.metrics`` to the rows of metrics.jsonl. Timing is
-    deliberately kept out of these records so identical runs serialize to
-    identical bytes."""
-    return [record for round_records in metrics for record in round_records]
 
 
 def write_jsonl(records, path) -> None:

@@ -15,8 +15,8 @@ import numpy as np
 from fedcl.config import apply_arm, from_dict, preset_config
 from fedcl.datagen import make_eval_split
 from fedcl.evaluate import fine_tune, linear_probe
-from fedcl.federation import (MessageKind, audit_privacy, metrics_records,
-                              payload_digest, run_training, save_checkpoint)
+from fedcl.federation import (MessageKind, audit_privacy, payload_digest, run_training,
+                              save_checkpoint)
 from fedcl.metadata import NodeMetadata, boxcox, inv_boxcox, sample_gaussian
 from fedcl.nn import EncoderParams, init_params, loss_and_grad, mlp_shapes, normalize_rows
 from fedcl.rsa import fedavg_weights, self_adaptive_weights, spearman
@@ -203,7 +203,7 @@ def test_criterion_07_reruns_are_bit_identical(tmp_path):
     save_checkpoint(a.theta0, tmp_path / "a.bin")
     save_checkpoint(b.theta0, tmp_path / "b.bin")
     theta_ok = (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
-    metrics_ok = metrics_records(a.metrics) == metrics_records(b.metrics)
+    metrics_ok = a.metrics == b.metrics
     log_ok = ([payload_digest(m.payload) for m in a.messages]
               == [payload_digest(m.payload) for m in b.messages])
     report(7, "determinism", theta_ok and metrics_ok and log_ok,

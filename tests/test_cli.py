@@ -541,8 +541,9 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 
 
 def test_unparseable_set_value_is_a_config_error(capsys):
-    assert main(["run", "--preset", "smoke", "--set", "rounds=[oops"]) == 2
-    assert "config error" in capsys.readouterr().err
+    for value in ("[oops", "[" * 100000 + "]" * 100000):  # the second nests too deep
+        assert main(["run", "--preset", "smoke", "--set", f"rounds={value}"]) == 2
+        assert "config error: --set rounds: value " in capsys.readouterr().err
 
 
 def test_audit_walks_a_tree_of_runs(tmp_path, capsys):
@@ -565,22 +566,35 @@ def test_audit_tree_reports_single_bad_run(tmp_path):
 
 
 def test_audit_tree_reports_a_config_that_does_not_load_and_goes_on(tmp_path, capsys):
-    """A run directory whose config.yaml is refused (here it holds a removed
-    key) fails on its own; the runs after it are still audited."""
+    """A run directory whose config.yaml is refused (it holds a removed key,
+    bytes that are not UTF-8, or YAML nested past the recursion limit) fails
+    on its own with one FAIL line naming the file; the runs after it are
+    still audited. ``fedcl run --config`` refuses the same file by name."""
     assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "0", "--seed", "1",
                  "--out", str(tmp_path / "runs"), *FAST]) == 0
     config = tmp_path / "runs" / "smoke" / "fedavg" / "seed-0" / "config.yaml"
-    config.write_text(config.read_text() + "metadata_timing: post_sync\n")
-    capsys.readouterr()
-    assert main(["audit", str(tmp_path / "runs")]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL config.yaml: " in out and "metadata_timing: unknown field" in out
-    assert out.count("audit passed") == 1
-    assert out.index("seed-0") < out.index("FAIL") < out.index("seed-1") < out.index("passed")
+    for text, reason in [(config.read_bytes() + b"metadata_timing: post_sync\n",
+                          "metadata_timing: unknown field"),
+                         (b"rounds: 4\n\xff\n", "not UTF-8"),
+                         (b"[" * 100000 + b"]" * 100000, "not valid YAML")]:
+        config.write_bytes(text)
+        capsys.readouterr()
+        assert main(["audit", str(tmp_path / "runs")]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL config.yaml: {config}: " in out and reason in out
+        assert out.count("FAIL") == 1 and out.count("audit passed") == 1
+        assert out.index("seed-0") < out.index("FAIL") < out.index("seed-1") < out.index("passed")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "refused")]) == 2
+        assert f"config error: {config}: " in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
 
 
 def _cut_last_line(text):
     return text[: text.rindex("}")], len(text.splitlines())
+
+
+def _nest_first_line(text):
+    return "[" * 100000 + "]" * 100000 + text[text.index("\n"):], 1
 
 
 def _drop_first_sender(text):
@@ -592,11 +606,13 @@ def _drop_first_sender(text):
 
 @pytest.mark.parametrize("damage, reason", [
     (_cut_last_line, "not JSON"),
+    (_nest_first_line, "not JSON"),
     (_drop_first_sender, "no string 'sender' field"),
 ])
 def test_audit_tree_names_a_damaged_message_log_and_goes_on(tmp_path, capsys, damage, reason):
-    """A truncated line or a record without a sender fails its run by line
-    number; the run after it is still audited."""
+    """A truncated line, one nested past the recursion limit or a record
+    without a sender fails its run by line number; the run after it is
+    still audited."""
     assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "0", "--seed", "1",
                  "--out", str(tmp_path / "runs"), *FAST]) == 0
     log = tmp_path / "runs" / "smoke" / "fedavg" / "seed-0" / "messages.log"

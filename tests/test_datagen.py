@@ -343,9 +343,10 @@ def _two_image_file(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["[4.9, -7]", "[true, 1]", "[4, -7]", "[4, 1", '["a", 1]',
-                                  "[1e30, 0]", "[NaN, 0]", '{"labels": [4, 1]}'],
+                                  "[1e30, 0]", "[NaN, 0]", '{"labels": [4, 1]}',
+                                  "[" * 100000 + "]" * 100000],
                          ids=["float", "bool", "below-minus-one", "not-json", "string",
-                              "huge-float", "nan", "object"])
+                              "huge-float", "nan", "object", "nested-past-the-recursion-limit"])
 def test_load_refuses_sidecar_that_is_not_a_list_of_labels(tmp_path, text):
     path = _two_image_file(tmp_path)
     (tmp_path / "pair.bin.labels").write_text(text)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import hashlib
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcl import federation
+from fedcl import federation, helper, rsa
 from fedcl.cli import _jsonl_records
 from fedcl.config import apply_arm, from_dict, preset_config
 from fedcl.datagen import Images
@@ -18,7 +19,7 @@ from fedcl.errors import ProtocolError, ShapeError
 from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
                               audit_privacy, build_nodes, contract_violation,
                               load_checkpoint, message_order,
-                              metrics_records, payload_digest,
+                              payload_digest,
                               payload_violation,
                               run_round, run_training,
                               save_checkpoint, write_atomic, write_jsonl,
@@ -37,6 +38,18 @@ def tiny_config(**kw):
     }
     base.update(kw)
     return from_dict(base).validate()
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """``stepped(cfg)`` is the ``train`` that ``run_round`` takes over
+    ``cfg``'s shards, as ``run_training`` makes it, for rounds stepped by
+    hand. With one usable CPU ``helper.forked`` forks no worker, so
+    recorders patched into this process see every node."""
+    monkeypatch.setattr(helper, "_usable_cpus", lambda: 1)
+    with contextlib.ExitStack() as stack:
+        yield lambda cfg: stack.enter_context(helper.forked(
+            functools.partial(federation._node_results, build_nodes(cfg), cfg), cfg.nodes))
 
 
 PHASE_ORDER = {
@@ -109,15 +122,13 @@ def test_downloads_carry_previous_round_uploads():
             assert all(m.round_index == msg.round_index - 1 for m in msg.payload)
 
 
-def test_queue_flushed_every_round(monkeypatch):
+def test_queue_flushed_every_round(monkeypatch, stepped):
     """Every local update starts from that round's broadcast and the node's
     own seed; ``local_update`` itself starts the key encoder equal to it,
     the queue empty and the momentum zero (see test_contrastive)."""
     from fedcl import contrastive
-    from fedcl.federation import ServerState
     cfg = tiny_config(rounds=2, queue_capacity=64)
-    server = ServerState(init_params(cfg.encoder_shapes(), cfg.seed))
-    shards = build_nodes(cfg)
+    theta, uploads, train = init_params(cfg.encoder_shapes(), cfg.seed), (), stepped(cfg)
     channel = MessageChannel()
     real = contrastive.local_update
     seen = []
@@ -128,7 +139,7 @@ def test_queue_flushed_every_round(monkeypatch):
 
     monkeypatch.setattr(contrastive, "local_update", recording)
     for t in (1, 2):
-        run_round(server, shards, cfg, t, channel)
+        theta, uploads, _ = run_round(theta, uploads, cfg, t, channel, train)
     broadcast = {(m.round_index, node_id_of(m)): m.payload.values.tobytes()
                  for m in channel.messages if m.kind is MessageKind.PARAMS_DOWN}
     want = [(t, 64, broadcast[(t, k)], cfg.node_seed(k))
@@ -158,15 +169,16 @@ def test_synthetic_counts_follow_quota():
     cfg = tiny_config(rounds=3, warmup_rounds=1)
     result = run_training(cfg)
     per_peer = 1  # floor(0.2 * 16 / 2)
-    for rows in result.metrics:
-        for r in rows:
-            expected = per_peer * (cfg.nodes - 1) if r["round"] > cfg.warmup_rounds + 1 else 0
-            assert r["synthetic_count"] == expected
+    for r in result.metrics:
+        expected = per_peer * (cfg.nodes - 1) if r["round"] > cfg.warmup_rounds + 1 else 0
+        assert r["synthetic_count"] == expected
 
 
 def test_round_metrics_weights_sum_to_one():
-    result = run_training(tiny_config())
-    for rows in result.metrics:
+    cfg = tiny_config()
+    result = run_training(cfg)
+    for t in range(1, cfg.rounds + 1):
+        rows = [r for r in result.metrics if r["round"] == t]
         assert sum(r["weight"] for r in rows) == pytest.approx(1.0, abs=1e-12)
         assert [r["node"] for r in rows] == [0, 1, 2]  # node order
 
@@ -178,7 +190,7 @@ def test_fedavg_mode_weights_by_sample_count():
     result = run_training(cfg)
     sizes = cfg.data.node_sizes(cfg.nodes)  # (3, 3, 12)
     want = {k: sizes[k] / sum(sizes) for k in range(3)}
-    assert {r["node"]: r["weight"] for r in result.metrics[0]} == pytest.approx(want)
+    assert {r["node"]: r["weight"] for r in result.metrics[:cfg.nodes]} == pytest.approx(want)
 
 
 def test_zero_rounds_returns_initial_params():
@@ -189,13 +201,11 @@ def test_zero_rounds_returns_initial_params():
     assert result.messages == [] and result.metrics == []
 
 
-def test_run_round_rejects_non_finite_local_loss(monkeypatch):
+def test_run_round_rejects_non_finite_local_loss(monkeypatch, stepped):
     from fedcl import contrastive
-    from fedcl.federation import ServerState
     cfg = tiny_config()
     theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
-    server = ServerState(theta0.copy())
-    shards = build_nodes(cfg)
+    train = stepped(cfg)
     real = contrastive.local_update
 
     def nan_loss_on_node_1_in_round_2(theta, images, synth, config, round_index, rng_seed):
@@ -206,22 +216,67 @@ def test_run_round_rejects_non_finite_local_loss(monkeypatch):
 
     monkeypatch.setattr(contrastive, "local_update", nan_loss_on_node_1_in_round_2)
     channel = MessageChannel()
-    run_round(server, shards, cfg, 1, channel)
+    theta, uploads, _ = run_round(theta0.copy(), (), cfg, 1, channel, train)
     with pytest.raises(FloatingPointError, match="node 1, round 2"):
-        run_round(server, shards, cfg, 2, channel)
+        run_round(theta, uploads, cfg, 2, channel, train)
     assert not any(m.kind is MessageKind.PARAMS_UP and m.round_index == 2
                    for m in channel.messages)
 
 
-def test_run_round_rejects_out_of_range_round():
+def test_run_round_rejects_out_of_range_round(stepped):
     cfg = tiny_config()
     theta0 = init_params(cfg.encoder_shapes(), cfg.seed)
-    from fedcl.federation import ServerState
-    server = ServerState(theta0)
-    shards = build_nodes(cfg)
+    train = stepped(cfg)
     for bad in (0, cfg.rounds + 1):
         with pytest.raises(ValueError):
-            run_round(server, shards, cfg, bad, MessageChannel())
+            run_round(theta0, (), cfg, bad, MessageChannel(), train)
+
+
+@pytest.mark.parametrize("mode", ["fedavg", "self_adaptive"])
+def test_run_round_holds_no_shard(mode):
+    """The server's round runs from canned node results with no shard in
+    sight: it sends exactly ``message_order``'s messages of that round, the
+    previous round's uploads going down to each peer, weights by
+    ``node_sizes`` (FedAvg) or by RSA score, and returns the aggregate,
+    this round's uploads (none in a warm-up round) and one record per node."""
+    cfg = tiny_config(aggregation_mode=mode,
+                      data={"base_size": 12, "scenario": "size_skew",
+                            "gamma": 25.0, "eval_per_class": 4})
+    t, d = 3, cfg.feature_dim  # rounds 2 and 3 exchange metadata
+    theta = init_params(cfg.encoder_shapes(), cfg.seed)
+
+    def meta(k, r):
+        return NodeMetadata(np.full(d, k + 1.0), np.eye(d), k, r)
+
+    last = tuple(meta(k, t - 1) for k in range(cfg.nodes))
+    canned = [(EncoderParams(theta.values + k, theta.shapes), 0.5 + k, 2, meta(k, t),
+               0.1 * (k + 1)) for k in range(cfg.nodes)]
+    calls = []
+
+    def train(what, *args):
+        calls.append(args)
+        return canned
+
+    channel = MessageChannel()
+    aggregate, uploads, records = run_round(theta, last, cfg, t, channel, train)
+    assert len(calls) == 1 and calls[0][0] is theta and calls[0][1:] == (t, last)
+    assert ([(m.round_index, str(m.kind), m.sender, m.receiver) for m in channel.messages]
+            == [line for line in message_order(cfg) if line[0] == t])
+    assert [m.payload for m in channel.messages if m.kind is MessageKind.METADATA_DOWN] == [
+        [last[j] for j in range(cfg.nodes) if j != k] for k in range(cfg.nodes)]
+    assert uploads == tuple(node[3] for node in canned)
+    warm_up = [(*node[:3], None, node[4]) for node in canned]
+    assert run_round(theta, (), cfg, 1, MessageChannel(), lambda *args: warm_up)[1] == ()
+    if mode == "fedavg":
+        want = [n / 18 for n in (3, 3, 12)]  # node_sizes: gamma 25% of 12, then 12
+    else:
+        want = [(1 - r) / (0.9 + 0.8 + 0.7) for r in (0.1, 0.2, 0.3)]  # (1 - r_k) / sum
+    assert [r["weight"] for r in records] == pytest.approx(want, rel=1e-12)
+    assert [(r["round"], r["node"], r["loss"], r["rsa"]) for r in records] == [
+        (t, k, 0.5 + k, 0.1 * (k + 1)) for k in range(cfg.nodes)]
+    assert np.array_equal(aggregate.values,
+                          rsa.aggregate([node[0] for node in canned],
+                                        [r["weight"] for r in records]).values)
 
 
 # -- privacy audit ------------------------------------------------------------
@@ -524,6 +579,10 @@ def _garble_header(raw: bytes) -> bytes:
     return b"{not json" + raw[raw.index(b"\n"):]
 
 
+def _nest_header(raw: bytes) -> bytes:
+    return b"[" * 100000 + b"]" * 100000 + raw[raw.index(b"\n"):]
+
+
 def _edit_header(edit):
     def damage(raw: bytes) -> bytes:
         line, body = raw.split(b"\n", 1)
@@ -547,6 +606,7 @@ _NOT_A_HEADER = r"header is not an object with a list 'shapes'"
 @pytest.mark.parametrize("damage,message", [
     (_cut_body, r"body holds 1037 bytes, not a whole number of float64 values"),
     (_garble_header, r"header line is not JSON"),
+    (_nest_header, r"header line is not JSON"),
     (_edit_header(lambda h: {**h, "count": h["count"] + 1}),
      r"header shapes hold 130 values, its count is 131"),
     (_edit_header(lambda h: {}), _NOT_A_HEADER),
@@ -564,9 +624,10 @@ _NOT_A_HEADER = r"header is not an object with a list 'shapes'"
      r"feature_dim is -3, the last layer has 4 rows"),
     (_set_value(7, np.nan), r"body holds a NaN or infinite value"),
     (_set_value(-1, -np.inf), r"body holds a NaN or infinite value"),
-], ids=["cut-body", "garbled-header", "miscounted-header", "empty-object", "list",
-        "string", "null", "float-count", "short-layer", "bias-free-layer", "zero-size-layer",
-        "non-chaining-layer", "negative-feature-dim", "nan-value", "infinite-value"])
+], ids=["cut-body", "garbled-header", "nested-header", "miscounted-header", "empty-object",
+        "list", "string", "null", "float-count", "short-layer", "bias-free-layer",
+        "zero-size-layer", "non-chaining-layer", "negative-feature-dim", "nan-value",
+        "infinite-value"])
 def test_checkpoint_errors_name_the_file(tmp_path, damage, message):
     params = init_params(mlp_shapes(16, [6], 4), 3)
     path = tmp_path / "model.bin"
@@ -656,7 +717,7 @@ def test_payload_digest_hashes_little_endian_float64_bytes():
 
 def test_metrics_records_are_timing_free():
     result = run_training(tiny_config(rounds=2))
-    records = metrics_records(result.metrics)
+    records = result.metrics
     assert len(records) == 2 * 3
     for r in records:
         assert set(r) == {"round", "node", "lr", "loss", "rsa", "weight",
@@ -677,4 +738,4 @@ def test_training_is_reproducible():
     a = run_training(cfg)
     b = run_training(copy.deepcopy(cfg))
     assert np.array_equal(a.theta0.values, b.theta0.values)
-    assert metrics_records(a.metrics) == metrics_records(b.metrics)
+    assert a.metrics == b.metrics

@@ -180,7 +180,7 @@ def test_a_run_gives_back_its_cpus_and_blas_threads(forks):
     threads = helper._openblas_thread_calls()[0]()
     result = federation.run_training(from_dict(TINY))
     assert forks == [PARENT]
-    assert len(result.metrics) == 3
+    assert len(result.metrics) == 3 * TINY["nodes"]  # one record per node and round
     assert os.sched_getaffinity(0) == cpus
     assert helper._openblas_thread_calls()[0]() == threads
 

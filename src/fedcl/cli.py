@@ -17,14 +17,15 @@ loss) stops the command with an ``error:`` line and exit 1; SIGTERM stops it
 with one ``error:`` line and exit 143 (128 + 15), once its forked workers
 are reaped. The run directories finished before it stay.
 
-`audit` checks each logged message's kind, direction and payload tag
-(``federation.contract_violation``) and its round against the one before;
-once each message passes, the log against ``federation.message_order`` of
-the run's config.yaml, naming the first message that differs, which settles
-every round, party, order and count; and digest.txt against
-``federation.run_digest``. Any mismatch, missing file, damaged messages.log
-line or config.yaml that does not load is a FAIL, and a tree of runs is
-audited to the end.
+`audit` compares each logged message's (round, kind, sender, receiver,
+payload tag) with ``federation.message_order`` of the run's config.yaml, the
+messages such a run sends, and names the first that differs, as in
+``FAIL message 3: params_up of round 1 from 'server' to 'server' carrying
+'params', expected params_up of round 1 from 'node-0' to 'server' carrying
+'params'``; that one comparison settles every round, party, payload tag,
+order and count. It checks digest.txt against ``federation.run_digest``.
+Any mismatch, missing file, damaged messages.log line or config.yaml that
+does not load is a FAIL, and a tree of runs is audited to the end.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _load_base_config(args) -> tuple[ExperimentConfig, tuple[str, ...],
         config = load_config(args.config)
         arms, node_counts, name = ("fedmoco",), (), Path(args.config).stem
     if args.set:
-        config = from_dict(_apply_overrides(to_dict(config), args.set))
+        config = from_dict(_apply_overrides(to_dict(config), args.set)).validate()
     return config, arms, node_counts, name
 
 
@@ -351,27 +352,14 @@ def _jsonl_records(path: Path, required: dict[str, str]) -> list[dict]:
     return records
 
 
-def _message_problems(records: list[dict]) -> list[str]:
-    """A ``message i: ...`` line for each way a logged message breaks the
-    protocol on its own: its kind, direction or payload tag
-    (``federation.contract_violation``), or a round below the previous
-    message's, which ``MessageChannel.send`` refuses."""
-    problems = []
-    for i, rec in enumerate(records):
-        found = [federation.contract_violation(rec["kind"], rec["sender"], rec["payload"])]
-        if i and rec["round"] < (last := records[i - 1]["round"]):
-            found.append(f"round {rec['round']} after round {last}")
-        problems += [f"message {i}: {problem}" for problem in found if problem]
-    return problems
-
-
 def _order_problems(records: list[dict], config) -> list[str]:
     """The first message, by index, where the log leaves the (round, kind,
-    sender, receiver) order a run of ``config`` sends in; none without a
-    ``config``."""
+    sender, receiver, payload tag) order a run of ``config`` sends in; none
+    without a ``config``."""
     if config is None:
         return []
-    got = [(rec["round"], rec["kind"], rec["sender"], rec["receiver"]) for rec in records]
+    got = [(rec["round"], rec["kind"], rec["sender"], rec["receiver"], rec["payload"])
+           for rec in records]
     for i, (found, want) in enumerate(itertools.zip_longest(got, federation.message_order(config))):
         if found != want:
             return [f"message {i}: {_describe(found)}, expected {_describe(want)}"]
@@ -381,8 +369,8 @@ def _order_problems(records: list[dict], config) -> list[str]:
 def _describe(message) -> str:
     if message is None:
         return "the end of the log"
-    round_index, kind, sender, receiver = message
-    return f"{kind} of round {round_index} from {sender!r} to {receiver!r}"
+    round_index, kind, sender, receiver, tag = message
+    return f"{kind} of round {round_index} from {sender!r} to {receiver!r} carrying {tag!r}"
 
 
 def _audit_one(run_dir: Path) -> int:
@@ -400,11 +388,11 @@ def _audit_one(run_dir: Path) -> int:
             problems.append(f"config.yaml: {exc}")
     else:
         problems.append("config.yaml missing: the message order cannot be checked")
-    problems += _message_problems(records) or _order_problems(records, config)
+    problems += _order_problems(records, config)
 
     try:
-        recorded = (run_dir / "digest.txt").read_text().strip()
-        if recorded != federation.run_digest(run_dir):
+        recorded = (run_dir / "digest.txt").read_bytes().strip()
+        if recorded != federation.run_digest(run_dir).encode():
             problems.append("digest.txt does not match checkpoint.bin + metrics.jsonl")
     except FileNotFoundError as exc:
         problems.append(f"{Path(exc.filename).name} missing: digest cannot be checked")

@@ -90,19 +90,6 @@ def payload_tag(payload) -> str:
     return f"other:{type(payload).__name__}"
 
 
-def contract_violation(kind: str, sender: str, tag: str) -> str | None:
-    """Why a (kind, sender, payload tag) triple breaks the wire contract,
-    or None if it is clean."""
-    if kind not in CONTRACT:
-        return f"unknown message kind {kind!r}"
-    want_tag, downward = CONTRACT[kind]
-    if (sender == SERVER) != downward:
-        return f"{kind} sent by {sender!r}"
-    if tag != want_tag:
-        return f"{kind} carries {tag!r}, expected {want_tag!r}"
-    return None
-
-
 def _finite(payload) -> bool:
     """Whether a contract-clean payload holds no NaN or infinity."""
     if isinstance(payload, list):
@@ -119,16 +106,20 @@ def payload_violation(message: Message) -> str | None:
     lists of it) may travel, each in its own kind's direction. Images and
     per-sample feature arrays are prohibited in any position.
     """
-    payload = message.payload
+    kind, payload = message.kind, message.payload
     if isinstance(payload, datagen.Images):
         return "image payload"
-    problem = contract_violation(message.kind, message.sender, payload_tag(payload))
-    if problem is not None:
-        return problem
+    if kind not in CONTRACT:
+        return f"unknown message kind {kind!r}"
+    want_tag, downward = CONTRACT[kind]
+    if (message.sender == SERVER) != downward:
+        return f"{kind} sent by {message.sender!r}"
+    if (tag := payload_tag(payload)) != want_tag:
+        return f"{kind} carries {tag!r}, expected {want_tag!r}"
     if isinstance(payload, nn.EncoderParams) and payload.values.dtype != np.float64:
-        return f"{message.kind} carries {payload.values.dtype} parameters"
+        return f"{kind} carries {payload.values.dtype} parameters"
     if not _finite(payload):
-        return f"{message.kind} carries non-finite values"
+        return f"{kind} carries non-finite values"
     return None
 
 
@@ -139,14 +130,15 @@ def _parties(kind: MessageKind, node_id: int) -> tuple[str, str]:
     return (SERVER, node) if CONTRACT[kind][1] else (node, SERVER)
 
 
-def message_order(config: ExperimentConfig) -> Iterator[tuple[int, str, str, str]]:
-    """The (round, kind, sender, receiver) of every message a complete run
-    logs, in log order (``run_round``): per round, parameters down to each
-    node, then in a metadata round metadata down to each node and, after
-    training, up from each; then parameters up from each node. Made one at a
-    time, so a comparison that stops early makes no more of them."""
+def message_order(config: ExperimentConfig) -> Iterator[tuple[int, str, str, str, str]]:
+    """The (round, kind, sender, receiver, payload tag) of every message a
+    complete run logs, in log order (``run_round``): per round, parameters
+    down to each node, then in a metadata round metadata down to each node
+    and, after training, up from each; then parameters up from each node.
+    The tag is the one ``CONTRACT`` fixes for the kind. Made one at a time,
+    so a comparison that stops early makes no more of them."""
     metadata = (MessageKind.METADATA_DOWN, MessageKind.METADATA_UP)
-    return ((t, kind.value, *_parties(kind, k))
+    return ((t, kind.value, *_parties(kind, k), CONTRACT[kind][0])
             for t in range(1, config.rounds + 1)
             for kind in (MessageKind.PARAMS_DOWN, *(metadata if t in config.metadata_rounds()
                                                     else ()), MessageKind.PARAMS_UP)

@@ -81,7 +81,7 @@ def test_bench_checks_read_every_workload_config(workload, bench_modules, tmp_pa
     assert checks.layer_dims(cfg) == [config.encoder_shapes()[0].cols,
                                       *[s.rows for s in config.encoder_shapes()]]
     assert checks.expected_message_counts(cfg) == Counter(
-        kind for _, kind, _, _ in federation.message_order(config))
+        kind for _, kind, _, _, _ in federation.message_order(config))
     wire = checks.expected_wire_bytes(cfg)
     assert wire["params_down"] == wire["params_up"] > 0
     assert all(isinstance(checks.expected_synthetic_count(cfg, r), int)

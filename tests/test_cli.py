@@ -305,14 +305,19 @@ def test_audit_passes_on_real_run(tmp_path):
     assert main(["audit", str(run_dir)]) == 0
 
 
-def test_audit_fails_on_tampered_payload_tag(tmp_path):
+def test_audit_fails_on_tampered_payload_tag(tmp_path, capsys):
     assert run_smoke(tmp_path / "runs") == 0
     run_dir = tmp_path / "runs" / "smoke" / "fedavg" / "seed-3"
     log = run_dir / "messages.log"
     tampered = log.read_text().replace('"payload": "params"',
                                        '"payload": "other:Images"', 1)
     log.write_text(tampered)
+    capsys.readouterr()
     assert main(["audit", str(run_dir)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL message 0: params_down of round 1 from 'server' to 'node-0' "
+                     "carrying 'other:Images', expected params_down of round 1 from "
+                     "'server' to 'node-0' carrying 'params'"]
 
 
 def test_audit_fails_on_dropped_message(tmp_path):
@@ -333,19 +338,25 @@ def test_audit_fails_on_message_sent_the_wrong_way(tmp_path, capsys):
     write_jsonl(records, run_dir / "messages.log")
     capsys.readouterr()
     assert main(["audit", str(run_dir)]) == 1
-    assert f"FAIL message {i}: params_up sent by 'server'" in capsys.readouterr().out
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL message {i}: params_up of round 1 from 'server' to 'server' "
+                     "carrying 'params', expected params_up of round 1 from 'node-0' to "
+                     "'server' carrying 'params'"]
 
 
 @pytest.mark.parametrize("at, key, value, fail", [
-    (-1, "round", 1, "message {i}: round 1 after round 2"),
-    (-1, "round", 99, "message {i}: params_up of round 99 from 'node-2' to 'server', "
-     "expected params_up of round 2 from 'node-2' to 'server'"),
+    (-1, "round", 1, "message {i}: params_up of round 1 from 'node-2' to 'server' carrying "
+     "'params', expected params_up of round 2 from 'node-2' to 'server' carrying 'params'"),
+    (-1, "round", 99, "message {i}: params_up of round 99 from 'node-2' to 'server' carrying "
+     "'params', expected params_up of round 2 from 'node-2' to 'server' carrying 'params'"),
     (0, "round", "two", "messages.log: line {n}: no integer 'round' field"),
     (0, "round", True, "messages.log: line {n}: no integer 'round' field"),
     (0, "receiver", "node-77", "message {i}: params_down of round 1 from 'server' to "
-     "'node-77', expected params_down of round 1 from 'server' to 'node-0'"),
-    (-1, "sender", "node-3", "message {i}: params_up of round 2 from 'node-3' to 'server', "
-     "expected params_up of round 2 from 'node-2' to 'server'"),
+     "'node-77' carrying 'params', expected params_down of round 1 from 'server' to "
+     "'node-0' carrying 'params'"),
+    (-1, "sender", "node-3", "message {i}: params_up of round 2 from 'node-3' to 'server' "
+     "carrying 'params', expected params_up of round 2 from 'node-2' to 'server' "
+     "carrying 'params'"),
     (0, "digest", None, "messages.log: line {n}: no 16-hex-digit 'digest' field"),
     (-1, "digest", "0123456789ABCDEF", "messages.log: line {n}: no 16-hex-digit 'digest' field"),
 ], ids=["backward_round", "round_past_the_last", "round_not_a_number", "round_a_bool",
@@ -406,8 +417,9 @@ def test_audit_fails_on_messages_out_of_order(tmp_path, capsys, forge):
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     want = records[i]
     assert fails == [f"FAIL message {i}: {want['kind']} of round {want['round']} from "
-                     f"{want['sender']!r} to {want['receiver']!r}, expected params_down of "
-                     f"round 1 from 'server' to 'node-{i}'"]
+                     f"{want['sender']!r} to {want['receiver']!r} carrying 'params', "
+                     f"expected params_down of round 1 from 'server' to 'node-{i}' "
+                     f"carrying 'params'"]
 
 
 def test_audit_stops_making_the_expected_order_at_the_first_difference(tmp_path, capsys,
@@ -428,7 +440,7 @@ def test_audit_stops_making_the_expected_order_at_the_first_difference(tmp_path,
     assert main(["audit", str(run_dir)]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert fails == [f"FAIL message {logged}: the end of the log, expected params_down of "
-                     f"round 3 from 'server' to 'node-0'"]
+                     f"round 3 from 'server' to 'node-0' carrying 'params'"]
     assert len(calls) <= logged + 1
 
 
@@ -626,6 +638,20 @@ def test_audit_tree_names_a_damaged_message_log_and_goes_on(tmp_path, capsys, da
     assert out.index("seed-0") < out.index("FAIL") < out.index("seed-1") < out.index("passed")
 
 
+def test_audit_tree_fails_a_digest_that_is_not_text_and_goes_on(tmp_path, capsys):
+    """A digest.txt holding bytes that are not UTF-8 fails its run as a
+    digest mismatch; the run after it is still audited."""
+    assert main(["run", "--preset", "smoke", "--arms", "fedavg", "--seed", "0", "--seed", "1",
+                 "--out", str(tmp_path / "runs"), *FAST]) == 0
+    (tmp_path / "runs" / "smoke" / "fedavg" / "seed-0" / "digest.txt").write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main(["audit", str(tmp_path / "runs")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL digest.txt does not match" in out
+    assert out.count("FAIL") == 1 and out.count("audit passed") == 1
+    assert out.index("seed-0") < out.index("FAIL") < out.index("seed-1") < out.index("passed")
+
+
 def test_export_data_writes_loadable_shards(tmp_path):
     dest = tmp_path / "data"
     assert main(["export-data", "--preset", "smoke", *FAST,
@@ -638,6 +664,20 @@ def test_export_data_writes_loadable_shards(tmp_path):
     test = load_dataset(dest / "eval-test.bin")
     assert len(train) == 8 and len(test) == 8
     assert set(train.labels.tolist()) | set(test.labels.tolist()) == {4, 5}
+
+
+@pytest.mark.parametrize("assignment, needle", [
+    ("data.base_size=0", "data.base_size: must be at least 3"),
+    ("nodes=0", "nodes: must be at least 1"),
+    ("hidden_dims=[-5]", "hidden_dims: entries must be positive"),
+], ids=["empty-shards", "no-nodes", "negative-width"])
+def test_export_data_refuses_a_bad_value_by_name(tmp_path, capsys, assignment, needle):
+    """``fedcl export-data`` validates its overridden config as ``fedcl run``
+    does, and writes nothing."""
+    assert main(["export-data", "--preset", "smoke", "--set", assignment,
+                 "--out", str(tmp_path / "data")]) == 2
+    assert f"config error: {needle}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 def test_run_warns_once_when_synthetic_quota_is_zero(tmp_path, capsys):

@@ -17,9 +17,9 @@ from fedcl.config import apply_arm, from_dict, preset_config
 from fedcl.datagen import Images
 from fedcl.errors import ProtocolError, ShapeError
 from fedcl.federation import (CONTRACT, Message, MessageChannel, MessageKind,
-                              audit_privacy, build_nodes, contract_violation,
+                              audit_privacy, build_nodes,
                               load_checkpoint, message_order,
-                              payload_digest,
+                              payload_digest, payload_tag,
                               payload_violation,
                               run_round, run_training,
                               save_checkpoint, write_atomic, write_jsonl,
@@ -85,8 +85,8 @@ def test_expected_counts_match_the_messages_sent(overrides):
     cfg = tiny_config(**overrides)
     messages = run_training(cfg).messages
     assert Counter(audit_privacy(messages).counts) == Counter(
-        kind for _, kind, _, _ in message_order(cfg))
-    assert [(m.round_index, str(m.kind), m.sender, m.receiver)
+        kind for _, kind, _, _, _ in message_order(cfg))
+    assert [(m.round_index, str(m.kind), m.sender, m.receiver, payload_tag(m.payload))
             for m in messages] == list(message_order(cfg))
 
 
@@ -260,7 +260,8 @@ def test_run_round_holds_no_shard(mode):
     channel = MessageChannel()
     aggregate, uploads, records = run_round(theta, last, cfg, t, channel, train)
     assert len(calls) == 1 and calls[0][0] is theta and calls[0][1:] == (t, last)
-    assert ([(m.round_index, str(m.kind), m.sender, m.receiver) for m in channel.messages]
+    assert ([(m.round_index, str(m.kind), m.sender, m.receiver, payload_tag(m.payload))
+             for m in channel.messages]
             == [line for line in message_order(cfg) if line[0] == t])
     assert [m.payload for m in channel.messages if m.kind is MessageKind.METADATA_DOWN] == [
         [last[j] for j in range(cfg.nodes) if j != k] for k in range(cfg.nodes)]
@@ -350,13 +351,21 @@ def test_channel_refuses_float32_parameters(kind, sender, receiver):
 
 
 def test_contract_names_every_kind_once():
+    """Each kind's payload passes from its own side and is refused, by
+    reason, from the other side or under another payload tag."""
     assert set(CONTRACT) == {k.value for k in MessageKind}
+    meta = NodeMetadata(np.zeros(4), np.eye(4))
+    payloads = {"params": init_params(mlp_shapes(16, [6], 4), 0), "metadata": meta,
+                "metadata_list": [meta]}
+    other = type("Images", (), {})()  # tagged 'other:Images'; no datagen.Images
     for kind, (tag, downward) in CONTRACT.items():
         assert downward == kind.endswith("_down")
-        sender = "server" if downward else "node-0"
-        assert contract_violation(kind, sender, tag) is None
-        assert contract_violation(kind, "node-0" if downward else "server", tag) is not None
-        assert contract_violation(kind, sender, "other:Images") is not None
+        sender, receiver = ("server", "node-0") if downward else ("node-0", "server")
+        assert payload_violation(Message(kind, sender, receiver, 1, payloads[tag])) is None
+        assert (payload_violation(Message(kind, receiver, sender, 1, payloads[tag]))
+                == f"{kind} sent by {receiver!r}")
+        assert (payload_violation(Message(kind, sender, receiver, 1, other))
+                == f"{kind} carries 'other:Images', expected {tag!r}")
 
 
 @pytest.mark.parametrize("kind,sender,receiver", [
